@@ -123,7 +123,7 @@ fn main() {
             }
             "--prefetchers" => {
                 let v = it.next().unwrap_or_else(|| usage());
-                prefetchers = service::parse_list(v);
+                prefetchers = service::parse_prefetchers(v);
             }
             "--cores" => {
                 let v = it.next().unwrap_or_else(|| usage());

@@ -62,6 +62,28 @@ pub fn parse_list(s: &str) -> Vec<String> {
         .collect()
 }
 
+/// Splits a `--prefetchers` list. Two roster names carry a comma of
+/// their own (`solihin-3,2`, `solihin-6,1`), so a digit-led fragment is
+/// re-joined onto a preceding `solihin-N`: `none,solihin-3,2,stream`
+/// names three prefetchers.
+pub fn parse_prefetchers(s: &str) -> Vec<String> {
+    let mut names: Vec<String> = Vec::new();
+    for part in parse_list(s) {
+        match names.last_mut() {
+            Some(prev)
+                if prev.starts_with("solihin-")
+                    && !prev.contains(',')
+                    && part.starts_with(|c: char| c.is_ascii_digit()) =>
+            {
+                prev.push(',');
+                prev.push_str(&part);
+            }
+            _ => names.push(part),
+        }
+    }
+    names
+}
+
 /// Parses a byte-count argument: a plain integer, optionally suffixed
 /// `k`/`m`/`g` (binary multiples, case-insensitive) — `--mem-budget
 /// 512m`.
@@ -392,18 +414,26 @@ pub fn cmd_sweep_local(
 /// `repro bench-serve`: measures warm-cache submit latency against an
 /// in-process daemon and writes `<out-dir>/BENCH_serve.json`.
 ///
-/// The sweep is submitted once cold (populating the memo), then
+/// The sweep is the grid users submit: every workload × the full
+/// sweep roster, plus a 2-core CMP axis (150 cells at quick scale).
+/// It is submitted once cold (populating the memo), then
 /// `WARM_SUBMITS` more times; each warm submit performs zero
 /// simulations, so its wall time is pure service overhead — queueing,
 /// memo lookups, streaming and client-side reassembly.
 pub fn bench_serve(out_dir: &Path, scale: Scale) -> i32 {
     const WARM_SUBMITS: usize = 30;
     let spec = SweepSpec {
-        workloads: vec!["database".into(), "tpcw".into()],
-        prefetchers: vec!["none".into(), "stream".into()],
-        cores: Vec::new(),
+        workloads: scale.workloads_all().into_iter().map(|w| w.name).collect(),
+        prefetchers: crate::throughput::sweep_roster(scale)
+            .iter()
+            .map(ebcp_sim::PrefetcherSpec::name)
+            .collect(),
+        cores: vec![2],
         scale,
     };
+    // One single-core cell plus one CMP cell per core count, for each
+    // workload × prefetcher (the roster is deduplicated by name).
+    let cells = spec.workloads.len() * spec.prefetchers.len() * (1 + spec.cores.len());
     let server = match Server::bind(
         std::sync::Arc::new(harness(0, None, MemArgs::default())),
         ServerConfig {
@@ -468,10 +498,10 @@ pub fn bench_serve(out_dir: &Path, scale: Scale) -> i32 {
     warm_ms.sort_by(|a, b| a.total_cmp(b));
     let pct = |p: f64| warm_ms[((warm_ms.len() - 1) as f64 * p).round() as usize];
     let (p50, p99) = (pct(0.50), pct(0.99));
+    let p50_per_cell_us = p50 * 1e3 / cells as f64;
     println!(
-        "bench-serve: {} cells; cold {:.1} ms, warm submit p50 {p50:.2} ms / p99 {p99:.2} ms \
-         over {WARM_SUBMITS} submits",
-        spec.workloads.len() * spec.prefetchers.len(),
+        "bench-serve: {cells} cells; cold {:.1} ms, warm submit p50 {p50:.2} ms \
+         ({p50_per_cell_us:.1} us/cell) / p99 {p99:.2} ms over {WARM_SUBMITS} submits",
         cold.as_secs_f64() * 1e3,
     );
     let doc = Value::Obj(vec![
@@ -484,13 +514,11 @@ pub fn bench_serve(out_dir: &Path, scale: Scale) -> i32 {
                 ("seed".into(), Value::Int(scale.seed)),
             ]),
         ),
-        (
-            "cells".into(),
-            Value::Int((spec.workloads.len() * spec.prefetchers.len()) as u64),
-        ),
+        ("cells".into(), Value::Int(cells as u64)),
         ("warm_submits".into(), Value::Int(WARM_SUBMITS as u64)),
         ("cold_ms".into(), Value::Num(cold.as_secs_f64() * 1e3)),
         ("warm_p50_ms".into(), Value::Num(p50)),
+        ("warm_p50_us_per_cell".into(), Value::Num(p50_per_cell_us)),
         ("warm_p99_ms".into(), Value::Num(p99)),
     ]);
     let path = out_dir.join("BENCH_serve.json");
@@ -503,5 +531,30 @@ pub fn bench_serve(out_dir: &Path, scale: Scale) -> i32 {
             eprintln!("warning: could not write {}: {e}", path.display());
             3
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn prefetcher_lists_keep_solihin_commas_and_other_lists_split_as_before() {
+        assert_eq!(
+            parse_prefetchers("none,solihin-3,2, solihin-6,1,stream,solihin-3,2+nof"),
+            [
+                "none",
+                "solihin-3,2",
+                "solihin-6,1",
+                "stream",
+                "solihin-3,2+nof"
+            ]
+        );
+        assert_eq!(parse_prefetchers("ebcp,,stream"), ["ebcp", "stream"]);
+        assert_eq!(
+            parse_list("database,tpcw, graph"),
+            ["database", "tpcw", "graph"]
+        );
+        assert_eq!(parse_list("1,2"), ["1", "2"]);
     }
 }

@@ -12,13 +12,14 @@
 //! panic-isolated execution with the retry-once policy
 //! ([`crate::Harness::run_cmp_outcomes`]).
 
+use std::fmt;
 use std::fs;
 use std::io;
 use std::path::PathBuf;
 
 use ebcp_sim::{CmpResult, CmpSpec, PrefetcherSpec, SimResult};
 
-use crate::job::{fnv1a64, Job, JobId};
+use crate::job::{fnv1a64, fnv1a64_fmt, Job, JobId};
 use crate::json::{self, Value};
 use crate::store::{
     quarantine, result_from_json, result_to_json, unique_tmp, CacheRead, ResultStore,
@@ -54,15 +55,25 @@ impl CmpJob {
     /// [`Job::canonical`] for why `Debug` is a sound canonical form).
     #[must_use]
     pub fn canonical(&self) -> String {
-        format!("{CMP_CANON_VERSION}|{:?}|{:?}", self.spec, self.pf)
+        self.canonical_args(fmt::format)
     }
 
     /// The job's content hash. Lives in the same [`JobId`] namespace as
     /// single-core jobs (distinct canonical prefixes keep the collision
     /// guard meaningful) but in its own memo and store shard files.
+    /// Streamed into the hasher, like [`Job::id`].
     #[must_use]
     pub fn id(&self) -> JobId {
-        JobId(fnv1a64(self.canonical().as_bytes()))
+        JobId(self.canonical_args(fnv1a64_fmt))
+    }
+
+    /// Hands the canonical string's pieces to `f` — the one definition
+    /// both [`CmpJob::canonical`] and [`CmpJob::id`] render.
+    fn canonical_args<R>(&self, f: impl FnOnce(fmt::Arguments<'_>) -> R) -> R {
+        f(format_args!(
+            "{CMP_CANON_VERSION}|{:?}|{:?}",
+            self.spec, self.pf
+        ))
     }
 
     /// The single-core job whose pre-resolved stream core `k` consumes.

@@ -6,6 +6,8 @@
 //! different experiment drivers collapses to one simulation — and to one
 //! entry in the on-disk result store across processes.
 
+use std::fmt;
+
 use ebcp_sim::{PrefetcherSpec, RunSpec};
 
 /// Schema tag mixed into every canonical string. Bump when the meaning
@@ -60,12 +62,31 @@ impl Default for Fnv64 {
     }
 }
 
+/// Lets `write!` stream formatted text straight into the hash: the
+/// digest equals [`fnv1a64`] of the string `format!` would have built,
+/// without building it.
+impl fmt::Write for Fnv64 {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// FNV-1a of `args`' formatted text, without allocating it.
+pub(crate) fn fnv1a64_fmt(args: fmt::Arguments<'_>) -> u64 {
+    let mut h = Fnv64::new();
+    // `Fnv64::write_str` never fails, and the specs' `Debug` impls are
+    // derived, so formatting cannot fail either.
+    let _ = fmt::Write::write_fmt(&mut h, args);
+    h.finish()
+}
+
 /// A job's stable identity: the FNV-1a hash of its canonical string.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobId(pub u64);
 
-impl std::fmt::Display for JobId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for JobId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:016x}", self.0)
     }
 }
@@ -96,13 +117,23 @@ impl Job {
     /// collisions.
     #[must_use]
     pub fn canonical(&self) -> String {
-        format!("{CANON_VERSION}|{:?}|{:?}", self.spec, self.pf)
+        self.canonical_args(fmt::format)
     }
 
-    /// The job's content hash.
+    /// The job's content hash: [`fnv1a64`] of [`Job::canonical`],
+    /// streamed into the hasher instead of formatted into a `String`.
     #[must_use]
     pub fn id(&self) -> JobId {
-        JobId(fnv1a64(self.canonical().as_bytes()))
+        JobId(self.canonical_args(fnv1a64_fmt))
+    }
+
+    /// Hands the canonical string's pieces to `f` — the one definition
+    /// both [`Job::canonical`] and [`Job::id`] render.
+    fn canonical_args<R>(&self, f: impl FnOnce(fmt::Arguments<'_>) -> R) -> R {
+        f(format_args!(
+            "{CANON_VERSION}|{:?}|{:?}",
+            self.spec, self.pf
+        ))
     }
 
     /// Hash identifying the *trace* this job replays: workload, seed and
@@ -110,13 +141,12 @@ impl Job {
     /// trace keys can share one materialized trace.
     #[must_use]
     pub fn trace_key(&self) -> u64 {
-        let s = format!(
+        fnv1a64_fmt(format_args!(
             "{CANON_VERSION}|trace|{:?}|{}|{}",
             self.spec.workload,
             self.spec.seed,
             self.spec.warmup_insts + self.spec.measure_insts,
-        );
-        fnv1a64(s.as_bytes())
+        ))
     }
 
     /// Hash identifying the *pre-resolved event stream* this job can
@@ -126,15 +156,14 @@ impl Job {
     /// sweep) share one stream.
     #[must_use]
     pub fn pre_key(&self) -> u64 {
-        let s = format!(
+        fnv1a64_fmt(format_args!(
             "{CANON_VERSION}|pre|{:?}|{}|{}|{:?}|{:?}",
             self.spec.workload,
             self.spec.seed,
             self.spec.warmup_insts + self.spec.measure_insts,
             self.spec.sim.l1i,
             self.spec.sim.l1d,
-        );
-        fnv1a64(s.as_bytes())
+        ))
     }
 
     /// Total trace records the job will consume.

@@ -73,6 +73,7 @@ pub mod store;
 pub mod telemetry;
 pub mod traces;
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -361,7 +362,13 @@ impl Harness {
     /// fast path: warm cells answer instantly without entering the
     /// queue.
     pub fn cached_outcome(&self, job: &Job) -> Option<JobOutcome> {
-        lock(&self.memo).get(&job.id()).cloned()
+        self.cached_outcome_by_id(job.id())
+    }
+
+    /// [`Harness::cached_outcome`] for a caller that already holds the
+    /// job's id.
+    pub(crate) fn cached_outcome_by_id(&self, id: JobId) -> Option<JobOutcome> {
+        lock(&self.memo).get(&id).cloned()
     }
 
     /// Pre-resolved streams currently held warm (distinct pre-keys).
@@ -422,22 +429,24 @@ impl Harness {
     pub fn run_outcomes(&self, jobs: &[Job]) -> Vec<JobOutcome> {
         let t0 = Instant::now();
 
+        // Hash each job once; dedupe, the memo pass and the final
+        // submission-order map all reuse these ids.
+        let ids: Vec<JobId> = jobs.iter().map(Job::id).collect();
         // Deduplicate, preserving first-submission order. A 64-bit
         // content-hash collision between *different* jobs is astronomically
         // unlikely but cheap to rule out.
         let mut first_seen: HashMap<JobId, usize> = HashMap::new();
-        let mut uniques: Vec<&Job> = Vec::new();
-        for job in jobs {
-            match first_seen.get(&job.id()) {
-                Some(&idx) => assert_eq!(
-                    uniques[idx],
+        let mut uniques: Vec<(JobId, &Job)> = Vec::new();
+        for (&id, job) in ids.iter().zip(jobs) {
+            match first_seen.entry(id) {
+                Entry::Occupied(seen) => assert_eq!(
+                    uniques[*seen.get()].1,
                     job,
-                    "job content-hash collision on {}; bump CANON_VERSION",
-                    job.id()
+                    "job content-hash collision on {id}; bump CANON_VERSION"
                 ),
-                None => {
-                    first_seen.insert(job.id(), uniques.len());
-                    uniques.push(job);
+                Entry::Vacant(slot) => {
+                    slot.insert(uniques.len());
+                    uniques.push((id, job));
                 }
             }
         }
@@ -454,14 +463,13 @@ impl Harness {
             let mut c = lock(&self.counters);
             c.submitted += jobs.len();
             c.unique += uniques.len();
-            for job in &uniques {
-                let id = job.id();
+            for &(id, job) in &uniques {
                 let source = match memo.entry(id) {
-                    std::collections::hash_map::Entry::Occupied(_) => {
+                    Entry::Occupied(_) => {
                         c.memo_hits += 1;
                         ResultSource::Memory
                     }
-                    std::collections::hash_map::Entry::Vacant(slot) => {
+                    Entry::Vacant(slot) => {
                         // A single-core `Job` over a CMP *per-core*
                         // workload is a capability mismatch, not a
                         // queueing problem: its trace lives in one core's
@@ -555,7 +563,7 @@ impl Harness {
         }
 
         let memo = lock(&self.memo);
-        jobs.iter().map(|j| memo[&j.id()].clone()).collect()
+        ids.iter().map(|id| memo[id].clone()).collect()
     }
 
     /// The labels and panic reasons of every job that failed so far,
@@ -880,19 +888,20 @@ impl Harness {
     pub fn run_cmp_outcomes(&self, jobs: &[CmpJob]) -> Vec<CmpOutcome> {
         let t0 = Instant::now();
 
+        // One hash per job, reused as in `run_outcomes`.
+        let ids: Vec<JobId> = jobs.iter().map(CmpJob::id).collect();
         let mut first_seen: HashMap<JobId, usize> = HashMap::new();
-        let mut uniques: Vec<&CmpJob> = Vec::new();
-        for job in jobs {
-            match first_seen.get(&job.id()) {
-                Some(&idx) => assert_eq!(
-                    uniques[idx],
+        let mut uniques: Vec<(JobId, &CmpJob)> = Vec::new();
+        for (&id, job) in ids.iter().zip(jobs) {
+            match first_seen.entry(id) {
+                Entry::Occupied(seen) => assert_eq!(
+                    uniques[*seen.get()].1,
                     job,
-                    "CMP job content-hash collision on {}; bump CMP_CANON_VERSION",
-                    job.id()
+                    "CMP job content-hash collision on {id}; bump CMP_CANON_VERSION"
                 ),
-                None => {
-                    first_seen.insert(job.id(), uniques.len());
-                    uniques.push(job);
+                Entry::Vacant(slot) => {
+                    slot.insert(uniques.len());
+                    uniques.push((id, job));
                 }
             }
         }
@@ -903,10 +912,10 @@ impl Harness {
             let mut c = lock(&self.counters);
             c.submitted += jobs.len();
             c.unique += uniques.len();
-            for job in &uniques {
-                match memo.entry(job.id()) {
-                    std::collections::hash_map::Entry::Occupied(_) => c.memo_hits += 1,
-                    std::collections::hash_map::Entry::Vacant(slot) => {
+            for &(id, job) in &uniques {
+                match memo.entry(id) {
+                    Entry::Occupied(_) => c.memo_hits += 1,
+                    Entry::Vacant(slot) => {
                         let read = match &self.store {
                             Some(s) => s.load_checked_cmp(job),
                             None => CacheRead::Miss,
@@ -941,7 +950,7 @@ impl Harness {
 
         lock(&self.counters).wall += t0.elapsed();
         let memo = lock(&self.cmp_memo);
-        jobs.iter().map(|j| memo[&j.id()].clone()).collect()
+        ids.iter().map(|id| memo[id].clone()).collect()
     }
 
     /// Runs pending CMP cells on the worker pool: per-core streams from

@@ -217,16 +217,19 @@ impl JobService {
         if self.shutting_down.load(Ordering::SeqCst) {
             return Err(SubmitError::ShuttingDown);
         }
+        // One hash serves the memo probe, the delivery and the
+        // inflight map.
+        let id = job.id();
         // Warm fast path: answer from the memo without queueing. Failed
         // jobs are memoized too — the deterministic simulator would
         // only fail again.
-        if let Some(outcome) = self.harness.cached_outcome(&job) {
+        if let Some(outcome) = self.harness.cached_outcome_by_id(id) {
             self.completed.fetch_add(1, Ordering::Relaxed);
-            let _ = done.send((job.id(), outcome));
+            let _ = done.send((id, outcome));
             return Ok(());
         }
         let mut inner = lock(&self.inner);
-        if let Some(waiters) = inner.inflight.get_mut(&job.id()) {
+        if let Some(waiters) = inner.inflight.get_mut(&id) {
             // Already queued or running (for this or any other client):
             // ride along on the one execution.
             waiters.push(done);
@@ -237,7 +240,7 @@ impl JobService {
                 retry_after: self.cfg.retry_after,
             });
         }
-        inner.inflight.insert(job.id(), vec![done]);
+        inner.inflight.insert(id, vec![done]);
         let queue = inner.queues.entry(client).or_default();
         let newly_active = queue.is_empty();
         queue.push_back(job);
@@ -293,6 +296,7 @@ impl JobService {
                         .unwrap_or_else(PoisonError::into_inner);
                 }
             };
+            let id = job.id();
             // Execute outside the lock: a single-job batch through the
             // full harness path — memo, disk cache, quarantine
             // self-heal, panic isolation with retry-once, telemetry.
@@ -309,11 +313,11 @@ impl JobService {
             let waiters = {
                 let mut inner = lock(&self.inner);
                 inner.running = inner.running.saturating_sub(1);
-                inner.inflight.remove(&job.id()).unwrap_or_default()
+                inner.inflight.remove(&id).unwrap_or_default()
             };
             for w in &waiters {
                 self.completed.fetch_add(1, Ordering::Relaxed);
-                let _ = w.send((job.id(), outcome.clone()));
+                let _ = w.send((id, outcome.clone()));
             }
         }
     }

@@ -9,7 +9,7 @@
 //! local one. A cell id the client did not predict is a version-skew
 //! error, not a silent mismatch.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 #[cfg(unix)]
@@ -128,23 +128,28 @@ impl Client {
         let jobs = sweep.jobs().map_err(bad_input)?;
         let cmp_jobs = sweep.cmp_jobs().map_err(bad_input)?;
         // Submission-ordered unique identity rows, as a local run's
-        // results.json would list them.
+        // results.json would list them. Each job is hashed once; the
+        // id sets dedupe here and validate streamed cells below.
+        let mut ids: HashSet<JobId> = HashSet::with_capacity(jobs.len());
         let mut order: Vec<(JobId, String, String)> = Vec::new();
         for job in &jobs {
-            if order.iter().all(|(id, _, _)| *id != job.id()) {
+            let id = job.id();
+            if ids.insert(id) {
                 order.push((
-                    job.id(),
+                    id,
                     job.spec.workload.name.clone(),
                     job.pf.name().to_string(),
                 ));
             }
         }
         // (id, cell name, prefetcher, cores) per unique CMP cell.
+        let mut cmp_ids: HashSet<JobId> = HashSet::with_capacity(cmp_jobs.len());
         let mut cmp_order: Vec<(JobId, String, String, u64)> = Vec::new();
         for job in &cmp_jobs {
-            if cmp_order.iter().all(|(id, _, _, _)| *id != job.id()) {
+            let id = job.id();
+            if cmp_ids.insert(id) {
                 cmp_order.push((
-                    job.id(),
+                    id,
                     job.spec.name.clone(),
                     job.pf.name().to_string(),
                     job.cores() as u64,
@@ -190,7 +195,7 @@ impl Client {
                 Some("telemetry") => {}
                 Some("cell") => {
                     let row = parse_cell(&msg).map_err(bad_data)?;
-                    if !order.iter().any(|(id, _, _)| *id == row.id) {
+                    if !ids.contains(&row.id) {
                         return Err(bad_data(format!(
                             "daemon streamed cell {} outside the submitted grid \
                              — client/daemon version skew",
@@ -201,7 +206,7 @@ impl Client {
                 }
                 Some("cmp_cell") => {
                     let row = parse_cmp_cell(&msg).map_err(bad_data)?;
-                    if !cmp_order.iter().any(|(id, _, _, _)| *id == row.id) {
+                    if !cmp_ids.contains(&row.id) {
                         return Err(bad_data(format!(
                             "daemon streamed CMP cell {} outside the submitted grid \
                              — client/daemon version skew",

@@ -14,6 +14,7 @@
 //! becomes that client's `"failed"` cell through the harness's
 //! panic-isolation path, and other connections never notice.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener};
@@ -304,18 +305,26 @@ impl Server {
                 Ok(expanded) => expanded,
                 Err(reason) => return conn.send(&resp_error(&reason)),
             };
-        let mut seen = HashSet::new();
-        let unique: Vec<Job> = jobs
-            .iter()
-            .filter(|j| seen.insert(j.id()))
-            .cloned()
-            .collect();
-        let mut seen_cmp = HashSet::new();
-        let unique_cmp: Vec<CmpJob> = cmp_jobs
-            .iter()
-            .filter(|j| seen_cmp.insert(j.id()))
-            .cloned()
-            .collect();
+        // Each unique job is hashed once here; completions route back
+        // to their job through `slot_of`, CMP rows reuse `cmp_ids`.
+        let mut slot_of: HashMap<JobId, usize> = HashMap::with_capacity(jobs.len());
+        let mut unique: Vec<Job> = Vec::new();
+        for job in &jobs {
+            if let Entry::Vacant(slot) = slot_of.entry(job.id()) {
+                slot.insert(unique.len());
+                unique.push(job.clone());
+            }
+        }
+        let mut seen_cmp = HashSet::with_capacity(cmp_jobs.len());
+        let mut cmp_ids: Vec<JobId> = Vec::new();
+        let mut unique_cmp: Vec<CmpJob> = Vec::new();
+        for job in &cmp_jobs {
+            let id = job.id();
+            if seen_cmp.insert(id) {
+                cmp_ids.push(id);
+                unique_cmp.push(job.clone());
+            }
+        }
         let mut labels: HashSet<String> = unique.iter().map(Job::label).collect();
         labels.extend(unique_cmp.iter().map(CmpJob::label));
 
@@ -366,7 +375,7 @@ impl Server {
                     // would be a service routing bug; drop it rather
                     // than panicking the handler thread (which would
                     // silently kill the client's stream).
-                    let Some(job) = unique.iter().find(|j| j.id() == id) else {
+                    let Some(job) = slot_of.get(&id).map(|&i| &unique[i]) else {
                         continue;
                     };
                     conn.send(&resp_cell(&ResultRow {
@@ -392,9 +401,9 @@ impl Server {
                 conn.send(&resp_telemetry(&ev))?;
             }
         }
-        for (job, outcome) in unique_cmp.iter().zip(&cmp_outcomes) {
+        for ((job, &id), outcome) in unique_cmp.iter().zip(&cmp_ids).zip(&cmp_outcomes) {
             conn.send(&resp_cmp_cell(&CmpResultRow {
-                id: job.id(),
+                id,
                 cell: job.spec.name.clone(),
                 prefetcher: job.pf.name().to_string(),
                 cores: job.cores() as u64,

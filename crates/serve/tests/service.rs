@@ -297,6 +297,102 @@ fn cmp_cells_flow_through_the_service_and_match_a_local_run() {
 }
 
 #[test]
+fn repeated_names_dedupe_route_each_cell_once_and_match_a_local_run() {
+    use ebcp_harness::{results_doc_cmp, CmpJob, CmpResultRow};
+    use std::collections::{HashMap, HashSet};
+    use std::sync::Mutex;
+
+    let d = daemon(1, 64);
+    let mut spec = sweep(&["database", "database"], &["none", "stream", "none"]);
+    spec.cores = vec![2];
+    let jobs = spec.jobs().unwrap();
+    let cmp_jobs = spec.cmp_jobs().unwrap();
+    let unique_ids: HashSet<_> = jobs.iter().map(|j| j.id()).collect();
+    let unique_cmp_ids: HashSet<_> = cmp_jobs.iter().map(CmpJob::id).collect();
+    assert_eq!((jobs.len(), unique_ids.len()), (6, 2));
+    assert_eq!((cmp_jobs.len(), unique_cmp_ids.len()), (6, 2));
+
+    // Record the accepted count and every streamed cell id, per kind.
+    let accepted_unique = Mutex::new(None);
+    let streamed: Mutex<HashMap<(String, String), usize>> = Mutex::new(HashMap::new());
+    let mut client = Client::connect(&d.addr).unwrap();
+    let outcome = client
+        .submit(&spec, |ev| {
+            let event = ev.get("event").and_then(Value::as_str).unwrap_or("");
+            match event {
+                "accepted" => {
+                    *accepted_unique.lock().unwrap() = ev.get("unique").and_then(Value::as_u64);
+                }
+                "cell" | "cmp_cell" => {
+                    let id = ev.get("id").and_then(Value::as_str).unwrap().to_owned();
+                    *streamed
+                        .lock()
+                        .unwrap()
+                        .entry((event.to_owned(), id))
+                        .or_default() += 1;
+                }
+                _ => {}
+            }
+        })
+        .unwrap();
+    let SweepOutcome::Done { results, failed } = outcome else {
+        panic!("submit refused: {outcome:?}");
+    };
+    assert_eq!(failed, 0);
+    assert_eq!(
+        accepted_unique.into_inner().unwrap(),
+        Some((unique_ids.len() + unique_cmp_ids.len()) as u64)
+    );
+    let streamed = streamed.into_inner().unwrap();
+    let expected: HashSet<(String, String)> = unique_ids
+        .iter()
+        .map(|id| ("cell".to_owned(), id.to_string()))
+        .chain(
+            unique_cmp_ids
+                .iter()
+                .map(|id| ("cmp_cell".to_owned(), id.to_string())),
+        )
+        .collect();
+    assert_eq!(streamed.keys().cloned().collect::<HashSet<_>>(), expected);
+    assert!(
+        streamed.values().all(|&n| n == 1),
+        "every unique cell streams exactly once: {streamed:?}"
+    );
+
+    // The local assembly `repro sweep` performs: run the singles, run
+    // the deduplicated CMP cells, render through the shared renderer.
+    let local = Harness::serial();
+    local.run_outcomes(&jobs);
+    let mut seen = HashSet::new();
+    let unique_cmp: Vec<CmpJob> = cmp_jobs
+        .iter()
+        .filter(|j| seen.insert(j.id()))
+        .cloned()
+        .collect();
+    let cmp_outcomes = local.run_cmp_outcomes(&unique_cmp);
+    let cmp_rows: Vec<CmpResultRow> = unique_cmp
+        .iter()
+        .zip(&cmp_outcomes)
+        .map(|(job, outcome)| CmpResultRow {
+            id: job.id(),
+            cell: job.spec.name.clone(),
+            prefetcher: job.pf.name().to_string(),
+            cores: job.cores() as u64,
+            outcome: outcome.clone(),
+        })
+        .collect();
+    let local_doc = results_doc_cmp(jobs.len() + cmp_jobs.len(), &local.result_rows(), &cmp_rows);
+    assert_eq!(
+        local_doc.to_json_pretty(),
+        results.to_json_pretty(),
+        "a sweep with repeated names must match the local assembly byte for byte"
+    );
+
+    client.shutdown().unwrap();
+    d.runner.join().unwrap().unwrap();
+}
+
+#[test]
 fn full_queue_rejects_the_sweep_with_a_retry_hint() {
     // No workers and zero depth: a cold submit cannot be accepted.
     let d = daemon(0, 0);
