@@ -14,7 +14,13 @@ fn main() {
     let sweep = throughput::measure_sweep(scale);
     println!();
     print!("{}", throughput::render_sweep(&sweep));
-    let doc = throughput::to_json(scale, &rows, &sweep);
+    let lockstep = throughput::measure_lockstep(scale);
+    println!();
+    print!("{}", throughput::render_lockstep(&lockstep));
+    let cmp = throughput::measure_cmp(scale);
+    println!();
+    print!("{}", throughput::render_cmp(&cmp));
+    let doc = throughput::to_json(scale, &rows, &sweep, &lockstep, &cmp);
     let out = std::path::Path::new("target/ebcp-results");
     if let Err(e) = std::fs::create_dir_all(out) {
         eprintln!("warning: could not create {}: {e}", out.display());

@@ -208,9 +208,11 @@ pub fn cmd_submit(addr: &str, spec: &SweepSpec, out: &Path, retries: u32) -> i32
     };
     let mut attempt = 0;
     loop {
-        let outcome = match client.submit(spec, |ev| {
-            if ev.get("event").and_then(Value::as_str) == Some("telemetry") {
-                narrate(ev);
+        let outcome = match client.submit(spec, |msg| {
+            if let Some(ev) = msg.event() {
+                if ev.get("event").and_then(Value::as_str) == Some("telemetry") {
+                    narrate(ev);
+                }
             }
         }) {
             Ok(o) => o,

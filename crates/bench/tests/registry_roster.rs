@@ -35,7 +35,7 @@ fn every_registry_entry_is_in_the_sweep_roster() {
     let roster_names: Vec<String> = sweep_roster(scale).iter().map(|p| p.name()).collect();
     for name in registry_names(&scale) {
         assert!(
-            roster_names.iter().any(|n| *n == name),
+            roster_names.contains(&name),
             "registry entry {name:?} missing from sweep_roster: {roster_names:?}"
         );
     }

@@ -19,10 +19,11 @@ use std::path::PathBuf;
 
 use ebcp_sim::{CmpResult, CmpSpec, PrefetcherSpec, SimResult};
 
-use crate::job::{fnv1a64, fnv1a64_fmt, Job, JobId};
-use crate::json::{self, Value};
+use crate::job::{fnv1a64_fmt, Fnv64, Job, JobId};
+use crate::json::{self, JsonSink, ParseError, Reader, Value};
 use crate::store::{
-    quarantine, result_from_json, result_to_json, unique_tmp, CacheRead, ResultStore,
+    check_entry, read_keyed, read_result, result_from_json, result_to_json, unique_tmp,
+    write_result, CacheRead, ResultStore,
 };
 
 /// Schema tag mixed into every CMP canonical string; versioned
@@ -143,29 +144,91 @@ impl CmpOutcome {
     }
 }
 
+/// The keys of an encoded [`CmpResult`], in order: the per-core
+/// results, then the aggregate.
+const CMP_KEYS: [&str; 2] = ["cores", "aggregate"];
+
 /// Encodes a [`CmpResult`] as JSON: per-core results plus the
 /// aggregate, each in the standard [`result_to_json`] shape.
 pub fn cmp_result_to_json(r: &CmpResult) -> Value {
     Value::Obj(vec![
         (
-            "cores".into(),
+            CMP_KEYS[0].into(),
             Value::Arr(r.cores.iter().map(result_to_json).collect()),
         ),
-        ("aggregate".into(), result_to_json(&r.aggregate)),
+        (CMP_KEYS[1].into(), result_to_json(&r.aggregate)),
     ])
 }
 
 /// Decodes a [`CmpResult`]; `None` on any missing or mistyped field.
+/// The reference for [`read_cmp_result`].
 pub fn cmp_result_from_json(v: &Value) -> Option<CmpResult> {
     let cores = v
-        .get("cores")?
+        .get(CMP_KEYS[0])?
         .as_arr()?
         .iter()
         .map(result_from_json)
         .collect::<Option<Vec<SimResult>>>()?;
     Some(CmpResult {
         cores,
-        aggregate: result_from_json(v.get("aggregate")?)?,
+        aggregate: result_from_json(v.get(CMP_KEYS[1])?)?,
+    })
+}
+
+/// Appends the compact encoding of `r`, byte for byte what
+/// `cmp_result_to_json(r).to_json()` renders.
+pub fn write_cmp_result(out: &mut impl JsonSink, r: &CmpResult) {
+    out.push_str("{");
+    json::write_key(out, CMP_KEYS[0]);
+    out.push_str("[");
+    for (i, core) in r.cores.iter().enumerate() {
+        if i > 0 {
+            out.push_str(",");
+        }
+        write_result(out, core);
+    }
+    out.push_str("],");
+    json::write_key(out, CMP_KEYS[1]);
+    write_result(out, &r.aggregate);
+    out.push_str("}");
+}
+
+/// Decodes the [`CmpResult`] at `rd` straight from the text, with the
+/// contract of [`read_result`].
+///
+/// # Errors
+///
+/// Malformed JSON.
+pub fn read_cmp_result(rd: &mut Reader<'_>) -> Result<Option<CmpResult>, ParseError> {
+    let mut cores = Vec::new();
+    let mut aggregate = None;
+    let ok = read_keyed(
+        rd,
+        CMP_KEYS.len(),
+        |i| CMP_KEYS[i],
+        |rd, i| {
+            if i == 1 {
+                aggregate = read_result(rd)?;
+                return Ok(aggregate.is_some());
+            }
+            if rd.peek() != Some(b'[') {
+                rd.skip()?;
+                return Ok(false);
+            }
+            let mut ok = true;
+            rd.array(|rd| {
+                match read_result(rd)? {
+                    Some(r) => cores.push(r),
+                    None => ok = false,
+                }
+                Ok(())
+            })?;
+            Ok(ok)
+        },
+    )?;
+    Ok(match (ok, aggregate) {
+        (true, Some(aggregate)) => Some(CmpResult { cores, aggregate }),
+        _ => None,
     })
 }
 
@@ -186,32 +249,14 @@ impl ResultStore {
         let Ok(text) = fs::read_to_string(&path) else {
             return CacheRead::Miss;
         };
-        let Ok(v) = json::parse(&text) else {
-            return quarantine(path, "unparsable JSON".into());
-        };
-        let Some(schema) = v.get("schema").and_then(Value::as_u64) else {
-            return quarantine(path, "missing schema field".into());
-        };
-        if schema != CMP_SCHEMA {
-            return CacheRead::Miss;
-        }
-        match v.get("job").and_then(Value::as_str) {
-            None => return quarantine(path, "missing job field".into()),
-            Some(canon) if canon != job.canonical() => return CacheRead::Miss,
-            Some(_) => {}
-        }
-        let Some(result) = v.get("result") else {
-            return quarantine(path, "missing result field".into());
-        };
-        match v.get("checksum").and_then(Value::as_str) {
-            Some(stored) if stored == cmp_checksum(result) => {}
-            Some(_) => return quarantine(path, "checksum mismatch".into()),
-            None => return quarantine(path, "missing checksum field".into()),
-        }
-        match cmp_result_from_json(result) {
-            Some(r) => CacheRead::Hit(r),
-            None => quarantine(path, "undecodable result".into()),
-        }
+        check_entry(
+            path,
+            &text,
+            CMP_SCHEMA,
+            &job.canonical(),
+            read_cmp_result,
+            cmp_checksum,
+        )
     }
 
     /// Persists a CMP result (atomic write-temp-rename, pid- and
@@ -221,13 +266,12 @@ impl ResultStore {
     ///
     /// Propagates I/O failures; callers may treat them as non-fatal.
     pub fn save_cmp(&self, job: &CmpJob, result: &CmpResult) -> io::Result<()> {
-        let result_json = cmp_result_to_json(result);
         let doc = Value::Obj(vec![
             ("schema".into(), Value::Int(CMP_SCHEMA)),
             ("id".into(), Value::Str(job.id().to_string())),
             ("job".into(), Value::Str(job.canonical())),
-            ("checksum".into(), Value::Str(cmp_checksum(&result_json))),
-            ("result".into(), result_json),
+            ("checksum".into(), Value::Str(cmp_checksum(result))),
+            ("result".into(), cmp_result_to_json(result)),
         ]);
         let path = self.cmp_entry_path(job);
         if let Some(parent) = path.parent() {
@@ -239,9 +283,12 @@ impl ResultStore {
     }
 }
 
-/// FNV-1a over the compact result encoding (whitespace-proof).
-fn cmp_checksum(result: &Value) -> String {
-    format!("{:016x}", fnv1a64(result.to_json().as_bytes()))
+/// FNV-1a over the compact result encoding (whitespace-proof),
+/// streamed into the hash.
+fn cmp_checksum(r: &CmpResult) -> String {
+    let mut h = Fnv64::new();
+    write_cmp_result(&mut h, r);
+    format!("{:016x}", h.finish())
 }
 
 #[cfg(test)]

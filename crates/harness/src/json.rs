@@ -2,12 +2,22 @@
 //! consolidated `results.json`.
 //!
 //! The build environment is hermetic (no serde_json), and the harness
-//! only needs to round-trip flat counter structs, so a ~200-line codec
+//! only needs to round-trip flat counter structs, so a small codec
 //! beats a dependency. Integers are kept exact: `u64` counters are
 //! emitted as integer literals and parsed back without a round-trip
 //! through `f64` (which would corrupt values above 2^53).
+//!
+//! Two ways in and out share one lexer and one set of escaping rules:
+//! a [`Value`] tree ([`parse`], [`Value::to_json`]) for documents of
+//! any shape, and a pull [`Reader`] plus [`JsonSink`] writers that the
+//! typed result codecs (`store::read_result`/`write_result` and their
+//! CMP forms) use to go between structs and text with no tree — the
+//! store's reads and the daemon's cell lines run on those.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
+
+use crate::job::Fnv64;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,9 +109,7 @@ impl Value {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Int(n) => {
-                let _ = write!(out, "{n}");
-            }
+            Value::Int(n) => write_u64(out, *n),
             Value::Num(f) => {
                 if f.is_finite() {
                     let _ = write!(out, "{f}");
@@ -109,7 +117,7 @@ impl Value {
                     out.push_str("null"); // JSON has no NaN/inf
                 }
             }
-            Value::Str(s) => write_escaped(out, s),
+            Value::Str(s) => write_str(out, s),
             Value::Arr(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -140,8 +148,7 @@ impl Value {
                     }
                     out.push_str(nl);
                     out.push_str(&pad_in);
-                    write_escaped(out, k);
-                    out.push(':');
+                    write_key(out, k);
                     if indent.is_some() {
                         out.push(' ');
                     }
@@ -155,22 +162,85 @@ impl Value {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Where compact JSON text goes: a `String` being built, or an
+/// [`Fnv64`] hashing the text that would have been built. The typed
+/// result writers (`store::write_result`, `cmp::write_cmp_result`) are
+/// generic over it, so a store checksum streams the encoding into the
+/// hash without materializing it.
+pub trait JsonSink {
+    /// Appends `s`.
+    fn push_str(&mut self, s: &str);
+}
+
+impl JsonSink for String {
+    fn push_str(&mut self, s: &str) {
+        String::push_str(self, s);
+    }
+}
+
+impl JsonSink for Fnv64 {
+    fn push_str(&mut self, s: &str) {
+        self.update(s.as_bytes());
+    }
+}
+
+/// Appends `s` as a JSON string literal: `"` and `\` escaped, the
+/// control bytes `\n`, `\r`, `\t` by name and the rest as `\u00xx`,
+/// everything else (multi-byte UTF-8 included) verbatim.
+pub fn write_str(out: &mut impl JsonSink, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push_str("\"");
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let named = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // Escapable bytes are ASCII, so `run..i` lies on char boundaries.
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        if named.is_empty() {
+            let code = [
+                b'\\',
+                b'u',
+                b'0',
+                b'0',
+                HEX[usize::from(b >> 4)],
+                HEX[usize::from(b & 0xf)],
+            ];
+            out.push_str(std::str::from_utf8(&code).unwrap_or_default());
+        } else {
+            out.push_str(named);
         }
     }
-    out.push('"');
+    out.push_str(&s[run..]);
+    out.push_str("\"");
+}
+
+/// Appends `n` as an exact integer literal.
+pub fn write_u64(out: &mut impl JsonSink, mut n: u64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).unwrap_or_default());
+}
+
+/// Appends `"key":` — an object key and its separator.
+pub fn write_key(out: &mut impl JsonSink, key: &str) {
+    write_str(out, key);
+    out.push_str(":");
 }
 
 /// Parse failure: byte offset and message.
@@ -196,37 +266,64 @@ impl std::error::Error for ParseError {}
 ///
 /// Returns a [`ParseError`] on malformed input.
 pub fn parse(s: &str) -> Result<Value, ParseError> {
-    let mut p = Parser {
-        b: s.as_bytes(),
-        i: 0,
-    };
-    p.ws();
-    let v = p.value()?;
-    p.ws();
-    if p.i != p.b.len() {
-        return Err(p.err("trailing data"));
-    }
+    let mut r = Reader::new(s);
+    let v = r.value()?;
+    r.finish()?;
     Ok(v)
 }
 
-struct Parser<'a> {
-    b: &'a [u8],
+/// Containers nested deeper than this are rejected rather than
+/// recursed into, so hostile input cannot exhaust the stack.
+const MAX_DEPTH: usize = 128;
+
+/// A borrowing pull reader over one JSON text — the one lexer behind
+/// both [`parse`] (which builds a [`Value`] tree) and the typed
+/// decoders, which walk a document straight into a struct.
+///
+/// A typed decoder reads an object with [`Reader::object`], which hands
+/// it each key in document order; it consumes that key's value with
+/// one of the value readers ([`Reader::opt_u64`], [`Reader::opt_str`],
+/// a nested [`Reader::object`]/[`Reader::array`]) or drops it with
+/// [`Reader::skip`]. Key order and whitespace are free, unknown keys
+/// are skipped, and strings are unescaped (borrowed from the input
+/// when they contain no escapes). The `opt_*` readers are lenient about
+/// *type* — a value of the wrong kind is skipped and reads as `None` —
+/// but every reader is strict about *syntax*: malformed input is an
+/// [`Err`], never a panic, and every step consumes input, so no input
+/// can make a decoder loop.
+#[derive(Debug, Clone)]
+pub struct Reader<'a> {
+    s: &'a str,
     i: usize,
+    depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Reader<'a> {
+    /// A reader positioned at the start of `s`.
+    pub fn new(s: &'a str) -> Self {
+        Reader { s, i: 0, depth: 0 }
+    }
+
     fn err(&self, msg: &'static str) -> ParseError {
         ParseError { at: self.i, msg }
     }
 
+    fn bytes(&self) -> &'a [u8] {
+        self.s.as_bytes()
+    }
+
     fn ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
+        while self
+            .bytes()
+            .get(self.i)
+            .is_some_and(u8::is_ascii_whitespace)
+        {
             self.i += 1;
         }
     }
 
     fn eat(&mut self, c: u8) -> bool {
-        if self.i < self.b.len() && self.b[self.i] == c {
+        if self.bytes().get(self.i) == Some(&c) {
             self.i += 1;
             true
         } else {
@@ -234,89 +331,236 @@ impl Parser<'_> {
         }
     }
 
-    fn lit(&mut self, word: &str, v: Value) -> Result<Value, ParseError> {
-        if self.b[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(v)
-        } else {
-            Err(self.err("invalid literal"))
+    /// The first byte of the next value (whitespace skipped), without
+    /// consuming it; `None` at the end of input.
+    pub fn peek(&mut self) -> Option<u8> {
+        self.ws();
+        self.bytes().get(self.i).copied()
+    }
+
+    /// Checks that only whitespace remains.
+    ///
+    /// # Errors
+    ///
+    /// `trailing data` otherwise.
+    pub fn finish(&mut self) -> Result<(), ParseError> {
+        if self.peek().is_some() {
+            return Err(self.err("trailing data"));
+        }
+        Ok(())
+    }
+
+    /// The text from byte `from` (a [`Reader::pos`]) up to the reader's
+    /// position — e.g. the raw span of a value just skipped, kept for
+    /// decoding later.
+    pub fn since(&self, from: usize) -> &'a str {
+        self.s.get(from..self.i).unwrap_or_default()
+    }
+
+    /// The byte position of the next value, whitespace skipped.
+    pub fn pos(&mut self) -> usize {
+        self.ws();
+        self.i
+    }
+
+    fn enter(&mut self) -> Result<(), ParseError> {
+        if self.depth >= MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        self.i += 1; // the opening bracket
+        Ok(())
+    }
+
+    /// Reads an object, calling `field(reader, key)` once per key in
+    /// document order; `field` must consume exactly that key's value.
+    ///
+    /// # Errors
+    ///
+    /// Malformed input (including a next value that is not an object),
+    /// or whatever `field` returns.
+    pub fn object(
+        &mut self,
+        mut field: impl FnMut(&mut Self, &str) -> Result<(), ParseError>,
+    ) -> Result<(), ParseError> {
+        if self.peek() != Some(b'{') {
+            return Err(self.err("expected '{'"));
+        }
+        self.enter()?;
+        self.ws();
+        if !self.eat(b'}') {
+            loop {
+                self.ws();
+                if self.bytes().get(self.i) != Some(&b'"') {
+                    return Err(self.err("expected object key"));
+                }
+                let key = self.string()?;
+                self.ws();
+                if !self.eat(b':') {
+                    return Err(self.err("expected ':'"));
+                }
+                field(self, &key)?;
+                self.ws();
+                if self.eat(b'}') {
+                    break;
+                }
+                if !self.eat(b',') {
+                    return Err(self.err("expected ',' or '}'"));
+                }
+            }
+        }
+        self.depth -= 1;
+        Ok(())
+    }
+
+    /// Reads an array, calling `item(reader)` once per element; `item`
+    /// must consume exactly that element.
+    ///
+    /// # Errors
+    ///
+    /// Malformed input (including a next value that is not an array),
+    /// or whatever `item` returns.
+    pub fn array(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), ParseError>,
+    ) -> Result<(), ParseError> {
+        if self.peek() != Some(b'[') {
+            return Err(self.err("expected '['"));
+        }
+        self.enter()?;
+        self.ws();
+        if !self.eat(b']') {
+            loop {
+                item(self)?;
+                self.ws();
+                if self.eat(b']') {
+                    break;
+                }
+                if !self.eat(b',') {
+                    return Err(self.err("expected ',' or ']'"));
+                }
+            }
+        }
+        self.depth -= 1;
+        Ok(())
+    }
+
+    /// Reads any value into a [`Value`] tree (the body of [`parse`]).
+    fn value(&mut self) -> Result<Value, ParseError> {
+        match self.peek() {
+            Some(b'"') => Ok(Value::Str(self.string()?.into_owned())),
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|r| {
+                    items.push(r.value()?);
+                    Ok(())
+                })?;
+                Ok(Value::Arr(items))
+            }
+            Some(b'{') => {
+                let mut fields = Vec::new();
+                self.object(|r, key| {
+                    let v = r.value()?;
+                    fields.push((key.to_owned(), v));
+                    Ok(())
+                })?;
+                Ok(Value::Obj(fields))
+            }
+            _ => self.scalar(),
         }
     }
 
-    fn value(&mut self) -> Result<Value, ParseError> {
-        match self.b.get(self.i) {
+    /// Reads and discards any value, checking its syntax.
+    ///
+    /// # Errors
+    ///
+    /// Malformed input.
+    pub fn skip(&mut self) -> Result<(), ParseError> {
+        match self.peek() {
+            Some(b'"') => self.string().map(drop),
+            Some(b'[') => self.array(Reader::skip),
+            Some(b'{') => self.object(|r, _| r.skip()),
+            _ => self.scalar().map(drop),
+        }
+    }
+
+    /// Reads any value; `Some` if it is an exact `u64` (the
+    /// [`Value::as_u64`] rule), else `None`.
+    ///
+    /// # Errors
+    ///
+    /// Malformed input.
+    pub fn opt_u64(&mut self) -> Result<Option<u64>, ParseError> {
+        match self.peek() {
+            Some(b'"' | b'[' | b'{') => self.skip().map(|()| None),
+            _ => Ok(self.scalar()?.as_u64()),
+        }
+    }
+
+    /// Reads any value; `Some` (unescaped) if it is a string, else
+    /// `None`.
+    ///
+    /// # Errors
+    ///
+    /// Malformed input.
+    pub fn opt_str(&mut self) -> Result<Option<Cow<'a, str>>, ParseError> {
+        if self.peek() == Some(b'"') {
+            self.string().map(Some)
+        } else {
+            self.skip().map(|()| None)
+        }
+    }
+
+    /// A literal or a number.
+    fn scalar(&mut self) -> Result<Value, ParseError> {
+        let lit = |word: &str, v: Value, r: &mut Self| {
+            if r.s[r.i..].starts_with(word) {
+                r.i += word.len();
+                Ok(v)
+            } else {
+                Err(r.err("invalid literal"))
+            }
+        };
+        match self.peek() {
             None => Err(self.err("unexpected end")),
-            Some(b'n') => self.lit("null", Value::Null),
-            Some(b't') => self.lit("true", Value::Bool(true)),
-            Some(b'f') => self.lit("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'n') => lit("null", Value::Null, self),
+            Some(b't') => lit("true", Value::Bool(true), self),
+            Some(b'f') => lit("false", Value::Bool(false), self),
             Some(_) => self.number(),
         }
     }
 
-    fn array(&mut self) -> Result<Value, ParseError> {
-        self.i += 1; // '['
-        let mut items = Vec::new();
-        self.ws();
-        if self.eat(b']') {
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            self.ws();
-            items.push(self.value()?);
-            self.ws();
-            if self.eat(b']') {
-                return Ok(Value::Arr(items));
-            }
-            if !self.eat(b',') {
-                return Err(self.err("expected ',' or ']'"));
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, ParseError> {
-        self.i += 1; // '{'
-        let mut fields = Vec::new();
-        self.ws();
-        if self.eat(b'}') {
-            return Ok(Value::Obj(fields));
-        }
-        loop {
-            self.ws();
-            if self.b.get(self.i) != Some(&b'"') {
-                return Err(self.err("expected object key"));
-            }
-            let key = self.string()?;
-            self.ws();
-            if !self.eat(b':') {
-                return Err(self.err("expected ':'"));
-            }
-            self.ws();
-            fields.push((key, self.value()?));
-            self.ws();
-            if self.eat(b'}') {
-                return Ok(Value::Obj(fields));
-            }
-            if !self.eat(b',') {
-                return Err(self.err("expected ',' or '}'"));
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
+    /// The string at the reader (which must be at its opening quote),
+    /// borrowed from the input unless it contains escapes.
+    fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.i += 1; // '"'
-        let mut out = String::new();
+        let start = self.i;
+        let b = self.bytes();
+        // Fast scan: a string without escapes is a slice of the input.
+        while let Some(&c) = b.get(self.i) {
+            match c {
+                b'"' => {
+                    self.i += 1;
+                    return Ok(Cow::Borrowed(&self.s[start..self.i - 1]));
+                }
+                b'\\' => break,
+                0..=0x1f => return Err(self.err("control byte in string")),
+                _ => self.i += 1,
+            }
+        }
+        let mut out = String::from(&self.s[start..self.i]);
         loop {
-            let Some(&c) = self.b.get(self.i) else {
+            let Some(&c) = b.get(self.i) else {
                 return Err(self.err("unterminated string"));
             };
-            self.i += 1;
             match c {
-                b'"' => return Ok(out),
+                b'"' => {
+                    self.i += 1;
+                    return Ok(Cow::Owned(out));
+                }
                 b'\\' => {
-                    let Some(&e) = self.b.get(self.i) else {
+                    self.i += 1;
+                    let Some(&e) = b.get(self.i) else {
                         return Err(self.err("unterminated escape"));
                     };
                     self.i += 1;
@@ -331,9 +575,8 @@ impl Parser<'_> {
                         b'f' => out.push('\u{c}'),
                         b'u' => {
                             let hex = self
-                                .b
+                                .s
                                 .get(self.i..self.i + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or_else(|| self.err("bad \\u escape"))?;
                             self.i += 4;
@@ -344,16 +587,19 @@ impl Parser<'_> {
                         _ => return Err(self.err("unknown escape")),
                     }
                 }
-                c if c < 0x20 => return Err(self.err("control byte in string")),
-                c if c < 0x80 => out.push(c as char),
+                0..=0x1f => return Err(self.err("control byte in string")),
                 _ => {
-                    // Re-decode the UTF-8 sequence starting here.
-                    let start = self.i - 1;
-                    let s = std::str::from_utf8(&self.b[start..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let ch = s.chars().next().ok_or_else(|| self.err("invalid utf-8"))?;
-                    self.i = start + ch.len_utf8();
-                    out.push(ch);
+                    // Copy the run up to the next quote, escape or
+                    // control byte; those are ASCII, so the run ends on
+                    // a char boundary.
+                    let run = self.i;
+                    while b
+                        .get(self.i)
+                        .is_some_and(|&c| c != b'"' && c != b'\\' && c >= 0x20)
+                    {
+                        self.i += 1;
+                    }
+                    out.push_str(&self.s[run..self.i]);
                 }
             }
         }
@@ -361,19 +607,27 @@ impl Parser<'_> {
 
     fn number(&mut self) -> Result<Value, ParseError> {
         let start = self.i;
-        while self
-            .b
-            .get(self.i)
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
+        let b = self.bytes();
+        // Pure digits (the writer's only number form) accumulate
+        // directly; anything else, or a u64 overflow, goes through the
+        // general text parse.
+        let mut n: Option<u64> = Some(0);
+        while let Some(&c) = b.get(self.i) {
+            if c.is_ascii_digit() {
+                n = n
+                    .and_then(|n| n.checked_mul(10))
+                    .and_then(|n| n.checked_add(u64::from(c - b'0')));
+            } else if matches!(c, b'-' | b'+' | b'.' | b'e' | b'E') {
+                n = None;
+            } else {
+                break;
+            }
             self.i += 1;
         }
-        let text = std::str::from_utf8(&self.b[start..self.i]).expect("ascii digits");
-        if !text.contains(['.', 'e', 'E', '+']) && !text.starts_with('-') {
-            if let Ok(n) = text.parse::<u64>() {
-                return Ok(Value::Int(n));
-            }
+        if let (Some(n), true) = (n, self.i > start) {
+            return Ok(Value::Int(n));
         }
+        let text = &self.s[start..self.i];
         text.parse::<f64>().map(Value::Num).map_err(|_| ParseError {
             at: start,
             msg: "bad number",

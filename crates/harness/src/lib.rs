@@ -427,11 +427,17 @@ impl Harness {
     /// again — so resubmitting a failed job reports the same outcome
     /// without re-running it.
     pub fn run_outcomes(&self, jobs: &[Job]) -> Vec<JobOutcome> {
-        let t0 = Instant::now();
-
         // Hash each job once; dedupe, the memo pass and the final
         // submission-order map all reuse these ids.
         let ids: Vec<JobId> = jobs.iter().map(Job::id).collect();
+        self.run_outcomes_with_ids(jobs, &ids)
+    }
+
+    /// [`Harness::run_outcomes`] for a caller that already holds each
+    /// job's id (`ids[i] == jobs[i].id()`).
+    pub(crate) fn run_outcomes_with_ids(&self, jobs: &[Job], ids: &[JobId]) -> Vec<JobOutcome> {
+        debug_assert_eq!(jobs.len(), ids.len());
+        let t0 = Instant::now();
         // Deduplicate, preserving first-submission order. A 64-bit
         // content-hash collision between *different* jobs is astronomically
         // unlikely but cheap to rule out.
@@ -886,10 +892,22 @@ impl Harness {
     /// streams come from the same warm map and `preres/` disk cache the
     /// single-core path uses (see [`CmpJob::core_job`]).
     pub fn run_cmp_outcomes(&self, jobs: &[CmpJob]) -> Vec<CmpOutcome> {
-        let t0 = Instant::now();
-
         // One hash per job, reused as in `run_outcomes`.
         let ids: Vec<JobId> = jobs.iter().map(CmpJob::id).collect();
+        self.run_cmp_outcomes_with_ids(jobs, &ids)
+    }
+
+    /// [`Harness::run_cmp_outcomes`] for a caller that already holds
+    /// each job's id (`ids[i] == jobs[i].id()`), such as a daemon that
+    /// hashed the cells to dedupe a request.
+    ///
+    /// # Panics
+    ///
+    /// If the two slices differ in length.
+    pub fn run_cmp_outcomes_with_ids(&self, jobs: &[CmpJob], ids: &[JobId]) -> Vec<CmpOutcome> {
+        assert_eq!(jobs.len(), ids.len(), "one id per CMP job");
+        debug_assert!(jobs.iter().zip(ids).all(|(j, &id)| j.id() == id));
+        let t0 = Instant::now();
         let mut first_seen: HashMap<JobId, usize> = HashMap::new();
         let mut uniques: Vec<(JobId, &CmpJob)> = Vec::new();
         for (&id, job) in ids.iter().zip(jobs) {
@@ -1378,7 +1396,7 @@ impl Harness {
 
 /// One deterministic `results.json` row: a unique job's identity and
 /// outcome, nothing volatile.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResultRow {
     /// Content hash of the job.
     pub id: JobId,
@@ -1393,7 +1411,7 @@ pub struct ResultRow {
 
 /// One deterministic `results.json` row for a multi-core CMP cell: the
 /// cell's identity and outcome, nothing volatile.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CmpResultRow {
     /// Content hash of the CMP job.
     pub id: JobId,

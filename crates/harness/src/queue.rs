@@ -104,8 +104,9 @@ type Waiter = mpsc::Sender<(JobId, JobOutcome)>;
 
 #[derive(Default)]
 struct Inner {
-    /// Per-client FIFOs, drained round-robin by the workers.
-    queues: HashMap<u64, VecDeque<Job>>,
+    /// Per-client FIFOs of jobs and their ids, drained round-robin by
+    /// the workers.
+    queues: HashMap<u64, VecDeque<(JobId, Job)>>,
     /// Round-robin rotation of clients with non-empty queues.
     rotation: VecDeque<u64>,
     /// Total entries across all `queues`.
@@ -121,7 +122,7 @@ struct Inner {
 impl Inner {
     /// Pops the next job round-robin: the head of the least recently
     /// served non-empty client queue.
-    fn pop_next(&mut self) -> Option<Job> {
+    fn pop_next(&mut self) -> Option<(JobId, Job)> {
         // A rotation entry whose client queue vanished (or emptied) is
         // a bookkeeping inconsistency; skipping it loses at most one
         // wake-up, while panicking would take the worker thread down
@@ -214,12 +215,29 @@ impl JobService {
     /// *not* accepted; resubmit after the hint) and
     /// [`SubmitError::ShuttingDown`] during shutdown.
     pub fn submit(&self, client: u64, job: Job, done: Waiter) -> Result<(), SubmitError> {
+        // One hash serves the memo probe, the delivery and the
+        // inflight map.
+        self.submit_with_id(client, job.id(), &job, done)
+    }
+
+    /// [`JobService::submit`] for a caller that already holds the job's
+    /// id (`id == job.id()`), such as a daemon that hashed the request's
+    /// jobs to dedupe them. The job is cloned only if it is queued.
+    ///
+    /// # Errors
+    ///
+    /// As [`JobService::submit`].
+    pub fn submit_with_id(
+        &self,
+        client: u64,
+        id: JobId,
+        job: &Job,
+        done: Waiter,
+    ) -> Result<(), SubmitError> {
+        debug_assert_eq!(id, job.id());
         if self.shutting_down.load(Ordering::SeqCst) {
             return Err(SubmitError::ShuttingDown);
         }
-        // One hash serves the memo probe, the delivery and the
-        // inflight map.
-        let id = job.id();
         // Warm fast path: answer from the memo without queueing. Failed
         // jobs are memoized too — the deterministic simulator would
         // only fail again.
@@ -243,7 +261,7 @@ impl JobService {
         inner.inflight.insert(id, vec![done]);
         let queue = inner.queues.entry(client).or_default();
         let newly_active = queue.is_empty();
-        queue.push_back(job);
+        queue.push_back((id, job.clone()));
         if newly_active {
             inner.rotation.push_back(client);
         }
@@ -281,7 +299,7 @@ impl JobService {
 
     fn worker_loop(&self) {
         loop {
-            let job = {
+            let (id, job) = {
                 let mut inner = lock(&self.inner);
                 loop {
                     if let Some(job) = inner.pop_next() {
@@ -296,13 +314,12 @@ impl JobService {
                         .unwrap_or_else(PoisonError::into_inner);
                 }
             };
-            let id = job.id();
             // Execute outside the lock: a single-job batch through the
             // full harness path — memo, disk cache, quarantine
             // self-heal, panic isolation with retry-once, telemetry.
             let outcome = self
                 .harness
-                .run_outcomes(std::slice::from_ref(&job))
+                .run_outcomes_with_ids(std::slice::from_ref(&job), &[id])
                 .pop()
                 // A one-job batch yields one outcome; if the harness
                 // ever breaks that contract, fail the job for its

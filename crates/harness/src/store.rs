@@ -31,8 +31,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use ebcp_mem::{BusStats, MemStats};
 use ebcp_sim::SimResult;
 
-use crate::job::{fnv1a64, Job};
-use crate::json::{self, Value};
+use crate::job::{fnv1a64, Fnv64, Job};
+use crate::json::{self, JsonSink, ParseError, Reader, Value};
 
 /// On-disk schema version; bump on incompatible result layout changes.
 ///
@@ -219,37 +219,14 @@ impl ResultStore {
                 }
             }
         };
-        let Ok(v) = json::parse(&text) else {
-            return quarantine(path, "unparsable JSON".into());
-        };
-        let Some(schema) = v.get("schema").and_then(Value::as_u64) else {
-            return quarantine(path, "missing schema field".into());
-        };
-        if schema != SCHEMA {
-            // A different (older or newer) schema is staleness, not
-            // corruption: plain miss, overwritten on save.
-            return CacheRead::Miss;
-        }
-        // Collision guard: the stored canonical string must match the
-        // job that hashed to this file name. A well-formed entry for a
-        // *different* job is a collision, not corruption.
-        match v.get("job").and_then(Value::as_str) {
-            None => return quarantine(path, "missing job field".into()),
-            Some(canon) if canon != job.canonical() => return CacheRead::Miss,
-            Some(_) => {}
-        }
-        let Some(result) = v.get("result") else {
-            return quarantine(path, "missing result field".into());
-        };
-        match v.get("checksum").and_then(Value::as_str) {
-            Some(stored) if stored == result_checksum(result) => {}
-            Some(_) => return quarantine(path, "checksum mismatch".into()),
-            None => return quarantine(path, "missing checksum field".into()),
-        }
-        match result_from_json(result) {
-            Some(r) => CacheRead::Hit(r),
-            None => quarantine(path, "undecodable result".into()),
-        }
+        check_entry(
+            path,
+            &text,
+            SCHEMA,
+            &job.canonical(),
+            read_result,
+            result_checksum,
+        )
     }
 
     /// Persists `result` for `job` (atomically: write temp, rename).
@@ -263,13 +240,12 @@ impl ResultStore {
     /// Propagates I/O failures; callers may treat them as non-fatal
     /// (the run still succeeded, only the cache write was lost).
     pub fn save(&self, job: &Job, result: &SimResult) -> io::Result<()> {
-        let result_json = result_to_json(result);
         let doc = Value::Obj(vec![
             ("schema".into(), Value::Int(SCHEMA)),
             ("id".into(), Value::Str(job.id().to_string())),
             ("job".into(), Value::Str(job.canonical())),
-            ("checksum".into(), Value::Str(result_checksum(&result_json))),
-            ("result".into(), result_json),
+            ("checksum".into(), Value::Str(result_checksum(result))),
+            ("result".into(), result_to_json(result)),
         ]);
         let path = self.path_for(job);
         if let Some(parent) = path.parent() {
@@ -428,113 +404,344 @@ pub fn store_footprint(dir: &Path) -> StoreFootprint {
     }
 }
 
-/// The integrity checksum stored with each entry: FNV-1a over the
-/// *compact* serialization of the result value, so pretty-printing
-/// whitespace can never perturb it.
-fn result_checksum(result: &Value) -> String {
-    format!("{:016x}", fnv1a64(result.to_json().as_bytes()))
+/// The integrity-checked read both result shapes share: decodes an
+/// entry with the pull reader — `read` decodes the `result` value
+/// straight into `T` — and sorts it into a hit, a plain miss (stale
+/// `schema`, or a `job` canonical string other than `canonical`) or a
+/// quarantine naming the first defect found. The entry's `checksum`
+/// must equal `checksum` of the decoded result.
+pub(crate) fn check_entry<T>(
+    path: PathBuf,
+    text: &str,
+    schema: u64,
+    canonical: &str,
+    read: impl Fn(&mut Reader<'_>) -> Result<Option<T>, ParseError>,
+    checksum: impl Fn(&T) -> String,
+) -> CacheRead<T> {
+    const KEYS: [&str; 4] = ["schema", "job", "checksum", "result"];
+    // The first occurrence of a key is the one that counts, as with
+    // `Value::get`.
+    let mut seen = [false; KEYS.len()];
+    let (mut version, mut job, mut stored, mut result) = (None, None, None, None);
+    let mut rd = Reader::new(text);
+    let parsed = if rd.peek() == Some(b'{') {
+        rd.object(|rd, key| {
+            match KEYS.iter().position(|k| *k == key) {
+                Some(i) if !seen[i] => {
+                    seen[i] = true;
+                    match i {
+                        0 => version = rd.opt_u64()?,
+                        1 => job = rd.opt_str()?,
+                        2 => stored = rd.opt_str()?,
+                        _ => result = Some(read(rd)?),
+                    }
+                }
+                _ => rd.skip()?,
+            }
+            Ok(())
+        })
+    } else {
+        rd.skip()
+    };
+    if parsed.and_then(|()| rd.finish()).is_err() {
+        return quarantine(path, "unparsable JSON".into());
+    }
+    let Some(version) = version else {
+        return quarantine(path, "missing schema field".into());
+    };
+    if version != schema {
+        // A different (older or newer) schema is staleness, not
+        // corruption: plain miss, overwritten on save.
+        return CacheRead::Miss;
+    }
+    // Collision guard: the stored canonical string must match the job
+    // that hashed to this file name. A well-formed entry for a
+    // *different* job is a collision, not corruption.
+    match job {
+        None => return quarantine(path, "missing job field".into()),
+        Some(job) if job != canonical => return CacheRead::Miss,
+        Some(_) => {}
+    }
+    let Some(result) = result else {
+        return quarantine(path, "missing result field".into());
+    };
+    let Some(stored) = stored else {
+        return quarantine(path, "missing checksum field".into());
+    };
+    let Some(result) = result else {
+        return quarantine(path, "undecodable result".into());
+    };
+    if stored != checksum(&result) {
+        return quarantine(path, "checksum mismatch".into());
+    }
+    CacheRead::Hit(result)
 }
 
+/// The integrity checksum stored with each entry: FNV-1a over the
+/// *compact* encoding of the result, so pretty-printing whitespace can
+/// never perturb it. Streamed into the hash; no text is built.
+fn result_checksum(r: &SimResult) -> String {
+    let mut h = Fnv64::new();
+    write_result(&mut h, r);
+    format!("{:016x}", h.finish())
+}
+
+// The encoded `SimResult` schema, in key order: the two names, the
+// `u64` counters, then `mem` — the read and write `BusStats`, each
+// three 5-slot arrays. `result_to_json`, `result_from_json`,
+// `write_result` and `read_result` all walk these tables, so the key
+// list exists once.
+
+/// One field of `S`: its JSON key (the field's name) and accessors.
+type Field<S, T> = (&'static str, fn(&S) -> &T, fn(&mut S) -> &mut T);
+
+/// The [`Field`] table of the named fields, in that order.
+macro_rules! fields {
+    ($($field:ident),* $(,)?) => {
+        [$((stringify!($field), |s| &s.$field, |s| &mut s.$field)),*]
+    };
+}
+
+/// The names.
+const NAMES: [Field<SimResult, String>; 2] = fields!(prefetcher, workload);
+
+/// The counters.
+const COUNTERS: [Field<SimResult, u64>; 23] = fields!(
+    insts,
+    cycles,
+    epochs,
+    l2_inst_misses,
+    l2_load_misses,
+    l2_store_misses,
+    secondary_misses,
+    averted_inst,
+    averted_load,
+    averted_store,
+    partial_hits,
+    pf_requested,
+    pf_issued,
+    pf_dropped_bus,
+    pf_dropped_mshr,
+    pf_filtered,
+    pf_evicted_unused,
+    table_reads,
+    table_read_drops,
+    table_writes,
+    writebacks,
+    store_skipped,
+    stall_cycles,
+);
+
+/// The key of the memory-traffic object, after the counters.
+const MEM: &str = "mem";
+
+/// The two sides of `mem`.
+const MEM_SIDES: [Field<MemStats, BusStats>; 2] = fields!(read, write);
+
+/// The per-class arrays of one [`BusStats`].
+const BUS_ARRAYS: [Field<BusStats, [u64; 5]>; 3] = fields!(transfers, dropped, busy_cycles);
+
+/// Top-level key `i` of an encoded [`SimResult`]: names, counters,
+/// then `mem`.
+fn result_key(i: usize) -> &'static str {
+    match i.checked_sub(NAMES.len()) {
+        None => NAMES[i].0,
+        Some(c) => COUNTERS.get(c).map_or(MEM, |c| c.0),
+    }
+}
+
+/// Number of top-level keys of an encoded [`SimResult`].
+const RESULT_KEYS: usize = NAMES.len() + COUNTERS.len() + 1;
+
 fn bus_to_json(b: &BusStats) -> Value {
-    let arr = |a: &[u64; 5]| Value::Arr(a.iter().map(|&n| Value::Int(n)).collect());
-    Value::Obj(vec![
-        ("transfers".into(), arr(&b.transfers)),
-        ("dropped".into(), arr(&b.dropped)),
-        ("busy_cycles".into(), arr(&b.busy_cycles)),
-    ])
+    Value::Obj(
+        BUS_ARRAYS
+            .iter()
+            .map(|(key, get, _)| {
+                let items = get(b).iter().map(|&n| Value::Int(n)).collect();
+                ((*key).into(), Value::Arr(items))
+            })
+            .collect(),
+    )
 }
 
 fn bus_from_json(v: &Value) -> Option<BusStats> {
-    let arr = |key: &str| -> Option<[u64; 5]> {
+    let mut b = BusStats::default();
+    for (key, _, get_mut) in &BUS_ARRAYS {
         let items = v.get(key)?.as_arr()?;
         if items.len() != 5 {
             return None;
         }
-        let mut out = [0u64; 5];
-        for (slot, item) in out.iter_mut().zip(items) {
+        for (slot, item) in get_mut(&mut b).iter_mut().zip(items) {
             *slot = item.as_u64()?;
         }
-        Some(out)
-    };
-    Some(BusStats {
-        transfers: arr("transfers")?,
-        dropped: arr("dropped")?,
-        busy_cycles: arr("busy_cycles")?,
-    })
+    }
+    Some(b)
 }
 
-/// Encodes a [`SimResult`] as JSON (also used for `results.json`).
+/// Encodes a [`SimResult`] as a JSON tree (also used for
+/// `results.json`). [`write_result`] writes the same text directly.
 pub fn result_to_json(r: &SimResult) -> Value {
-    Value::Obj(vec![
-        ("prefetcher".into(), Value::Str(r.prefetcher.clone())),
-        ("workload".into(), Value::Str(r.workload.clone())),
-        ("insts".into(), Value::Int(r.insts)),
-        ("cycles".into(), Value::Int(r.cycles)),
-        ("epochs".into(), Value::Int(r.epochs)),
-        ("l2_inst_misses".into(), Value::Int(r.l2_inst_misses)),
-        ("l2_load_misses".into(), Value::Int(r.l2_load_misses)),
-        ("l2_store_misses".into(), Value::Int(r.l2_store_misses)),
-        ("secondary_misses".into(), Value::Int(r.secondary_misses)),
-        ("averted_inst".into(), Value::Int(r.averted_inst)),
-        ("averted_load".into(), Value::Int(r.averted_load)),
-        ("averted_store".into(), Value::Int(r.averted_store)),
-        ("partial_hits".into(), Value::Int(r.partial_hits)),
-        ("pf_requested".into(), Value::Int(r.pf_requested)),
-        ("pf_issued".into(), Value::Int(r.pf_issued)),
-        ("pf_dropped_bus".into(), Value::Int(r.pf_dropped_bus)),
-        ("pf_dropped_mshr".into(), Value::Int(r.pf_dropped_mshr)),
-        ("pf_filtered".into(), Value::Int(r.pf_filtered)),
-        ("pf_evicted_unused".into(), Value::Int(r.pf_evicted_unused)),
-        ("table_reads".into(), Value::Int(r.table_reads)),
-        ("table_read_drops".into(), Value::Int(r.table_read_drops)),
-        ("table_writes".into(), Value::Int(r.table_writes)),
-        ("writebacks".into(), Value::Int(r.writebacks)),
-        ("store_skipped".into(), Value::Int(r.store_skipped)),
-        ("stall_cycles".into(), Value::Int(r.stall_cycles)),
-        (
-            "mem".into(),
-            Value::Obj(vec![
-                ("read".into(), bus_to_json(&r.mem.read)),
-                ("write".into(), bus_to_json(&r.mem.write)),
-            ]),
-        ),
-    ])
+    let mut fields: Vec<(String, Value)> = Vec::with_capacity(RESULT_KEYS);
+    for (key, get, _) in &NAMES {
+        fields.push(((*key).into(), Value::Str(get(r).clone())));
+    }
+    for (key, get, _) in &COUNTERS {
+        fields.push(((*key).into(), Value::Int(*get(r))));
+    }
+    let sides = MEM_SIDES
+        .iter()
+        .map(|(key, get, _)| ((*key).into(), bus_to_json(get(&r.mem))))
+        .collect();
+    fields.push((MEM.into(), Value::Obj(sides)));
+    Value::Obj(fields)
 }
 
-/// Decodes a [`SimResult`]; `None` on any missing or mistyped field.
+/// Decodes a [`SimResult`] from a JSON tree; `None` on any missing or
+/// mistyped field. The reference for [`read_result`], which decodes
+/// the text directly.
 pub fn result_from_json(v: &Value) -> Option<SimResult> {
-    let n = |key: &str| v.get(key)?.as_u64();
-    Some(SimResult {
-        prefetcher: v.get("prefetcher")?.as_str()?.to_owned(),
-        workload: v.get("workload")?.as_str()?.to_owned(),
-        insts: n("insts")?,
-        cycles: n("cycles")?,
-        epochs: n("epochs")?,
-        l2_inst_misses: n("l2_inst_misses")?,
-        l2_load_misses: n("l2_load_misses")?,
-        l2_store_misses: n("l2_store_misses")?,
-        secondary_misses: n("secondary_misses")?,
-        averted_inst: n("averted_inst")?,
-        averted_load: n("averted_load")?,
-        averted_store: n("averted_store")?,
-        partial_hits: n("partial_hits")?,
-        pf_requested: n("pf_requested")?,
-        pf_issued: n("pf_issued")?,
-        pf_dropped_bus: n("pf_dropped_bus")?,
-        pf_dropped_mshr: n("pf_dropped_mshr")?,
-        pf_filtered: n("pf_filtered")?,
-        pf_evicted_unused: n("pf_evicted_unused")?,
-        table_reads: n("table_reads")?,
-        table_read_drops: n("table_read_drops")?,
-        table_writes: n("table_writes")?,
-        writebacks: n("writebacks")?,
-        store_skipped: n("store_skipped")?,
-        stall_cycles: n("stall_cycles")?,
-        mem: MemStats {
-            read: bus_from_json(v.get("mem")?.get("read")?)?,
-            write: bus_from_json(v.get("mem")?.get("write")?)?,
-        },
-    })
+    let mut r = SimResult::default();
+    for (key, _, get_mut) in &NAMES {
+        *get_mut(&mut r) = v.get(key)?.as_str()?.to_owned();
+    }
+    for (key, _, get_mut) in &COUNTERS {
+        *get_mut(&mut r) = v.get(key)?.as_u64()?;
+    }
+    let mem = v.get(MEM)?;
+    for (key, _, get_mut) in &MEM_SIDES {
+        *get_mut(&mut r.mem) = bus_from_json(mem.get(key)?)?;
+    }
+    Some(r)
+}
+
+/// Appends the compact encoding of `r` to `out`, byte for byte what
+/// `result_to_json(r).to_json()` renders, without building the tree.
+pub fn write_result(out: &mut impl JsonSink, r: &SimResult) {
+    out.push_str("{");
+    for (i, (key, get, _)) in NAMES.iter().enumerate() {
+        if i > 0 {
+            out.push_str(",");
+        }
+        json::write_key(out, key);
+        json::write_str(out, get(r));
+    }
+    for (key, get, _) in &COUNTERS {
+        out.push_str(",");
+        json::write_key(out, key);
+        json::write_u64(out, *get(r));
+    }
+    out.push_str(",");
+    json::write_key(out, MEM);
+    for (i, (side, get, _)) in MEM_SIDES.iter().enumerate() {
+        out.push_str(if i == 0 { "{" } else { "," });
+        json::write_key(out, side);
+        for (j, (key, get_arr, _)) in BUS_ARRAYS.iter().enumerate() {
+            out.push_str(if j == 0 { "{" } else { "," });
+            json::write_key(out, key);
+            for (k, &n) in get_arr(get(&r.mem)).iter().enumerate() {
+                out.push_str(if k == 0 { "[" } else { "," });
+                json::write_u64(out, n);
+            }
+            out.push_str("]");
+        }
+        out.push_str("}");
+    }
+    out.push_str("}}");
+}
+
+/// Reads an object whose keys are `key(0..n)`: in any order, unknown
+/// keys skipped, the first occurrence of a repeated key the one that
+/// counts (as with `Value::get`). Key `i`'s value goes to
+/// `value(reader, i)`, which reports whether it was well-typed.
+/// `Ok(false)` when the value is not an object, a key is missing or a
+/// value is mistyped; `Err` only on malformed JSON.
+///
+/// Each key search starts just after the previous hit, so a document
+/// in the writer's order costs one comparison per key.
+pub(crate) fn read_keyed<'a>(
+    rd: &mut Reader<'a>,
+    n: usize,
+    key: impl Fn(usize) -> &'static str,
+    mut value: impl FnMut(&mut Reader<'a>, usize) -> Result<bool, ParseError>,
+) -> Result<bool, ParseError> {
+    debug_assert!(n < 64, "the seen-set is one u64");
+    if rd.peek() != Some(b'{') {
+        rd.skip()?;
+        return Ok(false);
+    }
+    let (mut seen, mut ok, mut next) = (0u64, true, 0);
+    rd.object(|rd, k| {
+        match (next..n).chain(0..next).find(|&i| key(i) == k) {
+            Some(i) if seen & 1 << i == 0 => {
+                seen |= 1 << i;
+                next = i + 1;
+                ok &= value(rd, i)?;
+            }
+            _ => rd.skip()?,
+        }
+        Ok(())
+    })?;
+    Ok(ok && seen == (1 << n) - 1)
+}
+
+/// Reads exactly `out.len()` exact-`u64` array items into `out`;
+/// `Ok(false)` on any other shape.
+fn read_counts(rd: &mut Reader<'_>, out: &mut [u64]) -> Result<bool, ParseError> {
+    if rd.peek() != Some(b'[') {
+        rd.skip()?;
+        return Ok(false);
+    }
+    let (mut n, mut ok) = (0, true);
+    rd.array(|rd| {
+        match (rd.opt_u64()?, out.get_mut(n)) {
+            (Some(v), Some(slot)) => *slot = v,
+            _ => ok = false,
+        }
+        n += 1;
+        Ok(())
+    })?;
+    Ok(ok && n == out.len())
+}
+
+/// Decodes the [`SimResult`] at `rd` straight from the text — the
+/// typed counterpart of `result_from_json(&json::parse(..)?)`:
+/// `Ok(None)` where that gives `None` (a missing or mistyped field,
+/// or a value that is not an object), `Err` on malformed JSON. Any key
+/// order and whitespace; unknown keys are skipped.
+///
+/// # Errors
+///
+/// Malformed JSON.
+pub fn read_result(rd: &mut Reader<'_>) -> Result<Option<SimResult>, ParseError> {
+    let mut r = SimResult::default();
+    let ok = read_keyed(rd, RESULT_KEYS, result_key, |rd, i| {
+        let Some(c) = i.checked_sub(NAMES.len()) else {
+            return Ok(rd
+                .opt_str()?
+                .map(|s| *(NAMES[i].2)(&mut r) = s.into_owned())
+                .is_some());
+        };
+        if let Some((_, _, get_mut)) = COUNTERS.get(c) {
+            return Ok(rd.opt_u64()?.map(|n| *get_mut(&mut r) = n).is_some());
+        }
+        let mem = &mut r.mem;
+        read_keyed(
+            rd,
+            MEM_SIDES.len(),
+            |s| MEM_SIDES[s].0,
+            |rd, s| {
+                let bus = (MEM_SIDES[s].2)(mem);
+                read_keyed(
+                    rd,
+                    BUS_ARRAYS.len(),
+                    |a| BUS_ARRAYS[a].0,
+                    |rd, a| read_counts(rd, (BUS_ARRAYS[a].2)(bus)),
+                )
+            },
+        )
+    })?;
+    Ok(ok.then_some(r))
 }
 
 #[cfg(test)]
@@ -685,6 +892,32 @@ mod tests {
         fs::write(&path, doc.to_json()).unwrap();
         assert_eq!(store.load_checked(&job), CacheRead::Miss);
         assert!(path.exists(), "collisions are not quarantined");
+        let _ = fs::remove_dir_all(store.dir());
+    }
+
+    /// The entry reader takes keys in any order and ignores unknown
+    /// ones, at the top level and inside the result.
+    #[test]
+    fn reordered_entry_with_unknown_keys_still_hits() {
+        let store = temp_store("reordered");
+        let job = sample_job();
+        let r = sample_result();
+        let Value::Obj(mut result) = result_to_json(&r) else {
+            panic!("a result encodes as an object");
+        };
+        result.reverse();
+        result.push(("note".into(), Value::Arr(vec![Value::Null])));
+        let doc = Value::Obj(vec![
+            ("result".into(), Value::Obj(result)),
+            ("extra".into(), Value::Bool(true)),
+            ("checksum".into(), Value::Str(result_checksum(&r))),
+            ("job".into(), Value::Str(job.canonical())),
+            ("schema".into(), Value::Int(SCHEMA)),
+        ]);
+        let path = store.entry_path(&job);
+        fs::create_dir_all(path.parent().unwrap()).unwrap();
+        fs::write(&path, doc.to_json_pretty()).unwrap();
+        assert_eq!(store.load_checked(&job), CacheRead::Hit(r));
         let _ = fs::remove_dir_all(store.dir());
     }
 

@@ -461,7 +461,7 @@ mod tests {
             let mut tags = [0u64; 4];
             let mut lru = [0u32; 4];
             for i in 0..4 {
-                tags[i] = if rng.next() % 4 == 0 {
+                tags[i] = if rng.next().is_multiple_of(4) {
                     u64::MAX
                 } else {
                     // Unique per way by construction.
@@ -470,7 +470,7 @@ mod tests {
                 lru[i] = 1 + (rng.next() % 5) as u32;
             }
             // Probe either a resident tag or an absent one.
-            let probe = if rng.next() % 2 == 0 {
+            let probe = if rng.next().is_multiple_of(2) {
                 tags[(rng.next() % 4) as usize]
             } else {
                 rng.next() % 4000 + 4096

@@ -17,9 +17,7 @@ use std::os::unix::net::UnixStream;
 
 use ebcp_harness::{results_doc_cmp, CmpResultRow, JobId, ResultRow, ServiceStatus, Value};
 
-use crate::proto::{
-    parse_cell, parse_cmp_cell, request_shutdown, request_status, request_submit, Conn,
-};
+use crate::proto::{read_message, request_shutdown, request_status, request_submit, Conn, Message};
 use crate::sweep::SweepSpec;
 
 /// How a submitted sweep ended.
@@ -111,7 +109,8 @@ impl Client {
 
     /// Submits a sweep and blocks until it finishes or is refused.
     /// Every streamed line (telemetry and cells alike) is passed to
-    /// `on_event` for live display before being processed.
+    /// `on_event` for live display before being processed: cells as
+    /// their decoded rows, every other event as its JSON tree.
     ///
     /// # Errors
     ///
@@ -123,7 +122,7 @@ impl Client {
     pub fn submit(
         &mut self,
         sweep: &SweepSpec,
-        mut on_event: impl FnMut(&Value),
+        mut on_event: impl FnMut(&Message),
     ) -> io::Result<SweepOutcome> {
         let jobs = sweep.jobs().map_err(bad_input)?;
         let cmp_jobs = sweep.cmp_jobs().map_err(bad_input)?;
@@ -160,14 +159,41 @@ impl Client {
 
         let mut cells: HashMap<JobId, ResultRow> = HashMap::new();
         let mut cmp_cells: HashMap<JobId, CmpResultRow> = HashMap::new();
+        let mut line = String::new();
         loop {
-            let Some(msg) = self.conn.recv()? else {
+            let Some(text) = self.conn.recv_line(&mut line)? else {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "daemon hung up mid-sweep",
                 ));
             };
+            let msg = read_message(text).map_err(bad_data)?;
             on_event(&msg);
+            let msg = match msg {
+                Message::Cell(row) => {
+                    if !ids.contains(&row.id) {
+                        return Err(bad_data(format!(
+                            "daemon streamed cell {} outside the submitted grid \
+                             — client/daemon version skew",
+                            row.id
+                        )));
+                    }
+                    cells.insert(row.id, row);
+                    continue;
+                }
+                Message::CmpCell(row) => {
+                    if !cmp_ids.contains(&row.id) {
+                        return Err(bad_data(format!(
+                            "daemon streamed CMP cell {} outside the submitted grid \
+                             — client/daemon version skew",
+                            row.id
+                        )));
+                    }
+                    cmp_cells.insert(row.id, row);
+                    continue;
+                }
+                Message::Event(v) => v,
+            };
             match msg.get("event").and_then(Value::as_str) {
                 Some("accepted") => {
                     let unique = msg.get("unique").and_then(Value::as_u64);
@@ -193,28 +219,6 @@ impl Client {
                     });
                 }
                 Some("telemetry") => {}
-                Some("cell") => {
-                    let row = parse_cell(&msg).map_err(bad_data)?;
-                    if !ids.contains(&row.id) {
-                        return Err(bad_data(format!(
-                            "daemon streamed cell {} outside the submitted grid \
-                             — client/daemon version skew",
-                            row.id
-                        )));
-                    }
-                    cells.insert(row.id, row);
-                }
-                Some("cmp_cell") => {
-                    let row = parse_cmp_cell(&msg).map_err(bad_data)?;
-                    if !cmp_ids.contains(&row.id) {
-                        return Err(bad_data(format!(
-                            "daemon streamed CMP cell {} outside the submitted grid \
-                             — client/daemon version skew",
-                            row.id
-                        )));
-                    }
-                    cmp_cells.insert(row.id, row);
-                }
                 Some("done") => {
                     let mut rows = Vec::with_capacity(order.len());
                     for (id, workload, prefetcher) in &order {

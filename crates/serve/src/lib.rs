@@ -36,6 +36,6 @@ pub mod server;
 pub mod sweep;
 
 pub use client::{Client, SweepOutcome};
-pub use proto::Conn;
+pub use proto::{Conn, Message};
 pub use server::{Server, ServerConfig};
 pub use sweep::SweepSpec;

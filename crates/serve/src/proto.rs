@@ -23,15 +23,21 @@
 //!                   {"event":"error","reason":..}
 //! ```
 
+use std::borrow::Cow;
+use std::fmt::Write as _;
 use std::io::{self, BufRead, BufReader, Read, Write};
 
-use ebcp_harness::cmp::{cmp_result_from_json, cmp_result_to_json};
-use ebcp_harness::store::{result_from_json, result_to_json};
+use ebcp_harness::cmp::{
+    cmp_result_from_json, cmp_result_to_json, read_cmp_result, write_cmp_result,
+};
+use ebcp_harness::json::{ParseError, Reader};
+use ebcp_harness::store::{read_result, result_from_json, result_to_json, write_result};
 use ebcp_harness::telemetry::Event;
 use ebcp_harness::{
     json, CmpOutcome, CmpResultRow, JobId, JobOutcome, ResultRow, ServiceStatus,
     StoreClassFootprint, StoreFootprint, Value,
 };
+use ebcp_sim::{CmpResult, SimResult};
 
 /// Protocol version; bump on incompatible message changes.
 pub const PROTO_VERSION: u64 = 1;
@@ -66,8 +72,38 @@ impl Conn {
     pub fn send(&mut self, v: &Value) -> io::Result<()> {
         let mut line = v.to_json();
         line.push('\n');
-        self.writer.write_all(line.as_bytes())?;
+        self.send_raw(&line)
+    }
+
+    /// Sends pre-encoded text: whole `\n`-terminated lines, such as a
+    /// [`write_cell`] line plus its newline.
+    ///
+    /// # Errors
+    ///
+    /// Propagates write failures (e.g. the peer hung up).
+    pub fn send_raw(&mut self, lines: &str) -> io::Result<()> {
+        self.writer.write_all(lines.as_bytes())?;
         self.writer.flush()
+    }
+
+    /// Receives the next non-blank line into `buf` and returns it
+    /// trimmed; `Ok(None)` on clean EOF.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures, including [`io::ErrorKind::InvalidData`] for a
+    /// line that is not UTF-8.
+    pub fn recv_line<'b>(&mut self, buf: &'b mut String) -> io::Result<Option<&'b str>> {
+        loop {
+            buf.clear();
+            if self.reader.read_line(buf)? == 0 {
+                return Ok(None);
+            }
+            if !buf.trim().is_empty() {
+                return Ok(Some(buf.trim()));
+            }
+            // Blank keep-alive lines are permitted.
+        }
     }
 
     /// Receives the next document; `Ok(None)` on clean EOF.
@@ -77,19 +113,13 @@ impl Conn {
     /// I/O failures, and [`io::ErrorKind::InvalidData`] for a line that
     /// is not valid JSON.
     pub fn recv(&mut self) -> io::Result<Option<Value>> {
-        let mut line = String::new();
-        loop {
-            line.clear();
-            if self.reader.read_line(&mut line)? == 0 {
-                return Ok(None);
-            }
-            if line.trim().is_empty() {
-                continue; // blank keep-alive lines are permitted
-            }
-            return json::parse(line.trim())
-                .map(Some)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()));
-        }
+        let mut buf = String::new();
+        let Some(line) = self.recv_line(&mut buf)? else {
+            return Ok(None);
+        };
+        json::parse(line)
+            .map(Some)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
     }
 }
 
@@ -331,6 +361,257 @@ pub fn footprint_from_json(v: &Value) -> Option<StoreFootprint> {
     })
 }
 
+/// Appends the `cell` line for `row` (without the newline): byte for
+/// byte `resp_cell(row).to_json()`, written without building the tree.
+pub fn write_cell(out: &mut String, row: &ResultRow) {
+    write_cell_head(out, "cell", row.id);
+    json::write_key(out, "workload");
+    json::write_str(out, &row.workload);
+    out.push(',');
+    json::write_key(out, "prefetcher");
+    json::write_str(out, &row.prefetcher);
+    write_cell_tail(
+        out,
+        row.outcome.failure(),
+        row.outcome.result(),
+        write_result,
+    );
+}
+
+/// Appends the `cmp_cell` line for `row` (without the newline): byte
+/// for byte `resp_cmp_cell(row).to_json()`.
+pub fn write_cmp_cell(out: &mut String, row: &CmpResultRow) {
+    write_cell_head(out, "cmp_cell", row.id);
+    json::write_key(out, "cell");
+    json::write_str(out, &row.cell);
+    out.push(',');
+    json::write_key(out, "prefetcher");
+    json::write_str(out, &row.prefetcher);
+    out.push(',');
+    json::write_key(out, "cores");
+    json::write_u64(out, row.cores);
+    write_cell_tail(
+        out,
+        row.outcome.failure(),
+        row.outcome.result(),
+        write_cmp_result,
+    );
+}
+
+/// `{"event":<event>,"id":<id>,`
+fn write_cell_head(out: &mut String, event: &str, id: JobId) {
+    out.push('{');
+    json::write_key(out, "event");
+    json::write_str(out, event);
+    out.push(',');
+    json::write_key(out, "id");
+    // `JobId` displays as 16 hex digits: nothing to escape.
+    let _ = write!(out, "\"{id}\",");
+}
+
+/// `,"outcome":..,"error":..,"result":..}`
+fn write_cell_tail<R>(
+    out: &mut String,
+    failure: Option<&str>,
+    result: Option<&R>,
+    write: fn(&mut String, &R),
+) {
+    out.push(',');
+    json::write_key(out, "outcome");
+    json::write_str(out, if failure.is_some() { "failed" } else { "ok" });
+    out.push(',');
+    json::write_key(out, "error");
+    match failure {
+        Some(e) => json::write_str(out, e),
+        None => out.push_str("null"),
+    }
+    out.push(',');
+    json::write_key(out, "result");
+    match result {
+        Some(r) => write(out, r),
+        None => out.push_str("null"),
+    }
+    out.push('}');
+}
+
+/// One line from the daemon as the client consumes it: a cell decoded
+/// straight into its row, or any other event as a [`Value`] tree.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Message {
+    /// A `cell` line.
+    Cell(ResultRow),
+    /// A `cmp_cell` line.
+    CmpCell(CmpResultRow),
+    /// Any other line (`accepted`, `telemetry`, `done`, `error`, ...).
+    Event(Value),
+}
+
+impl Message {
+    /// The event tree, unless this is a cell.
+    pub fn event(&self) -> Option<&Value> {
+        match self {
+            Message::Event(v) => Some(v),
+            _ => None,
+        }
+    }
+}
+
+/// Decodes one server line. `cell` and `cmp_cell` lines go straight
+/// into their rows through the pull reader (no [`Value`] tree); any
+/// other line is parsed into a tree. Equivalent to [`json::parse`]
+/// followed by [`parse_cell`] / [`parse_cmp_cell`] on cell lines, in
+/// any key order.
+///
+/// # Errors
+///
+/// Malformed JSON, or a cell with a missing or mistyped field.
+pub fn read_message(line: &str) -> Result<Message, String> {
+    let mut cell = CellFields::default();
+    let mut rd = Reader::new(line);
+    let walked = if rd.peek() == Some(b'{') {
+        rd.object(|rd, key| cell.field(rd, key))
+    } else {
+        rd.skip()
+    };
+    walked
+        .and_then(|()| rd.finish())
+        .map_err(|e| e.to_string())?;
+    match cell.event.take().flatten().as_deref() {
+        Some("cell") => cell.into_cell().map(Message::Cell),
+        Some("cmp_cell") => cell.into_cmp_cell().map(Message::CmpCell),
+        _ => json::parse(line)
+            .map(Message::Event)
+            .map_err(|e| e.to_string()),
+    }
+}
+
+/// A cell's `result` as read: decoded as the event already named, or
+/// — when `result` came before `event` — the raw span, decoded once
+/// the event is known.
+enum CellResult<'a> {
+    Single(Option<SimResult>),
+    Cmp(Option<CmpResult>),
+    Raw(&'a str),
+}
+
+/// What [`read_message`] collects from one line. Each field is `None`
+/// until its key is seen, then `Some(None)` if the value is mistyped;
+/// the first occurrence of a key is the one that counts (as with
+/// [`Value::get`]).
+#[derive(Default)]
+struct CellFields<'a> {
+    event: Option<Option<Cow<'a, str>>>,
+    id: Option<Option<Cow<'a, str>>>,
+    workload: Option<Option<Cow<'a, str>>>,
+    cell: Option<Option<Cow<'a, str>>>,
+    prefetcher: Option<Option<Cow<'a, str>>>,
+    cores: Option<Option<u64>>,
+    outcome: Option<Option<Cow<'a, str>>>,
+    error: Option<Option<Cow<'a, str>>>,
+    result: Option<CellResult<'a>>,
+}
+
+impl<'a> CellFields<'a> {
+    fn field(&mut self, rd: &mut Reader<'a>, key: &str) -> Result<(), ParseError> {
+        let slot = match key {
+            "event" => &mut self.event,
+            "id" => &mut self.id,
+            "workload" => &mut self.workload,
+            "cell" => &mut self.cell,
+            "prefetcher" => &mut self.prefetcher,
+            "outcome" => &mut self.outcome,
+            "error" => &mut self.error,
+            "cores" if self.cores.is_none() => {
+                self.cores = Some(rd.opt_u64()?);
+                return Ok(());
+            }
+            "result" if self.result.is_none() => {
+                self.result = Some(match self.event.as_ref().and_then(Option::as_deref) {
+                    Some("cell") => CellResult::Single(read_result(rd)?),
+                    Some("cmp_cell") => CellResult::Cmp(read_cmp_result(rd)?),
+                    _ => {
+                        let at = rd.pos();
+                        rd.skip()?;
+                        CellResult::Raw(rd.since(at))
+                    }
+                });
+                return Ok(());
+            }
+            _ => return rd.skip(),
+        };
+        if slot.is_none() {
+            *slot = Some(rd.opt_str()?);
+            Ok(())
+        } else {
+            rd.skip()
+        }
+    }
+
+    /// The string field `key`, or the reference decoder's error.
+    fn text(v: Option<Option<Cow<'_, str>>>, kind: &str, key: &str) -> Result<String, String> {
+        v.flatten()
+            .map(Cow::into_owned)
+            .ok_or_else(|| format!("{kind} missing {key:?}"))
+    }
+
+    fn id(v: Option<Option<Cow<'_, str>>>, kind: &str) -> Result<JobId, String> {
+        let id = Self::text(v, kind, "id")?;
+        u64::from_str_radix(&id, 16)
+            .map(JobId)
+            .map_err(|e| format!("bad {kind} id: {e}"))
+    }
+
+    fn into_cell(self) -> Result<ResultRow, String> {
+        let id = Self::id(self.id, "cell")?;
+        let outcome = match Self::text(self.outcome, "cell", "outcome")?.as_str() {
+            "ok" => {
+                let result = match self.result.ok_or("ok cell missing result")? {
+                    CellResult::Single(r) => r,
+                    CellResult::Raw(text) => read_result(&mut Reader::new(text)).ok().flatten(),
+                    CellResult::Cmp(_) => None,
+                };
+                JobOutcome::Ok(result.ok_or("undecodable cell result")?)
+            }
+            "failed" => JobOutcome::Failed {
+                reason: Self::text(self.error, "cell", "error")?,
+            },
+            other => return Err(format!("unknown cell outcome {other:?}")),
+        };
+        Ok(ResultRow {
+            id,
+            workload: Self::text(self.workload, "cell", "workload")?,
+            prefetcher: Self::text(self.prefetcher, "cell", "prefetcher")?,
+            outcome,
+        })
+    }
+
+    fn into_cmp_cell(self) -> Result<CmpResultRow, String> {
+        let id = Self::id(self.id, "cmp_cell")?;
+        let cores = self.cores.flatten().ok_or("cmp_cell missing \"cores\"")?;
+        let outcome = match Self::text(self.outcome, "cmp_cell", "outcome")?.as_str() {
+            "ok" => {
+                let result = match self.result.ok_or("ok cmp_cell missing result")? {
+                    CellResult::Cmp(r) => r,
+                    CellResult::Raw(text) => read_cmp_result(&mut Reader::new(text)).ok().flatten(),
+                    CellResult::Single(_) => None,
+                };
+                CmpOutcome::Ok(result.ok_or("undecodable cmp_cell result")?)
+            }
+            "failed" => CmpOutcome::Failed {
+                reason: Self::text(self.error, "cmp_cell", "error")?,
+            },
+            other => return Err(format!("unknown cmp_cell outcome {other:?}")),
+        };
+        Ok(CmpResultRow {
+            id,
+            cell: Self::text(self.cell, "cmp_cell", "cell")?,
+            prefetcher: Self::text(self.prefetcher, "cmp_cell", "prefetcher")?,
+            cores,
+            outcome,
+        })
+    }
+}
+
 /// Decodes a `cell` line back into a [`ResultRow`].
 ///
 /// # Errors
@@ -539,6 +820,162 @@ mod tests {
             assert_eq!(back.id, row.id);
             assert_eq!(back.workload, row.workload);
             assert_eq!(back.outcome, row.outcome);
+        }
+    }
+
+    /// Rows with every outcome kind and names that need escaping.
+    fn sample_rows() -> (Vec<ResultRow>, Vec<CmpResultRow>) {
+        use ebcp_sim::{CmpResult, SimResult};
+        let result = |name: &str, n: u64| SimResult {
+            prefetcher: name.into(),
+            workload: "db \"q\" \\ \u{1}é".into(),
+            insts: u64::MAX,
+            cycles: n,
+            ..SimResult::default()
+        };
+        let single = |outcome| ResultRow {
+            id: JobId(0x00ab_cdef_0123_4567),
+            workload: "tpcw\t\"x\"".into(),
+            prefetcher: "solihin-3,2".into(),
+            outcome,
+        };
+        let multi = |outcome| CmpResultRow {
+            id: JobId(u64::MAX),
+            cell: "database-mix\n".into(),
+            prefetcher: "ebcp+nof".into(),
+            cores: 2,
+            outcome,
+        };
+        let cmp = CmpResult {
+            cores: vec![result("a", 1), result("b", 2)],
+            aggregate: result("agg", 3),
+        };
+        (
+            vec![
+                single(JobOutcome::Ok(result("ebcp", 7))),
+                single(JobOutcome::Retried(result("ebcp", 8))),
+                single(JobOutcome::Failed {
+                    reason: "injected fault: \"boom\"\n".into(),
+                }),
+            ],
+            vec![
+                multi(CmpOutcome::Ok(cmp.clone())),
+                multi(CmpOutcome::Retried(cmp)),
+                multi(CmpOutcome::Failed {
+                    reason: "panicked \\ twice".into(),
+                }),
+            ],
+        )
+    }
+
+    /// The lines of `sample_rows`, written by the typed writers.
+    fn sample_lines() -> Vec<String> {
+        let (singles, multis) = sample_rows();
+        let mut lines = Vec::new();
+        for row in &singles {
+            let mut line = String::new();
+            write_cell(&mut line, row);
+            lines.push(line);
+        }
+        for row in &multis {
+            let mut line = String::new();
+            write_cmp_cell(&mut line, row);
+            lines.push(line);
+        }
+        lines
+    }
+
+    #[test]
+    fn typed_cell_writers_match_the_reference_lines() {
+        let (singles, multis) = sample_rows();
+        let lines = sample_lines();
+        let reference = singles
+            .iter()
+            .map(|r| resp_cell(r).to_json())
+            .chain(multis.iter().map(|r| resp_cmp_cell(r).to_json()));
+        for (line, want) in lines.iter().zip(reference) {
+            assert_eq!(line, &want);
+        }
+    }
+
+    /// `v` with its top-level keys rotated left by `k` (or reversed
+    /// when `k` is the key count), so `result` lands before `event`.
+    fn reorder(v: &Value, k: usize) -> Value {
+        let Value::Obj(fields) = v else {
+            return v.clone();
+        };
+        let mut fields = fields.clone();
+        if k == fields.len() {
+            fields.reverse();
+        } else {
+            fields.rotate_left(k);
+        }
+        Value::Obj(fields)
+    }
+
+    #[test]
+    fn read_message_decodes_cells_like_the_reference_in_any_key_order() {
+        for line in sample_lines() {
+            let tree = json::parse(&line).unwrap();
+            let want = match tree.get("event").and_then(Value::as_str) {
+                Some("cell") => Message::Cell(parse_cell(&tree).unwrap()),
+                _ => Message::CmpCell(parse_cmp_cell(&tree).unwrap()),
+            };
+            let Value::Obj(fields) = &tree else {
+                panic!("a cell line is an object");
+            };
+            for k in 0..=fields.len() {
+                let moved = reorder(&tree, k);
+                for text in [moved.to_json(), moved.to_json_pretty()] {
+                    assert_eq!(read_message(&text), Ok(want.clone()), "{text}");
+                }
+            }
+        }
+        // Failures name the field, as the reference decoder does.
+        let err = read_message(r#"{"event":"cell","id":"zz"}"#).unwrap_err();
+        assert!(err.contains("bad cell id"), "{err}");
+        let err = read_message(r#"{"event":"cmp_cell","id":"01","outcome":"ok"}"#).unwrap_err();
+        assert!(err.contains("cores"), "{err}");
+    }
+
+    #[test]
+    fn truncated_or_garbled_cell_lines_are_errors_not_panics() {
+        for line in sample_lines() {
+            for n in (0..line.len()).filter(|&n| line.is_char_boundary(n)) {
+                assert!(read_message(&line[..n]).is_err(), "{:?}", &line[..n]);
+            }
+            // Every single-byte overwrite either fails or decodes to
+            // what the reference path decodes.
+            for n in (0..line.len()).filter(|&n| line.is_char_boundary(n)) {
+                for b in ["\"", "{", "]", "x", "9", ","] {
+                    let mut bad = line.clone();
+                    let end = (n + 1..=line.len())
+                        .find(|&e| line.is_char_boundary(e))
+                        .unwrap_or(line.len());
+                    bad.replace_range(n..end, b);
+                    let reference = json::parse(&bad).map_err(|e| e.to_string()).and_then(|v| {
+                        match v.get("event").and_then(Value::as_str) {
+                            Some("cell") => parse_cell(&v).map(Message::Cell),
+                            Some("cmp_cell") => parse_cmp_cell(&v).map(Message::CmpCell),
+                            _ => Ok(Message::Event(v)),
+                        }
+                    });
+                    assert_eq!(read_message(&bad).ok(), reference.ok(), "{bad}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn non_cell_lines_stay_trees() {
+        for v in [
+            resp_accepted(3, 2),
+            resp_done(3, 2, 1),
+            resp_error("nope"),
+            resp_rejected("queue full", 9),
+            Value::Arr(vec![]),
+        ] {
+            assert_eq!(read_message(&v.to_json()), Ok(Message::Event(v)));
         }
     }
 

@@ -32,8 +32,8 @@ use ebcp_harness::{
 };
 
 use crate::proto::{
-    resp_accepted, resp_cell, resp_cmp_cell, resp_done, resp_error, resp_rejected,
-    resp_shutting_down, resp_status, resp_telemetry, Conn, PROTO_VERSION,
+    resp_accepted, resp_done, resp_error, resp_rejected, resp_shutting_down, resp_status,
+    resp_telemetry, write_cell, write_cmp_cell, Conn, PROTO_VERSION,
 };
 use crate::sweep::SweepSpec;
 
@@ -305,34 +305,37 @@ impl Server {
                 Ok(expanded) => expanded,
                 Err(reason) => return conn.send(&resp_error(&reason)),
             };
-        // Each unique job is hashed once here; completions route back
-        // to their job through `slot_of`, CMP rows reuse `cmp_ids`.
+        let submitted = jobs.len() + cmp_jobs.len();
+        // Each job is hashed once, here: the queue and the CMP runner
+        // take these ids, completions route back to their job through
+        // `slot_of`, and CMP rows reuse `cmp_ids`.
         let mut slot_of: HashMap<JobId, usize> = HashMap::with_capacity(jobs.len());
-        let mut unique: Vec<Job> = Vec::new();
-        for job in &jobs {
-            if let Entry::Vacant(slot) = slot_of.entry(job.id()) {
+        let mut unique: Vec<(JobId, Job)> = Vec::new();
+        for job in jobs {
+            let id = job.id();
+            if let Entry::Vacant(slot) = slot_of.entry(id) {
                 slot.insert(unique.len());
-                unique.push(job.clone());
+                unique.push((id, job));
             }
         }
         let mut seen_cmp = HashSet::with_capacity(cmp_jobs.len());
         let mut cmp_ids: Vec<JobId> = Vec::new();
         let mut unique_cmp: Vec<CmpJob> = Vec::new();
-        for job in &cmp_jobs {
+        for job in cmp_jobs {
             let id = job.id();
             if seen_cmp.insert(id) {
                 cmp_ids.push(id);
-                unique_cmp.push(job.clone());
+                unique_cmp.push(job);
             }
         }
-        let mut labels: HashSet<String> = unique.iter().map(Job::label).collect();
+        let mut labels: HashSet<String> = unique.iter().map(|(_, job)| job.label()).collect();
         labels.extend(unique_cmp.iter().map(CmpJob::label));
 
         // Subscribe before queueing so no event of ours is missed.
         let telemetry = self.service.harness().bus().subscribe();
         let (tx, completions) = mpsc::channel();
-        for job in &unique {
-            match self.service.submit(client, job.clone(), tx.clone()) {
+        for (id, job) in &unique {
+            match self.service.submit_with_id(client, *id, job, tx.clone()) {
                 Ok(()) => {}
                 Err(e) => {
                     // Cells already queued still run and warm the
@@ -349,16 +352,19 @@ impl Server {
             }
         }
         drop(tx);
-        conn.send(&resp_accepted(
-            jobs.len() + cmp_jobs.len(),
-            unique.len() + unique_cmp.len(),
-        ))?;
+        conn.send(&resp_accepted(submitted, unique.len() + unique_cmp.len()))?;
 
         // CMP cells run here while the workers drain the queued
         // singles; the telemetry subscription (taken before queueing)
         // buffers both streams' events until the drain loop below.
-        let cmp_outcomes = self.service.harness().run_cmp_outcomes(&unique_cmp);
+        let cmp_outcomes = self
+            .service
+            .harness()
+            .run_cmp_outcomes_with_ids(&unique_cmp, &cmp_ids);
 
+        // Cell lines are written straight from the rows (no JSON tree)
+        // into one reused buffer.
+        let mut line = String::new();
         let mut outcomes: HashMap<JobId, JobOutcome> = HashMap::new();
         while outcomes.len() < unique.len() {
             let mut idle = true;
@@ -375,16 +381,17 @@ impl Server {
                     // would be a service routing bug; drop it rather
                     // than panicking the handler thread (which would
                     // silently kill the client's stream).
-                    let Some(job) = slot_of.get(&id).map(|&i| &unique[i]) else {
+                    let Some((_, job)) = slot_of.get(&id).map(|&i| &unique[i]) else {
                         continue;
                     };
-                    conn.send(&resp_cell(&ResultRow {
+                    let row = ResultRow {
                         id,
                         workload: job.spec.workload.name.clone(),
                         prefetcher: job.pf.name().to_string(),
-                        outcome: outcome.clone(),
-                    }))?;
-                    outcomes.insert(id, outcome);
+                        outcome,
+                    };
+                    send_written(conn, &mut line, |out| write_cell(out, &row))?;
+                    outcomes.insert(id, row.outcome);
                 }
                 Err(mpsc::TryRecvError::Empty) => {}
                 // All senders gone with cells missing: workers died
@@ -401,23 +408,34 @@ impl Server {
                 conn.send(&resp_telemetry(&ev))?;
             }
         }
-        for ((job, &id), outcome) in unique_cmp.iter().zip(&cmp_ids).zip(&cmp_outcomes) {
-            conn.send(&resp_cmp_cell(&CmpResultRow {
+        let landed = outcomes.len() + cmp_outcomes.len();
+        let failed = outcomes.values().filter(|o| o.is_failed()).count()
+            + cmp_outcomes.iter().filter(|o| o.is_failed()).count();
+        for ((job, &id), outcome) in unique_cmp.iter().zip(&cmp_ids).zip(cmp_outcomes) {
+            let row = CmpResultRow {
                 id,
                 cell: job.spec.name.clone(),
                 prefetcher: job.pf.name().to_string(),
                 cores: job.cores() as u64,
-                outcome: outcome.clone(),
-            }))?;
+                outcome,
+            };
+            send_written(conn, &mut line, |out| write_cmp_cell(out, &row))?;
         }
-        let failed = outcomes.values().filter(|o| o.is_failed()).count()
-            + cmp_outcomes.iter().filter(|o| o.is_failed()).count();
-        conn.send(&resp_done(
-            jobs.len() + cmp_jobs.len(),
-            outcomes.len() + cmp_outcomes.len(),
-            failed,
-        ))
+        conn.send(&resp_done(submitted, landed, failed))
     }
+}
+
+/// Sends the line `write` appends to `line`, a buffer reused across
+/// lines.
+fn send_written(
+    conn: &mut Conn,
+    line: &mut String,
+    write: impl FnOnce(&mut String),
+) -> io::Result<()> {
+    line.clear();
+    write(line);
+    line.push('\n');
+    conn.send_raw(line)
 }
 
 /// Should this bus event be forwarded to a sweep with these labels?

@@ -103,7 +103,7 @@ impl SweepSpec {
                 .iter()
                 .find(|w| &w.name == wname)
                 .ok_or_else(|| format!("unknown workload {wname:?}"))?;
-            let spec = self.scale.run_spec(w, machine.clone());
+            let spec = self.scale.run_spec(w, machine);
             for pf in &pfs {
                 jobs.push(Job::new(spec.clone(), pf.clone()));
             }

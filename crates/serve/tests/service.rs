@@ -9,7 +9,7 @@ use std::thread;
 use std::time::Duration;
 
 use ebcp_harness::{write_doc, Harness, HarnessConfig, QueueConfig, Scale, Value};
-use ebcp_serve::{Client, Server, ServerConfig, SweepOutcome, SweepSpec};
+use ebcp_serve::{Client, Message, Server, ServerConfig, SweepOutcome, SweepSpec};
 
 /// A sub-second scale: tiny machine, a fraction of one recurrence
 /// interval. Travels over the wire like any other scale.
@@ -71,9 +71,11 @@ fn tmpfile(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("ebcp-serve-{tag}-{}.json", std::process::id()))
 }
 
-fn job_started_events(v: &Value) -> bool {
-    v.get("event").and_then(Value::as_str) == Some("telemetry")
-        && v.get("kind").and_then(Value::as_str) == Some("job_started")
+fn job_started_events(msg: &Message) -> bool {
+    msg.event().is_some_and(|v| {
+        v.get("event").and_then(Value::as_str) == Some("telemetry")
+            && v.get("kind").and_then(Value::as_str) == Some("job_started")
+    })
 }
 
 #[test]
@@ -317,22 +319,22 @@ fn repeated_names_dedupe_route_each_cell_once_and_match_a_local_run() {
     let streamed: Mutex<HashMap<(String, String), usize>> = Mutex::new(HashMap::new());
     let mut client = Client::connect(&d.addr).unwrap();
     let outcome = client
-        .submit(&spec, |ev| {
-            let event = ev.get("event").and_then(Value::as_str).unwrap_or("");
-            match event {
-                "accepted" => {
-                    *accepted_unique.lock().unwrap() = ev.get("unique").and_then(Value::as_u64);
+        .submit(&spec, |msg| {
+            let (event, id) = match msg {
+                Message::Cell(row) => ("cell", row.id),
+                Message::CmpCell(row) => ("cmp_cell", row.id),
+                Message::Event(ev) => {
+                    if ev.get("event").and_then(Value::as_str) == Some("accepted") {
+                        *accepted_unique.lock().unwrap() = ev.get("unique").and_then(Value::as_u64);
+                    }
+                    return;
                 }
-                "cell" | "cmp_cell" => {
-                    let id = ev.get("id").and_then(Value::as_str).unwrap().to_owned();
-                    *streamed
-                        .lock()
-                        .unwrap()
-                        .entry((event.to_owned(), id))
-                        .or_default() += 1;
-                }
-                _ => {}
-            }
+            };
+            *streamed
+                .lock()
+                .unwrap()
+                .entry((event.to_owned(), id.to_string()))
+                .or_default() += 1;
         })
         .unwrap();
     let SweepOutcome::Done { results, failed } = outcome else {
@@ -483,4 +485,57 @@ fn unix_socket_carries_the_same_protocol() {
     client.shutdown().unwrap();
     runner.join().unwrap().unwrap();
     assert!(!path.exists(), "socket file removed on shutdown");
+}
+
+/// Every cell line the daemon streams — ok and failed, single-core and
+/// CMP — is byte for byte the reference `resp_cell`/`resp_cmp_cell`
+/// encoding of the row it decodes to, so the typed writer changed no
+/// wire byte. Spoken over a raw socket to see the lines as sent.
+#[test]
+fn streamed_cell_lines_equal_the_reference_encoding_of_their_rows() {
+    use ebcp_serve::proto::{
+        parse_cell, parse_cmp_cell, read_message, request_submit, resp_cell, resp_cmp_cell,
+    };
+    use std::io::{BufRead, BufReader, Write};
+
+    let d = daemon(2, 64);
+    let mut spec = sweep(&["database"], &["none", "fault", "ebcp"]);
+    spec.cores = vec![2];
+    let raw_addr = d.addr.strip_prefix("tcp:").unwrap().to_string();
+    let mut sock = std::net::TcpStream::connect(&raw_addr).unwrap();
+    let mut request = request_submit(spec.to_value()).to_json();
+    request.push('\n');
+    sock.write_all(request.as_bytes()).unwrap();
+
+    let (mut cells, mut cmp_cells, mut failed) = (0, 0, 0);
+    for line in BufReader::new(sock.try_clone().unwrap()).lines() {
+        let line = line.unwrap();
+        let tree = ebcp_harness::json::parse(&line).unwrap();
+        match read_message(&line).unwrap() {
+            Message::Cell(row) => {
+                assert_eq!(line, resp_cell(&row).to_json());
+                assert_eq!(parse_cell(&tree).unwrap(), row);
+                cells += 1;
+                failed += usize::from(row.outcome.is_failed());
+            }
+            Message::CmpCell(row) => {
+                assert_eq!(line, resp_cmp_cell(&row).to_json());
+                assert_eq!(parse_cmp_cell(&tree).unwrap(), row);
+                cmp_cells += 1;
+                failed += usize::from(row.outcome.is_failed());
+            }
+            Message::Event(v) => {
+                assert_eq!(v, tree);
+                if v.get("event").and_then(Value::as_str) == Some("done") {
+                    break;
+                }
+            }
+        }
+    }
+    assert_eq!((cells, cmp_cells), (3, 3));
+    assert_eq!(failed, 2, "the fault lane fails on one core and on two");
+
+    drop(sock);
+    d.server.stop();
+    d.runner.join().unwrap().unwrap();
 }
