@@ -265,7 +265,6 @@ fn main() {
         progress: true,
         mem_budget_bytes: mem_budget.unwrap_or(HarnessConfig::default().mem_budget_bytes),
         trace_store,
-        ..HarnessConfig::default()
     });
     eprintln!(
         "# scale 1/{} machine ({} KB L2), warm-up {} tenths / measure {} tenths of the recurrence interval; {} worker(s)",

@@ -3,7 +3,3 @@
 //! and tests keep importing `ebcp_bench::scale::Scale` unchanged.
 
 pub use ebcp_harness::scale::Scale;
-
-// Trace delivery lives in the harness too (budgeted materialize-vs-
-// stream); re-exported here for source compatibility.
-pub use ebcp_harness::TraceSource;

@@ -120,7 +120,6 @@ fn harness(jobs: usize, store_dir: Option<PathBuf>, mem: MemArgs) -> Harness {
             .budget_bytes
             .unwrap_or(HarnessConfig::default().mem_budget_bytes),
         trace_store: mem.trace_store,
-        ..HarnessConfig::default()
     })
 }
 

@@ -10,7 +10,8 @@
 //! stream of its single-core [`CmpJob::core_job`], so CMP and
 //! single-core cells are cache currency for each other — and
 //! panic-isolated execution with the retry-once policy
-//! ([`crate::Harness::run_cmp_outcomes`]).
+//! ([`crate::Harness::run_cmp_outcomes`]), all through the executor the
+//! single-core cells use. Outcomes are [`crate::CmpOutcome`]s.
 
 use std::fmt;
 use std::fs;
@@ -103,44 +104,6 @@ impl CmpJob {
     #[must_use]
     pub fn label(&self) -> String {
         format!("{}@{}c x {}", self.spec.name, self.cores(), self.pf.name())
-    }
-}
-
-/// How one CMP job ended — the multi-core analogue of
-/// [`crate::JobOutcome`], with the same retry semantics.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CmpOutcome {
-    /// Simulated (or served from a cache) successfully.
-    Ok(CmpResult),
-    /// First attempt panicked; the retry succeeded.
-    Retried(CmpResult),
-    /// Both attempts panicked; memoized as failed, nothing cached.
-    Failed {
-        /// The second attempt's panic message.
-        reason: String,
-    },
-}
-
-impl CmpOutcome {
-    /// The result, unless the job failed.
-    pub const fn result(&self) -> Option<&CmpResult> {
-        match self {
-            CmpOutcome::Ok(r) | CmpOutcome::Retried(r) => Some(r),
-            CmpOutcome::Failed { .. } => None,
-        }
-    }
-
-    /// The failure reason, if the job failed.
-    pub fn failure(&self) -> Option<&str> {
-        match self {
-            CmpOutcome::Failed { reason } => Some(reason),
-            _ => None,
-        }
-    }
-
-    /// True for [`CmpOutcome::Failed`].
-    pub const fn is_failed(&self) -> bool {
-        matches!(self, CmpOutcome::Failed { .. })
     }
 }
 

@@ -12,7 +12,8 @@
 //!   `(workload, seed, length, L1 geometry)` feeds back-end-only
 //!   replays, so a prefetcher sweep pays the front-end cost once per
 //!   workload (streams are built by chunked generation — constant
-//!   memory — and disk-cached under `preres/`);
+//!   memory — and disk-cached under `preres/`), and the jobs that share
+//!   a stream and a machine replay in lockstep, one pass for all lanes;
 //! - **caches** results on disk ([`ResultStore`]), making re-runs
 //!   incremental across processes;
 //! - **reports** progress and throughput over a telemetry channel,
@@ -24,9 +25,12 @@
 //!   rates, cache provenance);
 //! - **isolates faults**: a job whose simulation panics is caught
 //!   ([`std::panic::catch_unwind`]), retried once, and — if it fails
-//!   again — recorded as [`JobOutcome::Failed`] without disturbing its
+//!   again — recorded as [`Outcome::Failed`] without disturbing its
 //!   siblings, whose results stay cached; corrupt cache entries are
 //!   quarantined (`*.corrupt`) and transparently re-run (self-heal).
+//!
+//! Multi-core [`CmpJob`] cells get all of the above except lockstep
+//! and the `results.json` rows, through the same executor (`exec.rs`).
 //!
 //! Results come back in submission order and are bit-identical for any
 //! worker count: the simulator is deterministic and assembly never
@@ -37,7 +41,8 @@
 //! has executed, so sibling results are already memoized and cached).
 //! [`Harness::run_outcomes`] is the keep-going entry point: it returns
 //! one [`JobOutcome`] per submitted job and never panics on job
-//! failure.
+//! failure. [`Harness::run_cmp`] and [`Harness::run_cmp_outcomes`] are
+//! the same pair for CMP cells.
 //!
 //! # Examples
 //!
@@ -63,6 +68,7 @@
 //! ```
 
 pub mod cmp;
+mod exec;
 pub mod job;
 pub mod json;
 pub mod preres;
@@ -73,28 +79,21 @@ pub mod store;
 pub mod telemetry;
 pub mod traces;
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use ebcp_sim::frontend::{PreResolved, PreResolver};
-use ebcp_sim::{run_pipelined, run_preresolved_blocks, run_preresolved_blocks_many};
-use ebcp_sim::{Engine, SimResult};
-use ebcp_trace::template::WorkloadProgram;
-use ebcp_trace::{Backing, ChunkSource, TraceGenerator};
+use ebcp_sim::frontend::PreResolved;
+use ebcp_sim::{CmpResult, SimResult};
 
-pub use crate::cmp::{CmpJob, CmpOutcome, CMP_CANON_VERSION};
+pub use crate::cmp::{CmpJob, CMP_CANON_VERSION};
 pub use crate::job::{fnv1a64, Fnv64, Job, JobId};
 pub use crate::json::Value;
 pub use crate::queue::{JobService, QueueConfig, ServiceStatus, SubmitError};
 pub use crate::scale::Scale;
 pub use crate::source::{
-    est_pre_bytes, seg_records_for_budget, streamed_peak_bytes, TraceSource,
-    DEFAULT_MEM_BUDGET_BYTES,
+    est_pre_bytes, seg_records_for_budget, streamed_peak_bytes, DEFAULT_MEM_BUDGET_BYTES,
 };
 pub use crate::store::{
     store_footprint, CacheRead, ResultStore, StoreClassFootprint, StoreFootprint,
@@ -102,7 +101,7 @@ pub use crate::store::{
 pub use crate::telemetry::{Event, EventBus, Progress, ResultSource, RunSummary};
 
 /// Poison-recovering lock. A panic inside a worker is caught and
-/// converted to a [`JobOutcome::Failed`], but if one ever unwinds while
+/// converted to an [`Outcome::Failed`], but if one ever unwinds while
 /// a guard is held (e.g. out of a hook the catch does not cover), the
 /// mutex is *poisoned* — and the data it protects (queues of indices,
 /// append-only output slots, counters) is still perfectly valid: no
@@ -124,71 +123,72 @@ fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// How one job ended.
+/// How one cell ended: a single-core [`JobOutcome`] or a multi-core
+/// [`CmpOutcome`].
 #[derive(Debug, Clone, PartialEq)]
-pub enum JobOutcome {
+pub enum Outcome<R> {
     /// Simulated (or served from a cache) successfully.
-    Ok(SimResult),
+    Ok(R),
     /// First attempt panicked; the retry succeeded. The result is as
-    /// trustworthy as an [`JobOutcome::Ok`] one — the simulator is
+    /// trustworthy as an [`Outcome::Ok`] one — the simulator is
     /// deterministic, so a one-shot panic means external interference
     /// (e.g. a blown fault-injection fuse), not flakiness in the result.
-    Retried(SimResult),
-    /// Both attempts panicked. The job is memoized as failed — it will
-    /// not be retried by later batches — and nothing was cached.
+    Retried(R),
+    /// Both attempts panicked (or the cell was rejected before running).
+    /// The cell is memoized as failed — it will not be retried by later
+    /// batches — and nothing was cached.
     Failed {
-        /// The second attempt's panic message.
+        /// The second attempt's panic message, or the rejection.
         reason: String,
     },
 }
 
-impl JobOutcome {
-    /// The result, unless the job failed.
-    pub const fn result(&self) -> Option<&SimResult> {
+impl<R> Outcome<R> {
+    /// The result, unless the cell failed.
+    pub const fn result(&self) -> Option<&R> {
         match self {
-            JobOutcome::Ok(r) | JobOutcome::Retried(r) => Some(r),
-            JobOutcome::Failed { .. } => None,
+            Outcome::Ok(r) | Outcome::Retried(r) => Some(r),
+            Outcome::Failed { .. } => None,
         }
     }
 
-    /// The failure reason, if the job failed.
+    /// The failure reason, if the cell failed.
     pub fn failure(&self) -> Option<&str> {
         match self {
-            JobOutcome::Failed { reason } => Some(reason),
+            Outcome::Failed { reason } => Some(reason),
             _ => None,
         }
     }
 
-    /// True for [`JobOutcome::Failed`].
+    /// True for [`Outcome::Failed`].
     pub const fn is_failed(&self) -> bool {
-        matches!(self, JobOutcome::Failed { .. })
+        matches!(self, Outcome::Failed { .. })
     }
 }
+
+/// How one single-core [`Job`] ended.
+pub type JobOutcome = Outcome<SimResult>;
+
+/// How one multi-core [`CmpJob`] ended.
+pub type CmpOutcome = Outcome<CmpResult>;
 
 /// Harness configuration.
 #[derive(Debug, Clone)]
 pub struct HarnessConfig {
     /// Worker threads; `0` means [`std::thread::available_parallelism`].
     pub jobs: usize,
-    /// Per-process trace memory budget, honoured by the
-    /// [`TraceSource`] materialize-vs-stream decision for library
-    /// callers. The harness's own job execution no longer materializes
-    /// traces at all — it builds packed pre-resolved event streams by
-    /// chunked generation, whose footprint
-    /// ([`PreResolved::est_bytes`]) is a small fraction of the trace's.
+    /// Per-process memory budget for pre-resolved event streams,
+    /// divided evenly among the concurrent workers. A single-core job
+    /// whose stream ([`est_pre_bytes`]) would not fit its worker's
+    /// share replays segment-at-a-time instead — from an on-disk block
+    /// stream with a store, through the pipelined front end without
+    /// one — with byte-identical results. Traces themselves are never
+    /// materialized: streams are built by chunked generation.
     pub mem_budget_bytes: u64,
     /// On-disk result store directory; `None` disables caching.
     pub store_dir: Option<PathBuf>,
     /// Render the live progress line on stderr.
     pub progress: bool,
-    /// Replay jobs that share a pre-resolved stream *and* a full
-    /// `RunSpec` in lockstep: one pass over the shared event stream
-    /// drives all their prefetcher lanes ([`ebcp_sim::Lockstep`]),
-    /// amortizing event decode and gap collapse across the sweep.
-    /// Results are byte-identical to the serial per-job path (that is
-    /// tested, not assumed); a lane that panics is retried serially and
-    /// fails alone. Disable to force the one-job-per-replay path.
-    pub lockstep: bool,
     /// Keep generated traces on disk in the segmented binary format
     /// (`traces/` under the store directory) and replay them through
     /// mmap'd windows. Effective only with a store configured; each
@@ -206,7 +206,6 @@ impl Default for HarnessConfig {
             mem_budget_bytes: DEFAULT_MEM_BUDGET_BYTES,
             store_dir: None,
             progress: false,
-            lockstep: true,
             trace_store: false,
         }
     }
@@ -246,20 +245,6 @@ impl JobRecord {
     }
 }
 
-#[derive(Debug, Default)]
-struct Counters {
-    submitted: usize,
-    unique: usize,
-    executed: usize,
-    memo_hits: usize,
-    disk_hits: usize,
-    failed: usize,
-    retried: usize,
-    quarantined: usize,
-    records_simulated: u64,
-    wall: Duration,
-}
-
 /// The job-execution engine. See the crate docs for the full contract.
 ///
 /// A `Harness` is long-lived: experiment drivers submit successive
@@ -271,7 +256,7 @@ pub struct Harness {
     store: Option<ResultStore>,
     memo: Mutex<HashMap<JobId, JobOutcome>>,
     records: Mutex<Vec<JobRecord>>,
-    counters: Mutex<Counters>,
+    counters: Mutex<RunSummary>,
     /// Pre-resolved event streams, keyed by [`Job::pre_key`] and shared
     /// across batches for the harness's whole lifetime — in the sweep
     /// daemon, this is the warm cache that makes a repeat sweep's front
@@ -315,7 +300,7 @@ impl Harness {
             store,
             memo: Mutex::new(HashMap::new()),
             records: Mutex::new(Vec::new()),
-            counters: Mutex::new(Counters::default()),
+            counters: Mutex::new(RunSummary::default()),
             pres: Mutex::new(HashMap::new()),
             cmp_memo: Mutex::new(HashMap::new()),
             bus: EventBus::new(),
@@ -394,182 +379,24 @@ impl Harness {
     /// memoized and cached; use [`Harness::run_outcomes`] to keep going
     /// instead.
     pub fn run(&self, jobs: &[Job]) -> Vec<SimResult> {
-        let outcomes = self.run_outcomes(jobs);
-        let mut failed: Vec<String> = Vec::new();
-        for (job, outcome) in jobs.iter().zip(&outcomes) {
-            if let Some(reason) = outcome.failure() {
-                let entry = format!("{} ({reason})", job.label());
-                if !failed.contains(&entry) {
-                    failed.push(entry);
-                }
-            }
-        }
-        assert!(
-            failed.is_empty(),
-            "{} job(s) failed: {}",
-            failed.len(),
-            failed.join("; ")
-        );
-        outcomes
-            .into_iter()
-            .map(|o| match o {
-                JobOutcome::Ok(r) | JobOutcome::Retried(r) => r,
-                JobOutcome::Failed { .. } => unreachable!("failures rejected above"),
-            })
-            .collect()
+        self.resolve_strict(jobs)
     }
 
     /// Resolves a batch of jobs, returning one [`JobOutcome`] per job in
     /// submission order. The **keep-going** entry point: a failed job
-    /// yields [`JobOutcome::Failed`] and never disturbs its siblings,
+    /// yields [`Outcome::Failed`] and never disturbs its siblings,
     /// whose results are memoized and cached as usual. Failures are
     /// memoized too — the deterministic simulator would only fail
     /// again — so resubmitting a failed job reports the same outcome
     /// without re-running it.
+    ///
+    /// A `Job` over a CMP per-core workload (`addr_space != 0`) fails
+    /// up front with an error naming [`Harness::run_cmp`] as the route.
     pub fn run_outcomes(&self, jobs: &[Job]) -> Vec<JobOutcome> {
         // Hash each job once; dedupe, the memo pass and the final
         // submission-order map all reuse these ids.
         let ids: Vec<JobId> = jobs.iter().map(Job::id).collect();
-        self.run_outcomes_with_ids(jobs, &ids)
-    }
-
-    /// [`Harness::run_outcomes`] for a caller that already holds each
-    /// job's id (`ids[i] == jobs[i].id()`).
-    pub(crate) fn run_outcomes_with_ids(&self, jobs: &[Job], ids: &[JobId]) -> Vec<JobOutcome> {
-        debug_assert_eq!(jobs.len(), ids.len());
-        let t0 = Instant::now();
-        // Deduplicate, preserving first-submission order. A 64-bit
-        // content-hash collision between *different* jobs is astronomically
-        // unlikely but cheap to rule out.
-        let mut first_seen: HashMap<JobId, usize> = HashMap::new();
-        let mut uniques: Vec<(JobId, &Job)> = Vec::new();
-        for (&id, job) in ids.iter().zip(jobs) {
-            match first_seen.entry(id) {
-                Entry::Occupied(seen) => assert_eq!(
-                    uniques[*seen.get()].1,
-                    job,
-                    "job content-hash collision on {id}; bump CANON_VERSION"
-                ),
-                Entry::Vacant(slot) => {
-                    slot.insert(uniques.len());
-                    uniques.push((id, job));
-                }
-            }
-        }
-
-        // Serve what the memo and the disk store already know; queue the
-        // rest. Each pending job remembers the index of its pre-created
-        // record so worker timing lands in submission order. A corrupt
-        // store entry is quarantined by `load_checked` and its job
-        // queued like a plain miss — the re-run overwrites it.
-        let mut pending: Vec<(usize, &Job)> = Vec::new();
-        {
-            let mut memo = lock(&self.memo);
-            let mut records = lock(&self.records);
-            let mut c = lock(&self.counters);
-            c.submitted += jobs.len();
-            c.unique += uniques.len();
-            for &(id, job) in &uniques {
-                let source = match memo.entry(id) {
-                    Entry::Occupied(_) => {
-                        c.memo_hits += 1;
-                        ResultSource::Memory
-                    }
-                    Entry::Vacant(slot) => {
-                        // A single-core `Job` over a CMP *per-core*
-                        // workload is a capability mismatch, not a
-                        // queueing problem: its trace lives in one core's
-                        // private address space and only means something
-                        // interleaved with its co-runners through the
-                        // shared L2 — which is [`Harness::run_cmp`]'s
-                        // job (the discrete-event `CmpEngine`, first-class
-                        // memo/disk-cache/fault-isolation included).
-                        // Reject with a precise error naming the routing
-                        // fix instead of quietly simulating a meaningless
-                        // single-core run. The rejection is memoized like
-                        // any other failure and never disk-cached.
-                        if job.spec.workload.addr_space != 0 {
-                            let reason = format!(
-                                "single-core Job cannot represent CMP per-core workload '{}' \
-                                 (addr_space {}): submit the whole cell as a CmpJob via \
-                                 Harness::run_cmp, which routes it through the discrete-event \
-                                 CMP engine",
-                                job.spec.workload.name, job.spec.workload.addr_space
-                            );
-                            self.bus.publish(&Event::JobFailed {
-                                label: job.label(),
-                                reason: reason.clone(),
-                            });
-                            c.failed += 1;
-                            slot.insert(JobOutcome::Failed {
-                                reason: reason.clone(),
-                            });
-                            records.push(JobRecord {
-                                id,
-                                workload: job.spec.workload.name.clone(),
-                                prefetcher: job.pf.name(),
-                                source: ResultSource::Executed,
-                                wall_ms: None,
-                                insts_per_sec: None,
-                                retried: false,
-                                error: Some(reason),
-                            });
-                            continue;
-                        }
-                        let read = match &self.store {
-                            Some(s) => s.load_checked(job),
-                            None => CacheRead::Miss,
-                        };
-                        match read {
-                            CacheRead::Hit(r) => {
-                                c.disk_hits += 1;
-                                slot.insert(JobOutcome::Ok(r));
-                                ResultSource::Disk
-                            }
-                            CacheRead::Miss => {
-                                pending.push((records.len(), job));
-                                ResultSource::Executed
-                            }
-                            CacheRead::Quarantined { path, reason } => {
-                                c.quarantined += 1;
-                                let path = path.display().to_string();
-                                if self.cfg.progress {
-                                    eprintln!(
-                                        "warning: quarantined corrupt cache entry {path} \
-                                         ({reason}); re-running"
-                                    );
-                                }
-                                self.bus.publish(&Event::CacheQuarantined { path, reason });
-                                pending.push((records.len(), job));
-                                ResultSource::Executed
-                            }
-                        }
-                    }
-                };
-                records.push(JobRecord {
-                    id,
-                    workload: job.spec.workload.name.clone(),
-                    prefetcher: job.pf.name(),
-                    source,
-                    wall_ms: None,
-                    insts_per_sec: None,
-                    retried: false,
-                    error: None,
-                });
-            }
-        }
-
-        if !pending.is_empty() {
-            self.execute(&pending);
-        }
-
-        {
-            let mut c = lock(&self.counters);
-            c.wall += t0.elapsed();
-        }
-
-        let memo = lock(&self.memo);
-        ids.iter().map(|id| memo[id].clone()).collect()
+        self.resolve(jobs, &ids)
     }
 
     /// The labels and panic reasons of every job that failed so far,
@@ -582,269 +409,6 @@ impl Harness {
             .collect()
     }
 
-    /// Runs the pending jobs on the worker pool and folds the outcomes
-    /// into the memo, the record table and the counters.
-    ///
-    /// Every job runs two-phase: its trace is pre-resolved through the
-    /// L1 front end into a compact event stream (constant memory — the
-    /// generator is streamed in chunks, never materialized), then the
-    /// prefetcher-dependent back end replays the stream. Streams are
-    /// keyed by [`Job::pre_key`] and `Arc`-shared, so a whole
-    /// workload × prefetcher sweep pays the front-end cost once per
-    /// workload; with a store configured they are also cached on disk
-    /// (`preres/`), making the front end free across processes.
-    fn execute(&self, pending: &[(usize, &Job)]) {
-        // Group pending jobs that share one pre-resolved stream AND one
-        // full `RunSpec` into lockstep units: one replay pass over the
-        // shared event stream drives all their prefetcher lanes
-        // (`ebcp_sim::Lockstep` via `run_preresolved_many`). Unit order
-        // follows first-member submission order; members keep
-        // submission order, so results stay deterministic.
-        let mut units: Vec<Vec<usize>> = Vec::new();
-        if self.cfg.lockstep {
-            let mut by_key: HashMap<u64, Vec<usize>> = HashMap::new();
-            for (idx, (_, job)) in pending.iter().enumerate() {
-                let candidates = by_key.entry(job.pre_key()).or_default();
-                // The pre-key covers workload/seed/length/L1; lanes must
-                // also agree on the rest of the machine (`SimConfig`).
-                match candidates
-                    .iter()
-                    .find(|&&u| pending[units[u][0]].1.spec == job.spec)
-                {
-                    Some(&u) => units[u].push(idx),
-                    None => {
-                        candidates.push(units.len());
-                        units.push(vec![idx]);
-                    }
-                }
-            }
-        } else {
-            units = (0..pending.len()).map(|i| vec![i]).collect();
-        }
-        let units = &units;
-        let workers = self.workers.min(units.len()).max(1);
-        // Each concurrent worker gets an equal share of the process
-        // memory budget; jobs whose pre-resolved stream would not fit
-        // the share run segment-at-a-time (see `stream_plan`).
-        let per_worker = (self.cfg.mem_budget_bytes / workers as u64).max(1);
-
-        // Streams come from the harness-lifetime `pres` map (see the
-        // field docs). If an initializer panics, the cell stays
-        // uninitialized, so a retry (or a sibling job on the same key)
-        // rebuilds it from scratch.
-        let pres = &self.pres;
-        let queue: Mutex<VecDeque<usize>> = Mutex::new((0..units.len()).collect());
-        type Slot = Result<(SimResult, u64, f64, bool), String>;
-        // A lane's outcome before timing attribution: result + retried flag.
-        type LaneOut = Result<(SimResult, bool), String>;
-        let outputs: Mutex<Vec<Option<Slot>>> = Mutex::new(vec![None; pending.len()]);
-        let (tx, rx) = mpsc::channel::<Event>();
-
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let (queue, outputs) = (&queue, &outputs);
-                s.spawn(move || loop {
-                    let Some(u) = lock(queue).pop_front() else {
-                        break;
-                    };
-                    let unit = &units[u];
-                    for &i in unit {
-                        let _ = tx.send(Event::JobStarted {
-                            label: pending[i].1.label(),
-                        });
-                    }
-                    let t = Instant::now();
-
-                    // One single-job attempt: front end (shared,
-                    // disk-cached) + back-end replay, with any panic
-                    // caught so a buggy prefetcher fails only its own
-                    // cell. The closure touches `pres` only through a
-                    // cloned Arc outside any lock, so no guard is held
-                    // across user code. Also the serial retry path for
-                    // a lockstep lane that panicked.
-                    let attempt_one = |job: &Job| -> Result<SimResult, String> {
-                        catch_unwind(AssertUnwindSafe(|| {
-                            if let Some(seg_records) = self.stream_plan(job, per_worker) {
-                                return self.run_streamed(job, seg_records, &tx);
-                            }
-                            let cell = Arc::clone(
-                                lock(pres)
-                                    .entry(job.pre_key())
-                                    .or_insert_with(|| Arc::new(OnceLock::new())),
-                            );
-                            let pre = cell.get_or_init(|| Arc::new(self.prepare_pre(job, &tx)));
-                            job.spec.run_preresolved(pre, &job.pf)
-                        }))
-                        .map_err(panic_reason)
-                    };
-
-                    // First attempts: one lockstep pass when the unit
-                    // has siblings, the plain single-job path otherwise.
-                    // `Lockstep` catches per-lane panics itself, so a
-                    // faulting lane surfaces as its own `Err` here; this
-                    // outer catch covers pre-resolution and the driver.
-                    let firsts: Vec<Result<SimResult, String>> = if unit.len() > 1 {
-                        let lead = pending[unit[0]].1;
-                        let pfs: Vec<ebcp_sim::PrefetcherSpec> =
-                            unit.iter().map(|&i| pending[i].1.pf.clone()).collect();
-                        match catch_unwind(AssertUnwindSafe(|| {
-                            if let Some(seg_records) = self.stream_plan(lead, per_worker) {
-                                if let Some(dir) = self.store_dir() {
-                                    // One disk pass over the cached
-                                    // block stream drives every lane —
-                                    // lockstep amortization at
-                                    // O(segment) memory.
-                                    let mut stream =
-                                        self.prepare_stream(dir, lead, seg_records, &tx);
-                                    return run_preresolved_blocks_many(
-                                        &lead.spec,
-                                        stream.blocks(),
-                                        &pfs,
-                                    );
-                                }
-                                // No disk to stream blocks from: each
-                                // lane runs the bounded-memory
-                                // pipelined path on its own.
-                                return unit
-                                    .iter()
-                                    .map(|&i| Ok(self.run_streamed(pending[i].1, seg_records, &tx)))
-                                    .collect();
-                            }
-                            let cell = Arc::clone(
-                                lock(pres)
-                                    .entry(lead.pre_key())
-                                    .or_insert_with(|| Arc::new(OnceLock::new())),
-                            );
-                            let pre = cell.get_or_init(|| Arc::new(self.prepare_pre(lead, &tx)));
-                            lead.spec.run_preresolved_many(pre, &pfs)
-                        })) {
-                            Ok(lanes) => lanes,
-                            Err(payload) => {
-                                let reason = panic_reason(payload);
-                                unit.iter().map(|_| Err(reason.clone())).collect()
-                            }
-                        }
-                    } else {
-                        vec![attempt_one(pending[unit[0]].1)]
-                    };
-
-                    // Retry-once policy, per lane: a first-attempt panic
-                    // may be environmental (a torn mmap, a one-shot
-                    // fault); a second one is the job's own and final.
-                    let lanes: Vec<(usize, LaneOut)> = unit
-                        .iter()
-                        .zip(firsts)
-                        .map(|(&i, first)| {
-                            let job = pending[i].1;
-                            let out = match first {
-                                Ok(result) => Ok((result, false)),
-                                Err(first) => {
-                                    let _ = tx.send(Event::JobRetried {
-                                        label: job.label(),
-                                        reason: first,
-                                    });
-                                    match attempt_one(job) {
-                                        Ok(result) => Ok((result, true)),
-                                        Err(reason) => Err(reason),
-                                    }
-                                }
-                            };
-                            (i, out)
-                        })
-                        .collect();
-
-                    // The unit ran as one pass; attribute an equal share
-                    // of its wall clock to each lane so per-job rates
-                    // reflect the amortization.
-                    let wall = t.elapsed() / unit.len() as u32;
-                    let wall_ms = wall.as_millis() as u64;
-                    for (i, out) in lanes {
-                        let job = pending[i].1;
-                        let slot: Slot = out.map(|(result, retried)| {
-                            let rate = job.records() as f64 / wall.as_secs_f64().max(1e-9);
-                            (result, wall_ms, rate, retried)
-                        });
-                        match &slot {
-                            Ok((result, wall_ms, rate, _)) => {
-                                if let Some(store) = &self.store {
-                                    // Cache-write failure loses only incrementality.
-                                    let _ = store.save(job, result);
-                                }
-                                let _ = tx.send(Event::JobFinished {
-                                    label: job.label(),
-                                    wall_ms: *wall_ms,
-                                    insts_per_sec: *rate,
-                                });
-                            }
-                            Err(reason) => {
-                                // Nothing cached: a failed job leaves no
-                                // on-disk trace to be mistaken for a result.
-                                let _ = tx.send(Event::JobFailed {
-                                    label: job.label(),
-                                    reason: reason.clone(),
-                                });
-                            }
-                        }
-                        lock(outputs)[i] = Some(slot);
-                    }
-                });
-            }
-            drop(tx);
-            // The submitting thread renders progress, republishes every
-            // event on the bus, and tallies the resilience events (the
-            // per-slot data only says *that* a job was retried, not how
-            // many quarantines it healed).
-            let mut progress = Progress::new(self.cfg.progress, pending.len());
-            let mut quarantined = 0usize;
-            for ev in rx {
-                if let Event::CacheQuarantined { .. } = &ev {
-                    quarantined += 1;
-                }
-                self.bus.publish(&ev);
-                progress.handle(&ev);
-            }
-            progress.finish();
-            lock(&self.counters).quarantined += quarantined;
-        });
-
-        let outputs = outputs.into_inner().unwrap_or_else(PoisonError::into_inner);
-        let mut memo = lock(&self.memo);
-        let mut records = lock(&self.records);
-        let mut c = lock(&self.counters);
-        for ((rec_idx, job), out) in pending.iter().zip(outputs) {
-            let slot = out.expect("worker completed every queued job");
-            match slot {
-                Ok((result, wall_ms, rate, retried)) => {
-                    memo.insert(
-                        job.id(),
-                        if retried {
-                            c.retried += 1;
-                            JobOutcome::Retried(result.clone())
-                        } else {
-                            JobOutcome::Ok(result.clone())
-                        },
-                    );
-                    records[*rec_idx].wall_ms = Some(wall_ms);
-                    records[*rec_idx].insts_per_sec = Some(rate);
-                    records[*rec_idx].retried = retried;
-                    c.executed += 1;
-                    c.records_simulated += job.records();
-                }
-                Err(reason) => {
-                    memo.insert(
-                        job.id(),
-                        JobOutcome::Failed {
-                            reason: reason.clone(),
-                        },
-                    );
-                    records[*rec_idx].error = Some(reason);
-                    c.failed += 1;
-                }
-            }
-        }
-    }
-
     /// Resolves a batch of CMP cells, returning results in submission
     /// order — the **strict** multi-core entry point, mirroring
     /// [`Harness::run`].
@@ -853,48 +417,20 @@ impl Harness {
     ///
     /// Panics with a summary naming the failed cells if any job failed,
     /// after the whole batch has executed.
-    pub fn run_cmp(&self, jobs: &[CmpJob]) -> Vec<ebcp_sim::CmpResult> {
-        let outcomes = self.run_cmp_outcomes(jobs);
-        let mut failed: Vec<String> = Vec::new();
-        for (job, outcome) in jobs.iter().zip(&outcomes) {
-            if let Some(reason) = outcome.failure() {
-                let entry = format!("{} ({reason})", job.label());
-                if !failed.contains(&entry) {
-                    failed.push(entry);
-                }
-            }
-        }
-        assert!(
-            failed.is_empty(),
-            "{} CMP job(s) failed: {}",
-            failed.len(),
-            failed.join("; ")
-        );
-        outcomes
-            .into_iter()
-            .map(|o| match o {
-                CmpOutcome::Ok(r) | CmpOutcome::Retried(r) => r,
-                CmpOutcome::Failed { .. } => unreachable!("failures rejected above"),
-            })
-            .collect()
+    pub fn run_cmp(&self, jobs: &[CmpJob]) -> Vec<CmpResult> {
+        self.resolve_strict(jobs)
     }
 
     /// Resolves a batch of CMP cells, returning one [`CmpOutcome`] per
     /// job in submission order — the **keep-going** multi-core entry
-    /// point, mirroring [`Harness::run_outcomes`].
-    ///
-    /// CMP cells are first-class: deduplicated and memoized by content
-    /// hash (within and across batches), served from the checksummed
-    /// disk store when warm (corrupt entries quarantined + re-run),
-    /// executed on the worker pool with per-cell panic isolation and
-    /// the retry-once policy, and counted in [`Harness::summary`] and
-    /// the telemetry stream like any other cell. Per-core pre-resolved
-    /// streams come from the same warm map and `preres/` disk cache the
-    /// single-core path uses (see [`CmpJob::core_job`]).
+    /// point, mirroring [`Harness::run_outcomes`]: same memo, checked
+    /// store, panic isolation, retry-once and counters. CMP cells get
+    /// no `results.json`/telemetry row; drivers render them through
+    /// [`results_doc_cmp`].
     pub fn run_cmp_outcomes(&self, jobs: &[CmpJob]) -> Vec<CmpOutcome> {
         // One hash per job, reused as in `run_outcomes`.
         let ids: Vec<JobId> = jobs.iter().map(CmpJob::id).collect();
-        self.run_cmp_outcomes_with_ids(jobs, &ids)
+        self.resolve(jobs, &ids)
     }
 
     /// [`Harness::run_cmp_outcomes`] for a caller that already holds
@@ -905,403 +441,12 @@ impl Harness {
     ///
     /// If the two slices differ in length.
     pub fn run_cmp_outcomes_with_ids(&self, jobs: &[CmpJob], ids: &[JobId]) -> Vec<CmpOutcome> {
-        assert_eq!(jobs.len(), ids.len(), "one id per CMP job");
-        debug_assert!(jobs.iter().zip(ids).all(|(j, &id)| j.id() == id));
-        let t0 = Instant::now();
-        let mut first_seen: HashMap<JobId, usize> = HashMap::new();
-        let mut uniques: Vec<(JobId, &CmpJob)> = Vec::new();
-        for (&id, job) in ids.iter().zip(jobs) {
-            match first_seen.entry(id) {
-                Entry::Occupied(seen) => assert_eq!(
-                    uniques[*seen.get()].1,
-                    job,
-                    "CMP job content-hash collision on {id}; bump CMP_CANON_VERSION"
-                ),
-                Entry::Vacant(slot) => {
-                    slot.insert(uniques.len());
-                    uniques.push((id, job));
-                }
-            }
-        }
-
-        let mut pending: Vec<&CmpJob> = Vec::new();
-        {
-            let mut memo = lock(&self.cmp_memo);
-            let mut c = lock(&self.counters);
-            c.submitted += jobs.len();
-            c.unique += uniques.len();
-            for &(id, job) in &uniques {
-                match memo.entry(id) {
-                    Entry::Occupied(_) => c.memo_hits += 1,
-                    Entry::Vacant(slot) => {
-                        let read = match &self.store {
-                            Some(s) => s.load_checked_cmp(job),
-                            None => CacheRead::Miss,
-                        };
-                        match read {
-                            CacheRead::Hit(r) => {
-                                c.disk_hits += 1;
-                                slot.insert(CmpOutcome::Ok(r));
-                            }
-                            CacheRead::Miss => pending.push(job),
-                            CacheRead::Quarantined { path, reason } => {
-                                c.quarantined += 1;
-                                let path = path.display().to_string();
-                                if self.cfg.progress {
-                                    eprintln!(
-                                        "warning: quarantined corrupt cache entry {path} \
-                                         ({reason}); re-running"
-                                    );
-                                }
-                                self.bus.publish(&Event::CacheQuarantined { path, reason });
-                                pending.push(job);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        if !pending.is_empty() {
-            self.execute_cmp(&pending);
-        }
-
-        lock(&self.counters).wall += t0.elapsed();
-        let memo = lock(&self.cmp_memo);
-        ids.iter().map(|id| memo[id].clone()).collect()
-    }
-
-    /// Runs pending CMP cells on the worker pool: per-core streams from
-    /// the shared warm map (+ `preres/` disk cache), then one
-    /// discrete-event `CmpEngine` run per cell, panic-caught with the
-    /// retry-once policy. Outcomes fold into the CMP memo and the
-    /// shared counters.
-    fn execute_cmp(&self, pending: &[&CmpJob]) {
-        let workers = self.workers.min(pending.len()).max(1);
-        let pres = &self.pres;
-        let queue: Mutex<VecDeque<usize>> = Mutex::new((0..pending.len()).collect());
-        type CmpSlot = Result<(ebcp_sim::CmpResult, u64, f64, bool), String>;
-        let outputs: Mutex<Vec<Option<CmpSlot>>> = Mutex::new(vec![None; pending.len()]);
-        let (tx, rx) = mpsc::channel::<Event>();
-
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let (queue, outputs) = (&queue, &outputs);
-                s.spawn(move || loop {
-                    let Some(i) = lock(queue).pop_front() else {
-                        break;
-                    };
-                    let job = pending[i];
-                    let _ = tx.send(Event::JobStarted { label: job.label() });
-                    let t = Instant::now();
-
-                    // One attempt: resolve every core's stream through
-                    // the shared cells (no guard held across user code),
-                    // then run the cell on the DES engine. A panic
-                    // anywhere fails only this cell.
-                    let attempt_one = || -> Result<ebcp_sim::CmpResult, String> {
-                        catch_unwind(AssertUnwindSafe(|| {
-                            let streams: Vec<Arc<PreResolved>> = (0..job.cores())
-                                .map(|k| {
-                                    let cj = job.core_job(k);
-                                    let cell = Arc::clone(
-                                        lock(pres)
-                                            .entry(cj.pre_key())
-                                            .or_insert_with(|| Arc::new(OnceLock::new())),
-                                    );
-                                    Arc::clone(
-                                        cell.get_or_init(|| Arc::new(self.prepare_pre(&cj, &tx))),
-                                    )
-                                })
-                                .collect();
-                            let refs: Vec<&PreResolved> = streams.iter().map(Arc::as_ref).collect();
-                            job.spec.run_streams(&refs, &job.pf)
-                        }))
-                        .map_err(panic_reason)
-                    };
-
-                    let out = match attempt_one() {
-                        Ok(result) => Ok((result, false)),
-                        Err(first) => {
-                            let _ = tx.send(Event::JobRetried {
-                                label: job.label(),
-                                reason: first,
-                            });
-                            attempt_one().map(|result| (result, true))
-                        }
-                    };
-
-                    let wall = t.elapsed();
-                    let wall_ms = wall.as_millis() as u64;
-                    let slot: CmpSlot = out.map(|(result, retried)| {
-                        let rate = job.records() as f64 / wall.as_secs_f64().max(1e-9);
-                        (result, wall_ms, rate, retried)
-                    });
-                    match &slot {
-                        Ok((result, wall_ms, rate, _)) => {
-                            if let Some(store) = &self.store {
-                                // Cache-write failure loses only incrementality.
-                                let _ = store.save_cmp(job, result);
-                            }
-                            let _ = tx.send(Event::JobFinished {
-                                label: job.label(),
-                                wall_ms: *wall_ms,
-                                insts_per_sec: *rate,
-                            });
-                        }
-                        Err(reason) => {
-                            let _ = tx.send(Event::JobFailed {
-                                label: job.label(),
-                                reason: reason.clone(),
-                            });
-                        }
-                    }
-                    lock(outputs)[i] = Some(slot);
-                });
-            }
-            drop(tx);
-            let mut progress = Progress::new(self.cfg.progress, pending.len());
-            let mut quarantined = 0usize;
-            for ev in rx {
-                if let Event::CacheQuarantined { .. } = &ev {
-                    quarantined += 1;
-                }
-                self.bus.publish(&ev);
-                progress.handle(&ev);
-            }
-            progress.finish();
-            lock(&self.counters).quarantined += quarantined;
-        });
-
-        let outputs = outputs.into_inner().unwrap_or_else(PoisonError::into_inner);
-        let mut memo = lock(&self.cmp_memo);
-        let mut c = lock(&self.counters);
-        for (job, out) in pending.iter().zip(outputs) {
-            let slot = out.expect("worker completed every queued CMP job");
-            match slot {
-                Ok((result, _, _, retried)) => {
-                    memo.insert(
-                        job.id(),
-                        if retried {
-                            c.retried += 1;
-                            CmpOutcome::Retried(result)
-                        } else {
-                            CmpOutcome::Ok(result)
-                        },
-                    );
-                    c.executed += 1;
-                    c.records_simulated += job.records();
-                }
-                Err(reason) => {
-                    memo.insert(job.id(), CmpOutcome::Failed { reason });
-                    c.failed += 1;
-                }
-            }
-        }
-    }
-
-    /// The segment length (in trace records) a bounded-memory replay of
-    /// `job` should use, or `None` when the whole pre-resolved stream
-    /// fits the worker's budget share — then the materialized,
-    /// `Arc`-shared warm-map path is both cheaper and enables
-    /// cross-batch stream reuse.
-    ///
-    /// The streamed paths are replay-**exact**: block-at-a-time replay
-    /// over any segmentation produces byte-identical results to the
-    /// monolithic stream (`ebcp_sim::segment` proves this property), so
-    /// this decision affects memory and wall clock, never results.
-    fn stream_plan(&self, job: &Job, per_worker_bytes: u64) -> Option<u64> {
-        if source::est_pre_bytes(&job.spec) <= per_worker_bytes {
-            return None;
-        }
-        Some(source::seg_records_for_budget(per_worker_bytes))
-    }
-
-    /// Bounded-memory single-job execution: with a store, replay the
-    /// per-segment pre-resolved block stream from disk (building it
-    /// first if cold — also segment-at-a-time); without one, overlap
-    /// front-end production and back-end replay through the two-worker
-    /// pipelined path. Peak resident set is O(segment) either way.
-    ///
-    /// CMP cells deliberately do not take this path: the discrete-event
-    /// engine interleaves all cores' streams by cycle, so it holds them
-    /// whole; per-core workloads are footprint-scaled by core count,
-    /// which keeps them inside the budget at supported scales.
-    fn run_streamed(&self, job: &Job, seg_records: u64, tx: &mpsc::Sender<Event>) -> SimResult {
-        if let Some(dir) = self.store_dir() {
-            let mut stream = self.prepare_stream(dir, job, seg_records, tx);
-            run_preresolved_blocks(&job.spec, stream.blocks(), &job.pf)
-        } else {
-            let program = Arc::new(WorkloadProgram::build(&job.spec.workload));
-            run_pipelined(&job.spec, program, seg_records, &job.pf)
-        }
-    }
-
-    /// Opens `job`'s per-segment pre-resolved block stream from the
-    /// store, building it first when cold: trace records come from the
-    /// segmented trace store (mmap'd windows) when enabled, else from
-    /// chunked generation, and finished blocks go straight to disk — so
-    /// even building the stream never materializes it. Corrupt cached
-    /// files (stream or trace) are quarantined, reported over `tx`, and
-    /// rebuilt.
-    ///
-    /// # Panics
-    ///
-    /// Panics on file-system failure — the worker's `catch_unwind`
-    /// converts that to a failed (retried-once) job. Unlike the
-    /// materialized path there is no memory fallback to offer: the
-    /// budget says the stream must live on disk.
-    fn prepare_stream(
-        &self,
-        dir: &Path,
-        job: &Job,
-        seg_records: u64,
-        tx: &mpsc::Sender<Event>,
-    ) -> preres::PreresStream {
-        match preres::open_stream_checked(dir, job) {
-            CacheRead::Hit(stream) => return stream,
-            CacheRead::Miss => {}
-            CacheRead::Quarantined { path, reason } => {
-                let _ = tx.send(Event::CacheQuarantined {
-                    path: path.display().to_string(),
-                    reason,
-                });
-            }
-        }
-        let spec = &job.spec;
-        let mut writer =
-            preres::PreresWriter::create(dir, job, seg_records).expect("preres stream writer");
-        let mut src: Box<dyn ChunkSource> = if self.cfg.trace_store {
-            let trace =
-                traces::open_or_generate(dir, spec, seg_records, Backing::Mmap, |path, reason| {
-                    let _ = tx.send(Event::CacheQuarantined {
-                        path: path.display().to_string(),
-                        reason,
-                    });
-                })
-                .expect("segmented trace store");
-            Box::new(trace)
-        } else {
-            Box::new(TraceGenerator::new(&spec.workload, spec.seed))
-        };
-        let mut pr = PreResolver::new(&spec.sim);
-        let mut chunk = Vec::with_capacity(Engine::CHUNK_RECORDS);
-        let mut left = spec.warmup_insts + spec.measure_insts;
-        let mut blocks = 0u64;
-        while left > 0 {
-            let room = seg_records - pr.pending_records();
-            let want = (Engine::CHUNK_RECORDS as u64).min(left).min(room) as usize;
-            let got = src.next_chunk(&mut chunk, want);
-            if got == 0 {
-                break;
-            }
-            pr.push_chunk(&chunk);
-            left -= got as u64;
-            if pr.pending_records() == seg_records {
-                let b = pr.split_block();
-                writer
-                    .push_block(&b.events, b.records)
-                    .expect("preres block write");
-                blocks += 1;
-            }
-        }
-        if pr.pending_records() > 0 || blocks == 0 {
-            let b = pr.split_block();
-            writer
-                .push_block(&b.events, b.records)
-                .expect("preres block write");
-        }
-        writer.finish().expect("preres stream publish");
-        match preres::open_stream_checked(dir, job) {
-            CacheRead::Hit(stream) => stream,
-            other => panic!(
-                "freshly written pre-resolved stream failed to verify: {:?}",
-                other.into_hit().is_some()
-            ),
-        }
-    }
-
-    /// Obtains the pre-resolved event stream for `job`: from the disk
-    /// cache when possible, otherwise by running the front-end pass (and
-    /// caching the result for the next process). A corrupt cached
-    /// stream is quarantined (reported over `tx`) and rebuilt, its
-    /// replacement overwriting the original path.
-    fn prepare_pre(&self, job: &Job, tx: &mpsc::Sender<Event>) -> PreResolved {
-        if let Some(dir) = self.store_dir() {
-            match preres::load_checked(dir, job) {
-                CacheRead::Hit(pre) => return pre,
-                CacheRead::Miss => {}
-                CacheRead::Quarantined { path, reason } => {
-                    let _ = tx.send(Event::CacheQuarantined {
-                        path: path.display().to_string(),
-                        reason,
-                    });
-                }
-            }
-        }
-        let pre = job.spec.pre_resolve();
-        if let Some(dir) = self.store_dir() {
-            // Cache-write failure loses only incrementality.
-            let _ = preres::save(dir, job, &pre);
-        }
-        pre
-    }
-
-    /// Generic parallel map over the same worker pool sizing, for work
-    /// that does not fit either job shape (CMP multi-core cells are
-    /// first-class now — see [`Harness::run_cmp`] — so this is for
-    /// one-off work like bulk trace generation).
-    /// Output order matches input order; `jobs = 1` degenerates to a
-    /// plain serial map.
-    pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        let workers = self.workers.min(items.len()).max(1);
-        if workers == 1 {
-            return items.iter().map(f).collect();
-        }
-        let queue: Mutex<VecDeque<usize>> = Mutex::new((0..items.len()).collect());
-        let outputs: Mutex<Vec<Option<R>>> =
-            Mutex::new(std::iter::repeat_with(|| None).take(items.len()).collect());
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                let (queue, outputs, f) = (&queue, &outputs, &f);
-                s.spawn(move || loop {
-                    let Some(i) = lock(queue).pop_front() else {
-                        break;
-                    };
-                    let r = f(&items[i]);
-                    lock(outputs)[i] = Some(r);
-                });
-            }
-        });
-        outputs
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-            .into_iter()
-            .map(|r| r.expect("worker completed every queued item"))
-            .collect()
+        self.resolve(jobs, ids)
     }
 
     /// Aggregate statistics over everything resolved so far.
     pub fn summary(&self) -> RunSummary {
-        let c = lock(&self.counters);
-        RunSummary {
-            submitted: c.submitted,
-            unique: c.unique,
-            executed: c.executed,
-            memo_hits: c.memo_hits,
-            disk_hits: c.disk_hits,
-            failed: c.failed,
-            retried: c.retried,
-            quarantined: c.quarantined,
-            records_simulated: c.records_simulated,
-            wall: c.wall,
-        }
+        *lock(&self.counters)
     }
 
     /// The deterministic [`ResultRow`]s for everything resolved so far,
@@ -1449,34 +594,13 @@ pub fn results_doc_cmp(submitted: usize, rows: &[ResultRow], cmp_rows: &[CmpResu
     let jobs: Vec<Value> = rows
         .iter()
         .map(|row| {
-            Value::Obj(vec![
+            let mut fields = vec![
                 ("id".into(), Value::Str(row.id.to_string())),
                 ("workload".into(), Value::Str(row.workload.clone())),
                 ("prefetcher".into(), Value::Str(row.prefetcher.clone())),
-                (
-                    "outcome".into(),
-                    Value::Str(
-                        if row.outcome.is_failed() {
-                            "failed"
-                        } else {
-                            "ok"
-                        }
-                        .into(),
-                    ),
-                ),
-                (
-                    "error".into(),
-                    row.outcome
-                        .failure()
-                        .map_or(Value::Null, |e| Value::Str(e.into())),
-                ),
-                (
-                    "result".into(),
-                    row.outcome
-                        .result()
-                        .map_or(Value::Null, store::result_to_json),
-                ),
-            ])
+            ];
+            fields.extend(outcome_fields(&row.outcome, store::result_to_json));
+            Value::Obj(fields)
         })
         .collect();
     let mut fields = vec![
@@ -1497,40 +621,40 @@ pub fn results_doc_cmp(submitted: usize, rows: &[ResultRow], cmp_rows: &[CmpResu
         let cmp_jobs: Vec<Value> = cmp_rows
             .iter()
             .map(|row| {
-                Value::Obj(vec![
+                let mut fields = vec![
                     ("id".into(), Value::Str(row.id.to_string())),
                     ("cell".into(), Value::Str(row.cell.clone())),
                     ("prefetcher".into(), Value::Str(row.prefetcher.clone())),
                     ("cores".into(), Value::Int(row.cores)),
-                    (
-                        "outcome".into(),
-                        Value::Str(
-                            if row.outcome.is_failed() {
-                                "failed"
-                            } else {
-                                "ok"
-                            }
-                            .into(),
-                        ),
-                    ),
-                    (
-                        "error".into(),
-                        row.outcome
-                            .failure()
-                            .map_or(Value::Null, |e| Value::Str(e.into())),
-                    ),
-                    (
-                        "result".into(),
-                        row.outcome
-                            .result()
-                            .map_or(Value::Null, crate::cmp::cmp_result_to_json),
-                    ),
-                ])
+                ];
+                fields.extend(outcome_fields(&row.outcome, cmp::cmp_result_to_json));
+                Value::Obj(fields)
             })
             .collect();
         fields.push(("cmp_jobs".into(), Value::Arr(cmp_jobs)));
     }
     Value::Obj(fields)
+}
+
+/// The `outcome`, `error` and `result` fields that end every
+/// `results.json` row, single-core or CMP. A retried success renders as
+/// `"ok"`: whether a cell needed its second attempt is timing, not
+/// result.
+fn outcome_fields<R>(outcome: &Outcome<R>, to_json: fn(&R) -> Value) -> [(String, Value); 3] {
+    let tag = if outcome.is_failed() { "failed" } else { "ok" };
+    [
+        ("outcome".into(), Value::Str(tag.into())),
+        (
+            "error".into(),
+            outcome
+                .failure()
+                .map_or(Value::Null, |e| Value::Str(e.into())),
+        ),
+        (
+            "result".into(),
+            outcome.result().map_or(Value::Null, to_json),
+        ),
+    ]
 }
 
 /// Writes a pretty-printed JSON document, creating parent directories.
@@ -1689,17 +813,6 @@ mod tests {
     }
 
     #[test]
-    fn map_preserves_order_and_covers_all_items() {
-        let h = Harness::new(HarnessConfig {
-            jobs: 3,
-            ..HarnessConfig::default()
-        });
-        let items: Vec<u64> = (0..37).collect();
-        let out = h.map(&items, |&x| x * x);
-        assert_eq!(out, items.iter().map(|&x| x * x).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn results_json_lists_every_unique_job() {
         let dir = std::env::temp_dir().join(format!("ebcp-harness-json-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1750,7 +863,8 @@ mod tests {
 
     /// A one-workload × many-prefetcher batch forms a single lockstep
     /// unit; its results must be byte-identical to the per-job serial
-    /// replay path, with every cell counted as executed.
+    /// replay path (single-job batches, units of one), with every cell
+    /// counted as executed.
     #[test]
     fn lockstep_batch_matches_per_job_replay() {
         let w = WorkloadSpec::database().scaled(1, 16);
@@ -1766,13 +880,13 @@ mod tests {
             .iter()
             .map(|pf| Job::new(spec(w.clone(), 3), pf.clone()))
             .collect();
-        let lockstep = Harness::serial(); // lockstep is the default
-        let serial = Harness::new(HarnessConfig {
-            jobs: 1,
-            lockstep: false,
-            ..HarnessConfig::default()
-        });
-        assert_eq!(lockstep.run(&jobs), serial.run(&jobs));
+        let lockstep = Harness::serial();
+        let serial = Harness::serial();
+        let one_by_one: Vec<SimResult> = jobs
+            .iter()
+            .flat_map(|job| serial.run(std::slice::from_ref(job)))
+            .collect();
+        assert_eq!(lockstep.run(&jobs), one_by_one);
         assert_eq!(lockstep.summary().executed, jobs.len());
         assert_eq!(serial.summary().executed, jobs.len());
     }
@@ -1804,11 +918,7 @@ mod tests {
         assert!(reason.contains("injected fault"), "{reason}");
         assert_eq!(h.summary().failed, 1);
         // Siblings are untouched and byte-identical to serial replays.
-        let serial = Harness::new(HarnessConfig {
-            jobs: 1,
-            lockstep: false,
-            ..HarnessConfig::default()
-        });
+        let serial = Harness::serial();
         for k in [0, 2] {
             let reference = serial.run_outcomes(&jobs[k..=k]);
             assert_eq!(out[k], reference[0], "sibling lane {k}");
@@ -1871,7 +981,9 @@ mod tests {
 
     /// CMP cells are first-class harness citizens: memoized across
     /// batches, disk-cached with self-healing entries, results
-    /// identical to a direct engine run.
+    /// identical to a direct engine run. A corrupt `.cmp.json` entry is
+    /// quarantined, counted, published on the bus and re-run
+    /// byte-identically, and the re-run writes a valid entry back.
     #[test]
     fn cmp_cells_memoize_and_disk_cache() {
         let dir = std::env::temp_dir().join(format!("ebcp-harness-cmp-{}", std::process::id()));
@@ -1900,16 +1012,45 @@ mod tests {
         assert_eq!(h.summary().executed, 1);
         assert_eq!(h.summary().memo_hits, 1);
         // Fresh harness, warm store: disk hit, zero simulations.
-        let h2 = Harness::new(cfg);
+        let h2 = Harness::new(cfg.clone());
         let c = h2.run_cmp(std::slice::from_ref(&cell));
         assert_eq!(a, c);
         let s = h2.summary();
         assert_eq!((s.executed, s.disk_hits), (0, 1));
+
+        // Tear the entry mid-file: the next harness quarantines it and
+        // re-runs the cell.
+        let entry = ResultStore::open(&dir).unwrap().cmp_entry_path(&cell);
+        let bytes = std::fs::read(&entry).unwrap();
+        std::fs::write(&entry, &bytes[..bytes.len() / 2]).unwrap();
+        let h3 = Harness::new(cfg.clone());
+        let rx = h3.bus().subscribe();
+        let d = h3.run_cmp(std::slice::from_ref(&cell));
+        assert_eq!(a, d, "healed result must be byte-identical");
+        let s = h3.summary();
+        assert_eq!(
+            (s.quarantined, s.executed, s.disk_hits),
+            (1, 1, 0),
+            "the corrupt entry is quarantined and its cell re-run"
+        );
+        let published = rx
+            .try_iter()
+            .filter(|ev| matches!(ev, Event::CacheQuarantined { .. }))
+            .count();
+        assert_eq!(published, 1, "the quarantine is published on the bus");
+        let mut quarantined = entry.clone().into_os_string();
+        quarantined.push(".corrupt");
+        assert!(Path::new(&quarantined).is_file());
+        // The re-run wrote a valid entry back.
+        let h4 = Harness::new(cfg);
+        assert_eq!(h4.run_cmp(std::slice::from_ref(&cell)), a);
+        assert_eq!(h4.summary().disk_hits, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A faulting prefetcher fails only its own CMP cell; the sibling
-    /// cell completes and matches its direct run.
+    /// cell completes and matches its direct run. A one-shot fault
+    /// blows on the first attempt and succeeds on the retry.
     #[test]
     fn cmp_fault_cell_fails_alone() {
         use ebcp_prefetch::{BaselineConfig, FaultConfig};
@@ -1920,6 +1061,9 @@ mod tests {
             10_000,
             SimConfig::scaled_down(16),
         );
+        let one_shot = FaultConfig::one_shot(0, 0xC3F0_0D5E ^ u64::from(std::process::id()));
+        let fuse = one_shot.fuse_path().unwrap();
+        let _ = std::fs::remove_file(&fuse);
         let cells = vec![
             CmpJob::new(spec.clone(), PrefetcherSpec::None),
             CmpJob::new(
@@ -1929,12 +1073,23 @@ mod tests {
                     BaselineConfig::Fault(FaultConfig::panic_after(40)),
                 ),
             ),
+            CmpJob::new(
+                spec.clone(),
+                PrefetcherSpec::baseline("one-shot", BaselineConfig::Fault(one_shot)),
+            ),
         ];
         let h = Harness::serial();
         let out = h.run_cmp_outcomes(&cells);
+        let _ = std::fs::remove_file(&fuse);
         let reason = out[1].failure().expect("fault cell must fail");
         assert!(reason.contains("injected fault"), "{reason}");
-        assert_eq!(h.summary().failed, 1);
+        assert!(
+            matches!(out[2], CmpOutcome::Retried(_)),
+            "one-shot cell must succeed on its retry, got {:?}",
+            out[2]
+        );
+        let s = h.summary();
+        assert_eq!((s.retried, s.failed, s.executed), (1, 1, 2));
         assert_eq!(out[0].result().unwrap(), &spec.run(&PrefetcherSpec::None));
     }
 
@@ -2019,12 +1174,10 @@ mod tests {
             .iter()
             .map(|pf| Job::new(spec(w.clone(), 3), pf.clone()))
             .collect();
-        let reference = Harness::new(HarnessConfig {
-            jobs: 1,
-            lockstep: false,
-            ..HarnessConfig::default()
-        })
-        .run(&jobs);
+        let reference: Vec<SimResult> = jobs
+            .iter()
+            .map(|job| job.spec.run_preresolved(&job.spec.pre_resolve(), &job.pf))
+            .collect();
         let dir = std::env::temp_dir().join(format!("ebcp-harness-slock-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let h = Harness::new(HarnessConfig {

@@ -19,9 +19,9 @@
 //! passed at submit time, tagged with the [`JobId`] so the client can
 //! map completions (which arrive in *completion* order) back to its
 //! sweep cells. Fault isolation is inherited from the harness: a cell
-//! that panics becomes that client's [`JobOutcome::Failed`] and nothing
-//! else — sibling cells, other clients' sweeps, and the caches are
-//! untouched.
+//! that panics becomes that client's [`crate::Outcome::Failed`] and
+//! nothing else — sibling cells, other clients' sweeps, and the caches
+//! are untouched.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -319,7 +319,7 @@ impl JobService {
             // self-heal, panic isolation with retry-once, telemetry.
             let outcome = self
                 .harness
-                .run_outcomes_with_ids(std::slice::from_ref(&job), &[id])
+                .resolve(std::slice::from_ref(&job), &[id])
                 .pop()
                 // A one-job batch yields one outcome; if the harness
                 // ever breaks that contract, fail the job for its

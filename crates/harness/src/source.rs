@@ -1,16 +1,11 @@
-//! Trace delivery: materialize in memory when the budget allows,
-//! stream from the generator otherwise.
+//! The memory budget: when a job's pre-resolved stream fits a worker's
+//! share, and how long its segments are when it does not.
 
-use std::sync::Arc;
+use ebcp_sim::RunSpec;
 
-use ebcp_sim::{PrefetcherSpec, RunSpec, SimResult};
-use ebcp_trace::template::WorkloadProgram;
-use ebcp_trace::TraceRecord;
-
-/// Default per-process trace memory budget (~1.5 GB). Replaces the old
-/// hard-coded materialization threshold; the harness divides it by the
-/// number of concurrent workers so N parallel materialized traces never
-/// exceed one budget.
+/// Default per-process stream memory budget (~1.5 GB). The harness
+/// divides it by the number of concurrent workers so N parallel
+/// resident streams never exceed one budget.
 pub const DEFAULT_MEM_BUDGET_BYTES: u64 = 1_500_000_000;
 
 /// Peak resident bytes *per trace record* a streamed (segment-at-a-time)
@@ -54,55 +49,6 @@ pub fn streamed_peak_bytes(seg_records: u64) -> u64 {
     seg_records * STREAMED_HEADROOM * STREAMED_BYTES_PER_RECORD
 }
 
-/// A trace source: materialized when it fits the budget, streamed from
-/// a shared [`WorkloadProgram`] otherwise.
-///
-/// Materialized traces are `Arc`-shared: every job replaying the same
-/// `(workload, seed, length)` reads one allocation.
-pub enum TraceSource {
-    /// Fully materialized records.
-    Materialized(Arc<Vec<TraceRecord>>),
-    /// Regenerate per run from a shared program.
-    Streamed(Arc<WorkloadProgram>),
-}
-
-impl TraceSource {
-    /// Estimated materialized footprint of `spec`'s trace.
-    pub fn est_bytes(spec: &RunSpec) -> u64 {
-        let records = spec.warmup_insts + spec.measure_insts;
-        records * std::mem::size_of::<TraceRecord>() as u64
-    }
-
-    /// Prepares the trace for `spec` under the default whole-process
-    /// budget (single-threaded callers).
-    pub fn prepare(spec: &RunSpec) -> Self {
-        Self::prepare_budgeted(spec, DEFAULT_MEM_BUDGET_BYTES)
-    }
-
-    /// Prepares the trace for `spec`, materializing only when the
-    /// estimated footprint fits `budget_bytes`.
-    pub fn prepare_budgeted(spec: &RunSpec, budget_bytes: u64) -> Self {
-        if Self::est_bytes(spec) <= budget_bytes {
-            TraceSource::Materialized(spec.materialize())
-        } else {
-            TraceSource::Streamed(Arc::new(WorkloadProgram::build(&spec.workload)))
-        }
-    }
-
-    /// Whether the trace is held in memory.
-    pub const fn is_materialized(&self) -> bool {
-        matches!(self, TraceSource::Materialized(_))
-    }
-
-    /// Runs one prefetcher over this trace.
-    pub fn run(&self, spec: &RunSpec, pf: &PrefetcherSpec) -> SimResult {
-        match self {
-            TraceSource::Materialized(t) => spec.run_on(t, pf),
-            TraceSource::Streamed(p) => spec.run_streaming(Arc::clone(p), pf),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,25 +66,6 @@ mod tests {
     }
 
     #[test]
-    fn small_trace_materializes_under_default_budget() {
-        assert!(TraceSource::prepare(&spec(10_000)).is_materialized());
-    }
-
-    #[test]
-    fn tight_budget_forces_streaming() {
-        let s = spec(10_000);
-        let src = TraceSource::prepare_budgeted(&s, TraceSource::est_bytes(&s) - 1);
-        assert!(!src.is_materialized());
-    }
-
-    #[test]
-    fn budget_boundary_is_inclusive() {
-        let s = spec(10_000);
-        let src = TraceSource::prepare_budgeted(&s, TraceSource::est_bytes(&s));
-        assert!(src.is_materialized());
-    }
-
-    #[test]
     fn seg_records_respects_budget_and_clamps() {
         // Inside the clamp range the charge stays within budget.
         let budget = 100_000_000;
@@ -153,13 +80,5 @@ mod tests {
     fn est_pre_bytes_scales_with_records() {
         let s = spec(10_000);
         assert_eq!(est_pre_bytes(&s), 80_000);
-    }
-
-    #[test]
-    fn streamed_and_materialized_agree() {
-        let s = spec(40_000);
-        let m = TraceSource::prepare(&s).run(&s, &PrefetcherSpec::None);
-        let st = TraceSource::prepare_budgeted(&s, 0).run(&s, &PrefetcherSpec::None);
-        assert_eq!(m, st);
     }
 }

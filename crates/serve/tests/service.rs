@@ -188,9 +188,9 @@ fn concurrent_clients_isolate_faults_and_both_finish() {
 fn fault_lane_in_a_mixed_sweep_fails_alone_and_siblings_match_serial() {
     // One submit carries a fault-injection lane *between* healthy
     // lanes. The fault cell must fail alone; every sibling's result
-    // must be byte-identical to a serial local reference run with
-    // lockstep replay disabled — the end-to-end version of the
-    // harness-level isolation test.
+    // must be byte-identical to a serial local reference run of one
+    // single-job batch per cell (no lockstep unit) — the end-to-end
+    // version of the harness-level isolation test.
     let d = daemon(2, 64);
     let spec = sweep(&["database"], &["none", "fault", "ebcp"]);
     let mut client = Client::connect(&d.addr).unwrap();
@@ -200,12 +200,10 @@ fn fault_lane_in_a_mixed_sweep_fails_alone_and_siblings_match_serial() {
     };
     assert_eq!(failed, 1, "exactly the fault cell failed");
 
-    let reference = Harness::new(HarnessConfig {
-        jobs: 1,
-        lockstep: false,
-        ..HarnessConfig::default()
-    });
-    reference.run_outcomes(&spec.jobs().unwrap());
+    let reference = Harness::serial();
+    for job in spec.jobs().unwrap() {
+        reference.run_outcomes(std::slice::from_ref(&job));
+    }
     let ref_path = tmpfile("fault-ref");
     let served_path = tmpfile("fault-served");
     reference.write_results_json(&ref_path).unwrap();

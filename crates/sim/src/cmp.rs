@@ -72,8 +72,8 @@ use ebcp_types::{AccessKind, Cycle, FxHashMap, LineAddr, MemClass, Pc};
 use crate::config::SimConfig;
 use crate::des::WakeHeap;
 use crate::frontend::{
-    PreEvent, PreResolved, PreResolver, F_IFETCH_MISS, K_LOAD, K_LOAD_FEEDS, K_MISPREDICT, K_NONE,
-    K_SERIALIZE, K_SHIFT, K_STORE_HIT, K_STORE_MISS,
+    PreEvent, PreResolved, F_IFETCH_MISS, K_LOAD, K_LOAD_FEEDS, K_MISPREDICT, K_NONE, K_SERIALIZE,
+    K_SHIFT, K_STORE_HIT, K_STORE_MISS,
 };
 use crate::metrics::SimResult;
 
@@ -350,48 +350,6 @@ impl CmpEngine {
             .map(|t| {
                 let n = t.len().min(usize::try_from(total).unwrap_or(usize::MAX));
                 PreResolved::from_records(&self.cfg, &t[..n])
-            })
-            .collect();
-        let refs: Vec<&PreResolved> = streams.iter().collect();
-        self.run_des(&refs, warmup, total, workload, None)
-    }
-
-    /// Runs one trace *generator* per core, pulling records in
-    /// [`crate::Engine::CHUNK_RECORDS`]-sized chunks through the
-    /// pre-resolver instead of requiring fully materialized traces, so
-    /// large multi-core runs respect the harness memory budget (the
-    /// packed stream is 3-4× smaller than the records it stands for).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless exactly one generator per core is supplied.
-    pub fn run_chunked(
-        &mut self,
-        gens: &mut [ebcp_trace::TraceGenerator],
-        warmup: u64,
-        measure: u64,
-        workload: &str,
-    ) -> CmpResult {
-        assert_eq!(gens.len(), self.cores.len(), "one generator per core");
-        let total = warmup + measure;
-        let mut buf = Vec::with_capacity(crate::Engine::CHUNK_RECORDS);
-        let streams: Vec<PreResolved> = gens
-            .iter_mut()
-            .map(|g| {
-                let mut pr = PreResolver::new(&self.cfg);
-                pr.reserve(usize::try_from(total / 3 + 16).unwrap_or(usize::MAX));
-                let mut left = total;
-                while left > 0 {
-                    let want = crate::Engine::CHUNK_RECORDS
-                        .min(usize::try_from(left).unwrap_or(usize::MAX));
-                    let got = g.next_chunk(&mut buf, want);
-                    if got == 0 {
-                        break;
-                    }
-                    pr.push_chunk(&buf[..got]);
-                    left -= got as u64;
-                }
-                pr.finish()
             })
             .collect();
         let refs: Vec<&PreResolved> = streams.iter().collect();
@@ -1297,27 +1255,6 @@ mod tests {
             r4.cores[0].load_mr(),
             r1.cores[0].load_mr()
         );
-    }
-
-    #[test]
-    fn chunked_cmp_matches_materialized() {
-        // Identical per-core record sequences delivered chunked vs as
-        // materialized slices must give the byte-identical CmpResult:
-        // the chunked pre-resolution may not perturb the streams.
-        let w = small_workload();
-        let n = 3;
-        let t: Vec<Vec<TraceRecord>> = (0..n)
-            .map(|s| TraceGenerator::new(&w, s as u64 + 1).take(90_000).collect())
-            .collect();
-        let mut a = CmpEngine::new(SimConfig::scaled_down(16), n, Box::new(NullPrefetcher));
-        let ra = a.run(&t, 30_000, 60_000, "w");
-
-        let mut gens: Vec<TraceGenerator> = (0..n)
-            .map(|s| TraceGenerator::new(&w, s as u64 + 1))
-            .collect();
-        let mut b = CmpEngine::new(SimConfig::scaled_down(16), n, Box::new(NullPrefetcher));
-        let rb = b.run_chunked(&mut gens, 30_000, 60_000, "w");
-        assert_eq!(ra, rb);
     }
 
     #[test]

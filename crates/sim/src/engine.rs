@@ -22,7 +22,6 @@ use ebcp_mem::{
     MemOutcome, MemStats, MemorySystem, MshrFile, MshrOutcome, PrefetchBuffer, SetAssocCache,
 };
 use ebcp_prefetch::{Action, MissInfo, PrefetchHitInfo, Prefetcher};
-use ebcp_trace::ChunkSource;
 use ebcp_trace::TraceRecord;
 use ebcp_types::{AccessKind, Cycle, LineAddr, MemClass, Pc};
 
@@ -109,7 +108,9 @@ struct Counters {
 ///
 /// let spec = WorkloadSpec::database().scaled(1, 32);
 /// let mut engine = Engine::new(SimConfig::scaled_down(16), Box::new(NullPrefetcher));
-/// engine.run(TraceGenerator::new(&spec, 1).take(50_000));
+/// for rec in TraceGenerator::new(&spec, 1).take(50_000) {
+///     engine.step(&rec);
+/// }
 /// assert!(engine.result("database").cpi() > 0.25);
 /// ```
 pub struct Engine {
@@ -218,44 +219,12 @@ impl Engine {
         self.pf.reset_aux_stats();
     }
 
-    /// Consumes an entire trace.
-    pub fn run(&mut self, trace: impl IntoIterator<Item = TraceRecord>) {
-        for rec in trace {
-            self.step(&rec);
-        }
-    }
-
-    /// Trace records per chunk for [`Engine::run_chunks`]: 4096 records
-    /// (~64 KB) keeps the working chunk inside the host L2 while
-    /// amortizing the generator's per-call overhead over thousands of
-    /// steps.
+    /// Trace records per chunk wherever a trace source is drained in
+    /// reusable-buffer chunks ([`ebcp_trace::ChunkSource::next_chunk`]):
+    /// 4096 records (~64 KB) keeps the working chunk inside the host L2
+    /// while amortizing the source's per-call overhead over thousands
+    /// of records.
     pub const CHUNK_RECORDS: usize = 4096;
-
-    /// Consumes `total` records from `gen` in reusable-buffer chunks.
-    ///
-    /// Produces exactly the same simulation as calling
-    /// [`Engine::step`] on `total` records pulled one at a time from
-    /// the source — every [`ChunkSource`] guarantees `next_chunk`
-    /// preserves the record sequence — but the hot loop runs over a
-    /// contiguous `&[TraceRecord]` instead of ticking an iterator per
-    /// record. The source may be a live [`TraceGenerator`] or an
-    /// on-disk [`ebcp_trace::SegmentedTrace`]; either way at most one
-    /// chunk (plus the source's own window) is resident.
-    pub fn run_chunks<S: ChunkSource>(&mut self, gen: &mut S, total: u64) {
-        let mut chunk = Vec::with_capacity(Self::CHUNK_RECORDS);
-        let mut left = total;
-        while left > 0 {
-            let want = Self::CHUNK_RECORDS.min(usize::try_from(left).unwrap_or(usize::MAX));
-            let got = gen.next_chunk(&mut chunk, want);
-            if got == 0 {
-                break;
-            }
-            for rec in &chunk {
-                self.step(rec);
-            }
-            left -= got as u64;
-        }
-    }
 
     /// Simulates one trace record: resolve the L1 front end, then run
     /// the back end. The two phases share no state (the front end never
@@ -1284,11 +1253,18 @@ mod tests {
             .collect()
     }
 
+    /// Steps every record of `trace` through `e`.
+    fn feed(e: &mut Engine, trace: impl IntoIterator<Item = TraceRecord>) {
+        for rec in trace {
+            e.step(&rec);
+        }
+    }
+
     #[test]
     fn pure_alu_cpi_is_quarter() {
         let mut e = Engine::new(tiny_cfg(), Box::new(NullPrefetcher));
         // First fetch of the line misses everything: one epoch.
-        e.run(alu_run(0x1000, 40_000));
+        feed(&mut e, alu_run(0x1000, 40_000));
         let r = e.result("t");
         // 40k insts at 4-wide = 10k cycles, plus one cold ifetch miss.
         assert!(r.cpi() > 0.25 && r.cpi() < 0.27, "cpi {}", r.cpi());
@@ -1303,7 +1279,7 @@ mod tests {
         t.push(TraceRecord::load(Pc::new(0x1000), Addr::new(0x80_0000)));
         t.push(TraceRecord::load(Pc::new(0x1004), Addr::new(0x90_0000)));
         t.extend(alu_run(0x1000, 200));
-        e.run(t);
+        feed(&mut e, t);
         let r = e.result("t");
         assert_eq!(r.l2_load_misses, 2);
         // Cold ifetch epoch + one overlapped load epoch.
@@ -1321,7 +1297,7 @@ mod tests {
         t.extend(alu_run(0x1000, rob + 32));
         t.push(TraceRecord::load(Pc::new(0x1004), Addr::new(0x90_0000)));
         t.extend(alu_run(0x1000, 300));
-        e.run(t);
+        feed(&mut e, t);
         let r = e.result("t");
         assert_eq!(r.epochs, 3, "ifetch epoch + two separated load epochs");
         assert!(
@@ -1339,7 +1315,7 @@ mod tests {
         t.push(TraceRecord::new(Pc::new(0x1004), Op::Serialize));
         t.push(TraceRecord::load(Pc::new(0x1008), Addr::new(0x90_0000)));
         t.extend(alu_run(0x1000, 300));
-        e.run(t);
+        feed(&mut e, t);
         assert_eq!(e.result("t").epochs, 3);
     }
 
@@ -1360,7 +1336,7 @@ mod tests {
         t.extend(alu_run(0x1000, 10));
         t.push(TraceRecord::load(Pc::new(0x1004), Addr::new(0x90_0000)));
         t.extend(alu_run(0x1000, 300));
-        e.run(t);
+        feed(&mut e, t);
         assert_eq!(e.result("t").epochs, 3, "dep-mispredict split the loads");
     }
 
@@ -1372,7 +1348,7 @@ mod tests {
             t.push(TraceRecord::load(Pc::new(0x1000), Addr::new(0x80_0000)));
             t.extend(alu_run(0x1000, 200));
         }
-        e.run(t);
+        feed(&mut e, t);
         let r = e.result("t");
         assert_eq!(r.l2_load_misses, 1, "subsequent accesses hit the L2");
     }
@@ -1384,7 +1360,7 @@ mod tests {
         t.push(TraceRecord::load(Pc::new(0x1000), Addr::new(0x80_0000)));
         t.push(TraceRecord::load(Pc::new(0x1004), Addr::new(0x80_0010))); // same line
         t.extend(alu_run(0x1000, 300));
-        e.run(t);
+        feed(&mut e, t);
         let r = e.result("t");
         assert_eq!(r.l2_load_misses, 1);
     }
@@ -1400,7 +1376,7 @@ mod tests {
             ));
         }
         t.extend(alu_run(0x1000, 2000));
-        e.run(t);
+        feed(&mut e, t);
         let r = e.result("t");
         assert_eq!(r.epochs, 1, "only the cold ifetch epoch");
         assert_eq!(r.l2_store_misses, 8);
@@ -1427,7 +1403,7 @@ mod tests {
             ));
             t.extend(alu_run(0x1000, 200));
         }
-        e.run(t);
+        feed(&mut e, t);
         assert!(e.result("t").writebacks > 0);
     }
 
@@ -1492,9 +1468,9 @@ mod tests {
         let mut t = alu_run(0x1000, 16);
         t.push(TraceRecord::load(Pc::new(0x1000), Addr::new(0x80_0000)));
         t.extend(alu_run(0x1000, 300));
-        e.run(t);
+        feed(&mut e, t);
         e.reset_stats();
-        e.run(alu_run(0x1000, 4000));
+        feed(&mut e, alu_run(0x1000, 4000));
         let r = e.result("t");
         assert_eq!(r.l2_load_misses, 0);
         assert_eq!(r.epochs, 0);

@@ -66,6 +66,5 @@ pub use lockstep::Lockstep;
 pub use metrics::SimResult;
 pub use runner::{CmpSpec, PrefetcherSpec, RunSpec};
 pub use segment::{
-    run_pipelined, run_preresolved_blocks, run_preresolved_blocks_many, run_scatter,
-    run_scatter_spans_with, run_scatter_with,
+    run_pipelined, run_preresolved_blocks, run_preresolved_blocks_many, run_scatter_spans_with,
 };

@@ -129,31 +129,11 @@ impl RunSpec {
         Arc::new(gen.collect_n(n))
     }
 
-    /// Materializes the trace reusing an already-built workload program.
-    pub fn materialize_with(&self, program: Arc<WorkloadProgram>) -> Arc<Vec<TraceRecord>> {
-        let n = (self.warmup_insts + self.measure_insts) as usize;
-        let mut gen = TraceGenerator::with_program(program, self.workload.clone(), self.seed);
-        Arc::new(gen.collect_n(n))
-    }
-
     /// Runs a prefetcher over this spec (generating the trace on the
     /// fly).
     pub fn run(&self, pf: &PrefetcherSpec) -> SimResult {
         let trace = self.materialize();
         self.run_on(&trace, pf)
-    }
-
-    /// Runs a prefetcher streaming the trace from the generator instead
-    /// of materializing it — constant memory, so full-scale traces
-    /// (hundreds of millions of records) stay feasible. Pass a shared
-    /// pre-built program to avoid rebuilding templates per run.
-    pub fn run_streaming(&self, program: Arc<WorkloadProgram>, pf: &PrefetcherSpec) -> SimResult {
-        let mut gen = TraceGenerator::with_program(program, self.workload.clone(), self.seed);
-        let mut engine = Engine::new(self.sim, pf.build());
-        engine.run_chunks(&mut gen, self.warmup_insts);
-        engine.reset_stats();
-        engine.run_chunks(&mut gen, self.measure_insts);
-        engine.result(&self.workload.name)
     }
 
     /// Runs a prefetcher over a pre-materialized trace.
@@ -494,16 +474,16 @@ mod tests {
         );
     }
 
-    /// The chunked streaming path (`run_chunks` over generator refills)
-    /// must be observationally identical to stepping a materialized
-    /// trace record by record — same counters, cycles and stats.
+    /// The chunked production path (generator chunks pre-resolved into
+    /// an event stream, then replayed) must be observationally
+    /// identical to stepping a materialized trace record by record —
+    /// same counters, cycles and stats.
     #[test]
     fn chunked_and_stepped_runs_agree() {
         let spec = quick_spec();
         let pf = PrefetcherSpec::Ebcp(EbcpConfig::tuned());
         let stepped = spec.run_on(&spec.materialize(), &pf);
-        let program = Arc::new(WorkloadProgram::build(&spec.workload));
-        let chunked = spec.run_streaming(program, &pf);
+        let chunked = spec.run_preresolved(&spec.pre_resolve(), &pf);
         assert_eq!(stepped, chunked);
     }
 

@@ -17,18 +17,19 @@
 //!   work overlapped in wall-clock. The overlap win is bounded by the
 //!   front end's share of the cost (~5-10%), so this mode buys
 //!   exactness at O(segment) memory, not parallel speedup.
-//! * [`run_scatter`] / [`run_scatter_with`] — **segment-parallel,
-//!   documented tolerance**: blocks that intersect the measured region
-//!   are handled by independent workers, each warming on the `overlap`
-//!   preceding blocks from a cold engine, and the per-block statistic
-//!   deltas are spliced with [`SimResult::accumulate`]. Handoff here is
+//! * [`run_scatter_spans_with`] — **segment-parallel, documented
+//!   tolerance**: the blocks that intersect the measured region are
+//!   cut into contiguous spans handled by independent workers, each
+//!   warming on the `overlap` preceding blocks from a cold engine, and
+//!   the per-span statistic deltas are spliced with
+//!   [`SimResult::accumulate`]. Handoff here is
 //!   *incomplete* — a worker reconstructs cache/MSHR/prefetcher state
 //!   by replaying the overlap window rather than receiving the exact
 //!   state — so results approximate the monolithic run within a
 //!   tolerance that shrinks as `overlap` grows (the equivalence battery
 //!   pins the tolerance; DESIGN.md §3f has the rationale). Output is
-//!   deterministic for a given (blocks, overlap) regardless of thread
-//!   count and scheduling. This is the ≥2-worker configuration that
+//!   deterministic for a given (blocks, overlap, spans) regardless of
+//!   thread count and scheduling. This is the ≥2-worker configuration that
 //!   beats a single worker on wall-clock: workers skip the serial
 //!   replay of every block before their overlap window, so a long
 //!   warm-up prefix — the bulk of a large-tier trace — costs each
@@ -195,87 +196,28 @@ pub fn run_pipelined(
     })
 }
 
-/// Segment-parallel scatter run over pre-cut blocks.
+/// Segment-parallel scatter run over blocks fetched on demand.
 ///
-/// Every block whose records intersect the measured region is handled
-/// by a worker that reconstructs warm state by replaying the `overlap`
-/// preceding blocks (and the unmeasured prefix of its own block) on a
-/// cold engine, then measures its block; the per-block deltas are
-/// spliced in block order. Approximate — see the module docs — but
-/// deterministic: the splice is ordered by block index, so the result
-/// is independent of `threads` and scheduling.
-///
-/// # Panics
-///
-/// Panics if `threads` is zero or the blocks cover fewer than
-/// `warmup + measure` records.
-pub fn run_scatter(
-    spec: &RunSpec,
-    blocks: &[PreBlock],
-    pf: &PrefetcherSpec,
-    overlap: usize,
-    threads: usize,
-) -> SimResult {
-    let records: Vec<u64> = blocks.iter().map(|b| b.records).collect();
-    run_scatter_with(
-        spec,
-        &records,
-        || |k: usize| &blocks[k],
-        pf,
-        overlap,
-        threads,
-    )
-}
-
-/// [`run_scatter`] over blocks fetched on demand instead of a
-/// materialized slice, so the resident set stays O(segment × workers)
-/// even when the block sequence itself would not fit in memory (a
-/// 100× trace read back from a pre-resolved disk stream).
+/// The blocks intersecting the measured region are partitioned into at
+/// most `spans` contiguous spans, and each span is one worker task: the
+/// worker reconstructs warm state by replaying the `overlap` blocks
+/// before the span (and the unmeasured prefix of its first block) on a
+/// cold engine, then the span's blocks replay continuously on the same
+/// engine (complete handoff inside a span, exactly like the serial
+/// mode). The per-span deltas are spliced in block order. Approximate
+/// — see the module docs — but deterministic for a given
+/// `(blocks, overlap, spans)`: `threads` only changes wall-clock.
+/// `spans = usize::MAX` gives one span per measured block.
 ///
 /// `block_records[k]` gives the record count of block `k` (streams
 /// carry this in their index, so no block needs to be read to compute
 /// the task set). `reader()` is called once per worker; the returned
 /// closure must yield block `k` of the same logical stream for any
 /// `k` a worker asks for — each worker holds at most one fetched block
-/// at a time. [`run_scatter`] delegates here with a slice-borrowing
-/// reader, so the two are splice-identical by construction.
+/// at a time, so the resident set stays O(segment × workers) even when
+/// the block sequence itself would not fit in memory.
 ///
-/// # Panics
-///
-/// Panics if `threads` is zero or the blocks cover fewer than
-/// `warmup + measure` records.
-pub fn run_scatter_with<G, F, B>(
-    spec: &RunSpec,
-    block_records: &[u64],
-    reader: G,
-    pf: &PrefetcherSpec,
-    overlap: usize,
-    threads: usize,
-) -> SimResult
-where
-    G: Fn() -> F + Sync,
-    F: FnMut(usize) -> B,
-    B: Borrow<PreBlock>,
-{
-    run_scatter_spans_with(
-        spec,
-        block_records,
-        reader,
-        pf,
-        overlap,
-        usize::MAX,
-        threads,
-    )
-}
-
-/// [`run_scatter_with`] with the splice granularity decoupled from the
-/// block count: the blocks intersecting the measured region are
-/// partitioned into at most `spans` contiguous spans, and each span is
-/// one worker task — overlap warm-up replays once per *span*, then the
-/// span's blocks replay continuously on the same engine (complete
-/// handoff inside a span, exactly like the serial mode).
-///
-/// This is the knob that makes scatter profitable when the measured
+/// The span count is what makes scatter profitable when the measured
 /// region is wide: with one span per block, a region of `m` blocks
 /// costs `m × (overlap + 1)` block replays — more than the serial
 /// replay of the whole trace once `overlap + 1` exceeds the
@@ -286,8 +228,7 @@ where
 /// Fewer spans also means fewer cold-start seams, so the approximation
 /// error only tightens as `spans` shrinks (at `spans == 1` with enough
 /// overlap to reach the trace start, the run is the exact serial
-/// replay). The result is deterministic for a given
-/// `(blocks, overlap, spans)` — `threads` only changes wall-clock.
+/// replay).
 ///
 /// # Panics
 ///
@@ -420,6 +361,26 @@ mod tests {
         }
     }
 
+    /// Per-block scatter (one span per measured block) over a slice.
+    fn scatter(
+        spec: &RunSpec,
+        blocks: &[PreBlock],
+        pf: &PrefetcherSpec,
+        overlap: usize,
+        threads: usize,
+    ) -> SimResult {
+        let records: Vec<u64> = blocks.iter().map(|b| b.records).collect();
+        run_scatter_spans_with(
+            spec,
+            &records,
+            || |k: usize| &blocks[k],
+            pf,
+            overlap,
+            usize::MAX,
+            threads,
+        )
+    }
+
     fn roster() -> Vec<PrefetcherSpec> {
         vec![
             PrefetcherSpec::None,
@@ -504,8 +465,8 @@ mod tests {
         // reconstruction to be faithful at this tiny scale; measured
         // error is then ~1.5% (overlap 1 leaves ~22% cold-start error —
         // the convergence table lives in DESIGN.md §3f).
-        let a = run_scatter(&spec, &blocks, &pf, 4, 4);
-        let b = run_scatter(&spec, &blocks, &pf, 4, 1);
+        let a = scatter(&spec, &blocks, &pf, 4, 4);
+        let b = scatter(&spec, &blocks, &pf, 4, 1);
         assert_eq!(a, b, "scatter must not depend on worker count");
         assert_eq!(a.insts, spec.measure_insts, "splice covers the region");
         let rel = (a.cpi() - mono.cpi()).abs() / mono.cpi();
@@ -525,11 +486,18 @@ mod tests {
         let pf = PrefetcherSpec::Ebcp(EbcpConfig::tuned());
         let blocks = segment_events(&pre, 15_000);
         let records: Vec<u64> = blocks.iter().map(|b| b.records).collect();
-        let by_slice = run_scatter(&spec, &blocks, &pf, 4, 4);
+        let by_slice = scatter(&spec, &blocks, &pf, 4, 4);
         // An owning reader that clones each block on demand stands in
         // for a disk-backed stream reopened per worker.
-        let by_fetch =
-            run_scatter_with(&spec, &records, || |k: usize| blocks[k].clone(), &pf, 4, 2);
+        let by_fetch = run_scatter_spans_with(
+            &spec,
+            &records,
+            || |k: usize| blocks[k].clone(),
+            &pf,
+            4,
+            usize::MAX,
+            2,
+        );
         assert_eq!(by_slice, by_fetch);
     }
 
@@ -541,15 +509,17 @@ mod tests {
         let mono = spec.run_preresolved(&pre, &pf);
         let blocks = segment_events(&pre, 15_000);
         let records: Vec<u64> = blocks.iter().map(|b| b.records).collect();
-        let per_block = run_scatter(&spec, &blocks, &pf, 4, 4);
-        // One span per measured block is exactly the per-block mode.
+        let per_block = scatter(&spec, &blocks, &pf, 4, 4);
+        // As many spans as measured blocks (the 60k-record region is
+        // four 15k blocks) is exactly the per-block mode.
+        let measured_blocks = (spec.measure_insts / 15_000) as usize;
         let max_spans = run_scatter_spans_with(
             &spec,
             &records,
             || |k: usize| &blocks[k],
             &pf,
             4,
-            usize::MAX,
+            measured_blocks,
             4,
         );
         assert_eq!(per_block, max_spans);
@@ -596,12 +566,12 @@ mod tests {
         let mono = spec.run_preresolved(&pre, &pf);
         let blocks = segment_events(&pre, 10_000);
         let err = |overlap| {
-            let r = run_scatter(&spec, &blocks, &pf, overlap, 4);
+            let r = scatter(&spec, &blocks, &pf, overlap, 4);
             (r.cpi() - mono.cpi()).abs() / mono.cpi()
         };
         // With the whole prefix as overlap the handoff is complete:
         // every worker replays exactly the monolithic history.
-        let full = run_scatter(&spec, &blocks, &pf, blocks.len(), 4);
+        let full = scatter(&spec, &blocks, &pf, blocks.len(), 4);
         assert_eq!(full, mono, "full overlap is exact");
         assert!(err(2) <= err(0) + 1e-9, "more overlap, no worse");
     }

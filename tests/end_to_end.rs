@@ -1,8 +1,6 @@
 //! Cross-crate integration tests: whole-system behaviour on synthetic
 //! workloads.
 
-use std::sync::Arc;
-
 use ebcp::core::EbcpConfig;
 use ebcp::prefetch::{BaselineConfig, GhbConfig, SolihinConfig, StreamConfig};
 use ebcp::sim::{PrefetcherSpec, RunSpec, SimConfig};
@@ -158,16 +156,16 @@ fn coverage_and_accuracy_are_probabilities() {
     }
 }
 
+/// The chunked production path (the generator streamed in chunks
+/// through the front end, then replayed) must match stepping the
+/// materialized trace record by record.
 #[test]
 fn streaming_and_materialized_runs_agree() {
     let spec = spec();
     let trace = spec.materialize();
-    let program = Arc::new(ebcp::trace::template::WorkloadProgram::build(
-        &spec.workload,
-    ));
     let pf = PrefetcherSpec::Ebcp(EbcpConfig::tuned().with_table_entries(table_entries()));
     let a = spec.run_on(&trace, &pf);
-    let b = spec.run_streaming(program, &pf);
+    let b = spec.run_preresolved(&spec.pre_resolve(), &pf);
     assert_eq!(a, b, "streamed and materialized runs must be identical");
 }
 
