@@ -441,7 +441,7 @@ fn main() {
 /// (with the process RSS high-water mark — the large tier's bounded-
 /// memory evidence), and applies the gates: at the large tier the
 /// scatter cell at ≥2 workers must beat the single-worker replay of
-/// the same stream; with `--check-baseline` the pipelined geomean
+/// the same stream; with `--check-baseline` the segmented geomean
 /// must stay within 25% of the committed baseline.
 fn bench_trace_scale(scale: Scale, out_dir: &Path, baseline: Option<&Path>) {
     let large = scale == Scale::large();

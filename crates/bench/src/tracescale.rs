@@ -6,14 +6,11 @@
 //!
 //! * **monolithic** — one worker, O(trace) memory: the full front-end
 //!   pass materializes the packed event stream, then the back end
-//!   replays it. The pre-PR-9 cost model. Quick tier only.
+//!   replays it. Quick tier only.
 //! * **segmented** — one worker, O(segment) memory: the front end and
-//!   back end interleave block by block over a lazy iterator; nothing
-//!   larger than a segment is ever resident. Exact.
-//! * **pipelined** — FE and BE on separate threads, O(segment) memory
-//!   ([`ebcp_sim::run_pipelined`]). Exact; the overlap win is bounded
-//!   by the front end's ~5-10% share of the cost, so this mode buys
-//!   memory, not speedup.
+//!   back end interleave block by block over the lazy
+//!   [`ebcp_sim::resolve_blocks`] iterator; nothing larger than a
+//!   segment is ever resident. Exact.
 //! * **1-worker stream replay** — large tier only: the front end runs
 //!   once, streaming blocks to an on-disk pre-resolved cache
 //!   (`EBCPPRE3`, the harness's own format); one worker then replays
@@ -29,8 +26,9 @@
 //!   because spans skip the serial warm-up replay — the bulk of a
 //!   large-tier trace — outside their overlap windows.
 //!
-//! The quick tier times the first three (the committed baseline under
-//! `crates/bench/baselines/` gates the geomean against a 25% drop);
+//! The quick tier times the first two (the committed baseline under
+//! `crates/bench/baselines/` gates the segmented geomean against a 25%
+//! drop);
 //! the large tier (`--scale large`, ~100× quick) deliberately skips
 //! monolithic — materializing a 100× event stream is exactly what the
 //! streamed modes exist to avoid, and it would also pollute the
@@ -45,11 +43,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ebcp_core::EbcpConfig;
-use ebcp_harness::{preres, CacheRead, Job, Value};
-use ebcp_sim::frontend::{PreBlock, PreResolver};
+use ebcp_harness::{preres, Job, Value};
 use ebcp_sim::{
-    run_pipelined, run_preresolved_blocks, run_scatter_spans_with, Engine, PrefetcherSpec, RunSpec,
-    SimResult,
+    resolve_blocks, run_preresolved_blocks, run_scatter_spans_with, PreBlock, PrefetcherSpec,
+    RunSpec,
 };
 use ebcp_trace::template::WorkloadProgram;
 use ebcp_trace::TraceGenerator;
@@ -70,8 +67,6 @@ pub struct TraceScaleRow {
     pub monolithic_ms: f64,
     /// Wall-clock ms for the single-worker segment-streamed mode.
     pub segmented_ms: f64,
-    /// Wall-clock ms for the pipelined mode.
-    pub pipelined_ms: f64,
     /// Wall-clock ms for one worker replaying the pre-resolved disk
     /// stream end to end; `0.0` at the quick tier, which does not run
     /// the disk-stream cells.
@@ -84,16 +79,16 @@ pub struct TraceScaleRow {
     /// Scatter CPI relative error against the exact replay, in
     /// percent — the documented tolerance of the approximate mode.
     pub scatter_err_pct: f64,
-    /// Single-worker cost over the parallel mode's: monolithic over
-    /// pipelined at the quick tier, 1-worker stream replay over
-    /// scatter at the large tier (where [`check_speedup`] gates it).
+    /// Monolithic over segmented at the quick tier; 1-worker stream
+    /// replay over scatter at the large tier (where [`check_speedup`]
+    /// gates it).
     pub speedup: f64,
-    /// Pipelined throughput in simulated Minst/s.
+    /// Segmented throughput in simulated Minst/s.
     pub mips: f64,
 }
 
 /// Segment length for the benchmark's streamed modes: long enough
-/// that per-block overhead (engine handoff, channel sends) is noise,
+/// that per-block overhead (engine handoff, block allocation) is noise,
 /// short enough that even the quick workloads split into 10+ segments
 /// and the large tier stays comfortably O(segment) — ~2 Mi records is
 /// a ~48 MiB worst-case event block.
@@ -129,53 +124,16 @@ fn prefetcher(scale: Scale) -> PrefetcherSpec {
     PrefetcherSpec::Ebcp(EbcpConfig::comparison().with_table_entries(scale.entries(1 << 20)))
 }
 
-/// Lazily generates and pre-resolves `spec`'s trace in `seg_records`
-/// blocks — the front end runs from inside the consumer's iteration,
-/// so whoever drives the iterator holds at most one block.
-fn lazy_blocks(
+/// `spec`'s trace generated and pre-resolved lazily in `seg_records`
+/// blocks: the front end runs from inside the consumer's iteration, so
+/// whoever drives the iterator holds at most one block.
+fn blocks(
     spec: &RunSpec,
     program: Arc<WorkloadProgram>,
     seg_records: u64,
 ) -> impl Iterator<Item = PreBlock> {
-    let mut gen = TraceGenerator::with_program(program, spec.workload.clone(), spec.seed);
-    let mut pr = PreResolver::new(&spec.sim);
-    let mut chunk = Vec::with_capacity(Engine::CHUNK_RECORDS);
-    let mut left = spec.warmup_insts + spec.measure_insts;
-    let mut done = false;
-    std::iter::from_fn(move || {
-        if done {
-            return None;
-        }
-        loop {
-            if left == 0 {
-                done = true;
-                return (pr.pending_records() > 0).then(|| pr.split_block());
-            }
-            let room = seg_records - pr.pending_records();
-            let want = (Engine::CHUNK_RECORDS as u64).min(left).min(room) as usize;
-            let got = gen.next_chunk(&mut chunk, want);
-            if got == 0 {
-                done = true;
-                return (pr.pending_records() > 0).then(|| pr.split_block());
-            }
-            pr.push_chunk(&chunk);
-            left -= got as u64;
-            if pr.pending_records() == seg_records {
-                return Some(pr.split_block());
-            }
-        }
-    })
-}
-
-/// Single-worker segment-streamed run: front end and back end
-/// interleave on one thread with O(segment) resident.
-fn run_segmented_serial(
-    spec: &RunSpec,
-    program: Arc<WorkloadProgram>,
-    seg_records: u64,
-    pf: &PrefetcherSpec,
-) -> SimResult {
-    run_preresolved_blocks(spec, lazy_blocks(spec, program, seg_records), pf)
+    let gen = TraceGenerator::with_program(program, spec.workload.clone(), spec.seed);
+    resolve_blocks(spec, gen, seg_records)
 }
 
 /// Streams `spec`'s front-end pass into `job`'s on-disk pre-resolved
@@ -188,31 +146,16 @@ fn write_stream(
     job: &Job,
 ) {
     let mut w = preres::PreresWriter::create(dir, job, seg_records).expect("preres stream writer");
-    for b in lazy_blocks(spec, program, seg_records) {
+    for b in blocks(spec, program, seg_records) {
         w.push_block(&b.events, b.records)
             .expect("preres block write");
     }
     w.finish().expect("preres stream publish");
 }
 
-/// Opens `job`'s stream, panicking on a miss — this benchmark wrote it
-/// moments ago, so anything but a hit is a broken run.
-fn open_stream(dir: &Path, job: &Job) -> preres::PreresStream {
-    match preres::open_stream_checked(dir, job) {
-        CacheRead::Hit(s) => s,
-        CacheRead::Miss => panic!("freshly written stream missing from {}", dir.display()),
-        CacheRead::Quarantined { path, reason } => {
-            panic!(
-                "freshly written stream quarantined at {}: {reason}",
-                path.display()
-            )
-        }
-    }
-}
-
-/// Times every workload at `scale` in the three in-memory modes
+/// Times every workload at `scale` in the two in-memory modes
 /// (min-of-2 per mode, like the throughput benches) and asserts the
-/// three results byte-identical — a silently-divergent mode would make
+/// two results byte-identical — a silently-divergent mode would make
 /// the timing comparison meaningless.
 ///
 /// # Panics
@@ -245,23 +188,15 @@ pub fn measure(scale: Scale) -> Vec<TraceScaleRow> {
         let mut seg = f64::INFINITY;
         for _ in 0..2 {
             let t0 = Instant::now();
-            let r = run_segmented_serial(&spec, Arc::clone(&program), SEG_RECORDS, &pf);
+            let r = run_preresolved_blocks(
+                &spec,
+                blocks(&spec, Arc::clone(&program), SEG_RECORDS),
+                &pf,
+            );
             seg = seg.min(t0.elapsed().as_secs_f64());
             assert_eq!(
                 r, mono_result,
                 "segmented replay diverged from monolithic on {}",
-                w.name
-            );
-        }
-
-        let mut pipe = f64::INFINITY;
-        for _ in 0..2 {
-            let t0 = Instant::now();
-            let r = run_pipelined(&spec, Arc::clone(&program), SEG_RECORDS, &pf);
-            pipe = pipe.min(t0.elapsed().as_secs_f64());
-            assert_eq!(
-                r, mono_result,
-                "pipelined replay diverged from monolithic on {}",
                 w.name
             );
         }
@@ -272,13 +207,12 @@ pub fn measure(scale: Scale) -> Vec<TraceScaleRow> {
             seg_records: SEG_RECORDS,
             monolithic_ms: mono * 1e3,
             segmented_ms: seg * 1e3,
-            pipelined_ms: pipe * 1e3,
             replay1_ms: 0.0,
             scatter_ms: 0.0,
             workers: 0,
             scatter_err_pct: 0.0,
-            speedup: mono / pipe.max(1e-12),
-            mips: records as f64 / pipe.max(1e-12) / 1e6,
+            speedup: mono / seg.max(1e-12),
+            mips: records as f64 / seg.max(1e-12) / 1e6,
         });
     }
     rows
@@ -291,7 +225,7 @@ pub fn measure(scale: Scale) -> Vec<TraceScaleRow> {
 /// scheduler hiccup is proportionally noise), and **no monolithic
 /// mode** — see the module docs.
 ///
-/// Beyond the streamed in-memory modes, this tier streams the front
+/// Beyond the segmented in-memory mode, this tier streams the front
 /// end once into a scratch on-disk pre-resolved cache and times two
 /// back-end replays of it: one worker end to end (exact; asserted
 /// byte-identical to the segmented result, which also proves the disk
@@ -315,17 +249,9 @@ pub fn measure_large(scale: Scale) -> Vec<TraceScaleRow> {
     let records = spec.warmup_insts + spec.measure_insts;
 
     let t0 = Instant::now();
-    let exact = run_segmented_serial(&spec, Arc::clone(&program), SEG_RECORDS, &pf);
+    let exact =
+        run_preresolved_blocks(&spec, blocks(&spec, Arc::clone(&program), SEG_RECORDS), &pf);
     let seg = t0.elapsed().as_secs_f64();
-
-    let t1 = Instant::now();
-    let piped = run_pipelined(&spec, Arc::clone(&program), SEG_RECORDS, &pf);
-    let pipe = t1.elapsed().as_secs_f64();
-    assert_eq!(
-        piped, exact,
-        "pipelined replay diverged from segmented on {}",
-        w.name
-    );
 
     // Disk-stream cells: the front end runs once; both replay cells
     // read the same published stream.
@@ -337,14 +263,13 @@ pub fn measure_large(scale: Scale) -> Vec<TraceScaleRow> {
     // One validated open, outside the timed cells: both replays pay
     // only the back-end work, as a sweep does once a stream is warm —
     // workers get independent handles via the index-cloning `reopen`.
-    let stream = open_stream(&dir, &job);
+    let stream = preres::open_written(&dir, &job);
     let block_records = stream.block_records();
 
     let t2 = Instant::now();
-    let mut one = stream.reopen().expect("reopen validated stream");
+    let one = stream.reopen().expect("reopen validated stream");
     let replayed = run_preresolved_blocks(&spec, one.blocks(), &pf);
     let replay1 = t2.elapsed().as_secs_f64();
-    drop(one);
     assert_eq!(
         replayed, exact,
         "disk-stream replay diverged from segmented on {}",
@@ -375,13 +300,12 @@ pub fn measure_large(scale: Scale) -> Vec<TraceScaleRow> {
         seg_records: SEG_RECORDS,
         monolithic_ms: 0.0,
         segmented_ms: seg * 1e3,
-        pipelined_ms: pipe * 1e3,
         replay1_ms: replay1 * 1e3,
         scatter_ms: scatter * 1e3,
         workers: workers as u64,
         scatter_err_pct,
         speedup: replay1 / scatter.max(1e-12),
-        mips: records as f64 / pipe.max(1e-12) / 1e6,
+        mips: records as f64 / seg.max(1e-12) / 1e6,
     }]
 }
 
@@ -394,7 +318,7 @@ fn geomean(values: impl Iterator<Item = f64>) -> f64 {
     (log_sum / positive.len() as f64).exp()
 }
 
-/// Geometric mean of the pipelined Minst/s across cells.
+/// Geometric mean of the segmented Minst/s across cells.
 pub fn geomean_mips(rows: &[TraceScaleRow]) -> f64 {
     geomean(rows.iter().map(|r| r.mips))
 }
@@ -425,11 +349,10 @@ pub fn render(rows: &[TraceScaleRow], large: bool) -> String {
         );
         let _ = writeln!(
             out,
-            "{:<12} {:>12} {:>10} {:>10} {:>11} {:>11} {:>7} {:>7} {:>8} {:>8}",
+            "{:<12} {:>12} {:>10} {:>11} {:>11} {:>7} {:>7} {:>8} {:>8}",
             "workload",
             "records",
             "seg ms",
-            "pipe ms",
             "1-work ms",
             "scatter ms",
             "workers",
@@ -440,11 +363,10 @@ pub fn render(rows: &[TraceScaleRow], large: bool) -> String {
         for r in rows {
             let _ = writeln!(
                 out,
-                "{:<12} {:>12} {:>10.1} {:>10.1} {:>11.1} {:>11.1} {:>7} {:>7.2} {:>8.2} {:>8.1}",
+                "{:<12} {:>12} {:>10.1} {:>11.1} {:>11.1} {:>7} {:>7.2} {:>8.2} {:>8.1}",
                 r.workload,
                 r.records,
                 r.segmented_ms,
-                r.pipelined_ms,
                 r.replay1_ms,
                 r.scatter_ms,
                 r.workers,
@@ -455,7 +377,7 @@ pub fn render(rows: &[TraceScaleRow], large: bool) -> String {
         }
         let _ = writeln!(
             out,
-            "geomean: {:.1} Minst/s pipelined, scatter speedup {:.2}x over one worker",
+            "geomean: {:.1} Minst/s segmented, scatter speedup {:.2}x over one worker",
             geomean_mips(rows),
             geomean_speedup(rows)
         );
@@ -466,25 +388,19 @@ pub fn render(rows: &[TraceScaleRow], large: bool) -> String {
         );
         let _ = writeln!(
             out,
-            "{:<20} {:>12} {:>12} {:>12} {:>12} {:>8} {:>10}",
-            "workload", "records", "mono ms", "seg ms", "pipe ms", "speedup", "Minst/s"
+            "{:<20} {:>12} {:>12} {:>12} {:>8} {:>10}",
+            "workload", "records", "mono ms", "seg ms", "speedup", "Minst/s"
         );
         for r in rows {
             let _ = writeln!(
                 out,
-                "{:<20} {:>12} {:>12.1} {:>12.1} {:>12.1} {:>8.2} {:>10.1}",
-                r.workload,
-                r.records,
-                r.monolithic_ms,
-                r.segmented_ms,
-                r.pipelined_ms,
-                r.speedup,
-                r.mips
+                "{:<20} {:>12} {:>12.1} {:>12.1} {:>8.2} {:>10.1}",
+                r.workload, r.records, r.monolithic_ms, r.segmented_ms, r.speedup, r.mips
             );
         }
         let _ = writeln!(
             out,
-            "geomean: {:.1} Minst/s pipelined, speedup {:.2}x over one worker",
+            "geomean: {:.1} Minst/s segmented, monolithic over segmented {:.2}x",
             geomean_mips(rows),
             geomean_speedup(rows)
         );
@@ -504,7 +420,6 @@ pub fn to_json(scale: Scale, large: bool, rows: &[TraceScaleRow], vm_hwm: Option
                 ("seg_records".into(), Value::Int(r.seg_records)),
                 ("monolithic_ms".into(), Value::Num(r.monolithic_ms)),
                 ("segmented_ms".into(), Value::Num(r.segmented_ms)),
-                ("pipelined_ms".into(), Value::Num(r.pipelined_ms)),
                 ("replay1_ms".into(), Value::Num(r.replay1_ms)),
                 ("scatter_ms".into(), Value::Num(r.scatter_ms)),
                 ("workers".into(), Value::Int(r.workers)),
@@ -608,7 +523,7 @@ mod tests {
     }
 
     #[test]
-    fn three_modes_agree_and_rows_are_well_formed() {
+    fn both_modes_agree_and_rows_are_well_formed() {
         // `measure` itself asserts byte-identity across the modes.
         let rows = measure(tiny());
         assert_eq!(rows.len(), 4, "one row per workload preset");
@@ -628,7 +543,7 @@ mod tests {
         let pf = prefetcher(scale);
         let reference = spec.run(&pf);
         // An awkward prime segment length still replays exactly.
-        let r = run_segmented_serial(&spec, program, 4_999, &pf);
+        let r = run_preresolved_blocks(&spec, blocks(&spec, program, 4_999), &pf);
         assert_eq!(r, reference);
     }
 
@@ -649,8 +564,8 @@ mod tests {
         let seg = 20_000;
         write_stream(&spec, Arc::clone(&program), seg, &dir, &job);
 
-        let stream = open_stream(&dir, &job);
-        let mut one = stream.reopen().expect("reopen validated stream");
+        let stream = preres::open_written(&dir, &job);
+        let one = stream.reopen().expect("reopen validated stream");
         let replayed = run_preresolved_blocks(&spec, one.blocks(), &pf);
         assert_eq!(replayed, reference, "disk round-trip replay is exact");
 
@@ -684,8 +599,7 @@ mod tests {
             records: 1_000_000,
             seg_records: SEG_RECORDS,
             monolithic_ms: 100.0,
-            segmented_ms: 110.0,
-            pipelined_ms: 105.0,
+            segmented_ms: 105.0,
             replay1_ms: 90.0,
             scatter_ms: 30.0,
             workers: 4,

@@ -1,6 +1,6 @@
 //! Equivalence battery for the scale-out trace paths: segment-spliced
-//! and pipelined replay vs monolithic replay across the full sweep
-//! roster, mmap'd segment-file replay vs the in-memory generator, and
+//! replay, of cut streams and of lazily resolved blocks, vs monolithic
+//! replay across the full sweep roster, mmap'd segment-file replay vs the in-memory generator, and
 //! the harness's forced-streaming end-to-end path vs the materialized
 //! reference. These are the checks that let the large trace tier run
 //! on the O(segment) paths without a correctness asterisk; the
@@ -12,7 +12,7 @@ use std::sync::Arc;
 use ebcp_bench::throughput::sweep_roster;
 use ebcp_bench::{Harness, HarnessConfig, Job, Scale};
 use ebcp_sim::frontend::segment_events;
-use ebcp_sim::{run_pipelined, run_preresolved_blocks};
+use ebcp_sim::{resolve_blocks, run_preresolved_blocks};
 use ebcp_trace::template::WorkloadProgram;
 use ebcp_trace::{Backing, TraceGenerator, TraceRecord};
 
@@ -42,11 +42,10 @@ fn tiny() -> Scale {
 /// Segment-spliced replay (`run_preresolved_blocks`) must be
 /// byte-identical to monolithic replay for **every** registered
 /// prefetcher × workload, at segmentations that land boundaries
-/// mid-gap and mid-warm-up; the FE∥BE pipeline must match on a
-/// representative subset (its block production is the same code path
-/// for every lane — the prefetcher never sees the segmentation).
+/// mid-gap and mid-warm-up; so must replay of the blocks
+/// `resolve_blocks` produces from the generator.
 #[test]
-fn spliced_and_pipelined_replay_match_monolithic_for_the_full_roster() {
+fn spliced_and_resolved_block_replay_match_monolithic_for_the_full_roster() {
     let scale = trimmed();
     let pfs = sweep_roster(scale);
     assert!(pfs.len() >= 10, "roster shrank to {}", pfs.len());
@@ -54,7 +53,10 @@ fn spliced_and_pipelined_replay_match_monolithic_for_the_full_roster() {
         let spec = scale.run_spec(&w, scale.machine());
         let program = Arc::new(WorkloadProgram::build(&spec.workload));
         let pre = spec.pre_resolve_with(Arc::clone(&program));
-        for (i, pf) in pfs.iter().enumerate() {
+        let gen = TraceGenerator::with_program(program, spec.workload.clone(), spec.seed);
+        let resolved_blocks: Vec<_> = resolve_blocks(&spec, gen, 1 << 18).collect();
+        assert!(resolved_blocks.len() > 1, "resolution must actually split");
+        for pf in &pfs {
             let mono = spec.run_preresolved(&pre, pf);
             // A prime length (boundaries mid-everything) and a
             // power-of-two length (the tier the benchmark uses).
@@ -70,18 +72,14 @@ fn spliced_and_pipelined_replay_match_monolithic_for_the_full_roster() {
                     pf.name()
                 );
             }
-            // Pipeline one lane per workload plus the tuned EBCP tail
-            // lane — cheap enough, and covers the channel handoff.
-            if i == 0 || i == pfs.len() - 1 {
-                let piped = run_pipelined(&spec, Arc::clone(&program), 1 << 18, pf);
-                assert_eq!(
-                    piped,
-                    mono,
-                    "pipelined replay diverged: {} x {}",
-                    w.name,
-                    pf.name()
-                );
-            }
+            let resolved = run_preresolved_blocks(&spec, &resolved_blocks, pf);
+            assert_eq!(
+                resolved,
+                mono,
+                "resolved-block replay diverged: {} x {}",
+                w.name,
+                pf.name()
+            );
         }
     }
 }

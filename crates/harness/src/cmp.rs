@@ -23,7 +23,7 @@ use ebcp_sim::{CmpResult, CmpSpec, PrefetcherSpec, SimResult};
 use crate::job::{fnv1a64_fmt, Fnv64, Job, JobId};
 use crate::json::{self, JsonSink, ParseError, Reader, Value};
 use crate::store::{
-    check_entry, read_keyed, read_result, result_from_json, result_to_json, unique_tmp,
+    check_entry, read_keyed, read_result, result_from_json, result_to_json, write_entry,
     write_result, CacheRead, ResultStore,
 };
 
@@ -229,20 +229,14 @@ impl ResultStore {
     ///
     /// Propagates I/O failures; callers may treat them as non-fatal.
     pub fn save_cmp(&self, job: &CmpJob, result: &CmpResult) -> io::Result<()> {
-        let doc = Value::Obj(vec![
-            ("schema".into(), Value::Int(CMP_SCHEMA)),
-            ("id".into(), Value::Str(job.id().to_string())),
-            ("job".into(), Value::Str(job.canonical())),
-            ("checksum".into(), Value::Str(cmp_checksum(result))),
-            ("result".into(), cmp_result_to_json(result)),
-        ]);
-        let path = self.cmp_entry_path(job);
-        if let Some(parent) = path.parent() {
-            fs::create_dir_all(parent)?;
-        }
-        let tmp = unique_tmp(&path, "json");
-        fs::write(&tmp, doc.to_json_pretty())?;
-        fs::rename(&tmp, &path)
+        write_entry(
+            &self.cmp_entry_path(job),
+            CMP_SCHEMA,
+            job.id(),
+            job.canonical(),
+            cmp_checksum(result),
+            cmp_result_to_json(result),
+        )
     }
 }
 

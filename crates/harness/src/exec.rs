@@ -16,10 +16,9 @@ use std::path::Path;
 use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
-use ebcp_sim::frontend::{PreResolved, PreResolver};
-use ebcp_sim::{run_pipelined, run_preresolved_blocks, run_preresolved_blocks_many};
-use ebcp_sim::{CmpResult, Engine, PrefetcherSpec, SimResult};
-use ebcp_trace::template::WorkloadProgram;
+use ebcp_sim::frontend::{PreBlock, PreResolved};
+use ebcp_sim::{resolve_blocks, run_preresolved_blocks, run_preresolved_blocks_many};
+use ebcp_sim::{CmpResult, PrefetcherSpec, SimResult};
 use ebcp_trace::{Backing, ChunkSource, TraceGenerator};
 
 use crate::{
@@ -99,6 +98,14 @@ struct Pending<'a, C> {
     /// Index of the cell's pre-created record, if it has one.
     rec: Option<usize>,
     cell: &'a C,
+}
+
+/// The event stream a job, or a lockstep unit of jobs, replays.
+enum Stream {
+    /// The whole pre-resolved stream, shared through the warm map.
+    Whole(Arc<PreResolved>),
+    /// Bounded blocks, one resident at a time.
+    Blocks(Box<dyn Iterator<Item = PreBlock>>),
 }
 
 /// How one executed cell ended, with its share of the unit's wall
@@ -194,38 +201,25 @@ impl Cell for Job {
 
     /// `Lockstep` catches per-lane panics itself, so a faulting lane
     /// surfaces as its own `Err`; a panic in pre-resolution or the
-    /// driver fails the whole unit's first attempt.
+    /// driver fails the whole unit's first attempt. Whatever the
+    /// stream's source, one pass over it drives every lane.
     fn run_unit(h: &Harness, unit: &[&Job], ctx: &Ctx<'_>) -> Vec<Result<SimResult, String>> {
         let lead = unit[0];
         if unit.len() == 1 {
             return vec![Ok(lead.run_one(h, ctx))];
         }
         let pfs: Vec<PrefetcherSpec> = unit.iter().map(|job| job.pf.clone()).collect();
-        if let Some(seg_records) = h.stream_plan(lead, ctx.per_worker) {
-            if let Some(dir) = h.store_dir() {
-                // One disk pass over the cached block stream drives
-                // every lane — lockstep amortization at O(segment)
-                // memory.
-                let mut stream = h.prepare_stream(dir, lead, seg_records, ctx.tx);
-                return run_preresolved_blocks_many(&lead.spec, stream.blocks(), &pfs);
-            }
-            // No disk to stream blocks from: each lane runs the
-            // bounded-memory pipelined path on its own.
-            return unit
-                .iter()
-                .map(|job| Ok(h.run_streamed(job, seg_records, ctx.tx)))
-                .collect();
+        match h.stream(lead, ctx) {
+            Stream::Whole(pre) => lead.spec.run_preresolved_many(&pre, &pfs),
+            Stream::Blocks(blocks) => run_preresolved_blocks_many(&lead.spec, blocks, &pfs),
         }
-        lead.spec
-            .run_preresolved_many(&h.warm_pre(lead, ctx.tx), &pfs)
     }
 
     fn run_one(&self, h: &Harness, ctx: &Ctx<'_>) -> SimResult {
-        if let Some(seg_records) = h.stream_plan(self, ctx.per_worker) {
-            return h.run_streamed(self, seg_records, ctx.tx);
+        match h.stream(self, ctx) {
+            Stream::Whole(pre) => self.spec.run_preresolved(&pre, &self.pf),
+            Stream::Blocks(blocks) => run_preresolved_blocks(&self.spec, blocks, &self.pf),
         }
-        self.spec
-            .run_preresolved(&h.warm_pre(self, ctx.tx), &self.pf)
     }
 }
 
@@ -572,36 +566,30 @@ impl Harness {
         Arc::clone(cell.get_or_init(|| Arc::new(self.prepare_pre(job, tx))))
     }
 
-    /// The segment length (in trace records) a bounded-memory replay of
-    /// `job` should use, or `None` when the whole pre-resolved stream
-    /// fits the worker's budget share — then the materialized,
-    /// `Arc`-shared warm-map path is both cheaper and enables
-    /// cross-batch stream reuse.
+    /// Where `job`'s event stream comes from. When the whole
+    /// pre-resolved stream fits the worker's budget share: the
+    /// materialized, `Arc`-shared warm map, which is both cheaper and
+    /// reused across batches. Otherwise blocks of a segment length that
+    /// fits the share: read from the store's on-disk stream (built
+    /// first if cold), or resolved on this worker thread when there is
+    /// no store. Peak resident set is then O(segment).
     ///
-    /// The streamed paths are replay-**exact**: block-at-a-time replay
-    /// over any segmentation produces byte-identical results to the
-    /// monolithic stream (`ebcp_sim::segment` proves this property), so
-    /// this decision affects memory and wall clock, never results.
-    fn stream_plan(&self, job: &Job, per_worker_bytes: u64) -> Option<u64> {
-        if source::est_pre_bytes(&job.spec) <= per_worker_bytes {
-            return None;
+    /// Block replay is **exact**: any segmentation produces results
+    /// byte-identical to the monolithic stream (`ebcp_sim::segment`
+    /// proves this property), so this decision affects memory and wall
+    /// clock, never results.
+    fn stream(&self, job: &Job, ctx: &Ctx<'_>) -> Stream {
+        if source::est_pre_bytes(&job.spec) <= ctx.per_worker {
+            return Stream::Whole(self.warm_pre(job, ctx.tx));
         }
-        Some(source::seg_records_for_budget(per_worker_bytes))
-    }
-
-    /// Bounded-memory single-job execution: with a store, replay the
-    /// per-segment pre-resolved block stream from disk (building it
-    /// first if cold — also segment-at-a-time); without one, overlap
-    /// front-end production and back-end replay through the two-worker
-    /// pipelined path. Peak resident set is O(segment) either way.
-    fn run_streamed(&self, job: &Job, seg_records: u64, tx: &mpsc::Sender<Event>) -> SimResult {
-        if let Some(dir) = self.store_dir() {
-            let mut stream = self.prepare_stream(dir, job, seg_records, tx);
-            run_preresolved_blocks(&job.spec, stream.blocks(), &job.pf)
-        } else {
-            let program = Arc::new(WorkloadProgram::build(&job.spec.workload));
-            run_pipelined(&job.spec, program, seg_records, &job.pf)
-        }
+        let seg_records = source::seg_records_for_budget(ctx.per_worker);
+        Stream::Blocks(match self.store_dir() {
+            Some(dir) => Box::new(self.prepare_stream(dir, job, seg_records, ctx.tx).blocks()),
+            None => {
+                let gen = TraceGenerator::new(&job.spec.workload, job.spec.seed);
+                Box::new(resolve_blocks(&job.spec, gen, seg_records))
+            }
+        })
     }
 
     /// Opens `job`'s per-segment pre-resolved block stream from the
@@ -638,7 +626,7 @@ impl Harness {
         let spec = &job.spec;
         let mut writer =
             preres::PreresWriter::create(dir, job, seg_records).expect("preres stream writer");
-        let mut src: Box<dyn ChunkSource> = if self.cfg.trace_store {
+        let src: Box<dyn ChunkSource> = if self.cfg.trace_store {
             let trace =
                 traces::open_or_generate(dir, spec, seg_records, Backing::Mmap, |path, reason| {
                     let _ = tx.send(Event::CacheQuarantined {
@@ -651,41 +639,13 @@ impl Harness {
         } else {
             Box::new(TraceGenerator::new(&spec.workload, spec.seed))
         };
-        let mut pr = PreResolver::new(&spec.sim);
-        let mut chunk = Vec::with_capacity(Engine::CHUNK_RECORDS);
-        let mut left = spec.warmup_insts + spec.measure_insts;
-        let mut blocks = 0u64;
-        while left > 0 {
-            let room = seg_records - pr.pending_records();
-            let want = (Engine::CHUNK_RECORDS as u64).min(left).min(room) as usize;
-            let got = src.next_chunk(&mut chunk, want);
-            if got == 0 {
-                break;
-            }
-            pr.push_chunk(&chunk);
-            left -= got as u64;
-            if pr.pending_records() == seg_records {
-                let b = pr.split_block();
-                writer
-                    .push_block(&b.events, b.records)
-                    .expect("preres block write");
-                blocks += 1;
-            }
-        }
-        if pr.pending_records() > 0 || blocks == 0 {
-            let b = pr.split_block();
+        for b in resolve_blocks(spec, src, seg_records) {
             writer
                 .push_block(&b.events, b.records)
                 .expect("preres block write");
         }
         writer.finish().expect("preres stream publish");
-        match preres::open_stream_checked(dir, job) {
-            CacheRead::Hit(stream) => stream,
-            other => panic!(
-                "freshly written pre-resolved stream failed to verify: {:?}",
-                other.into_hit().is_some()
-            ),
-        }
+        preres::open_written(dir, job)
     }
 
     /// Obtains the pre-resolved event stream for `job`: from the disk

@@ -92,9 +92,7 @@ pub use crate::job::{fnv1a64, Fnv64, Job, JobId};
 pub use crate::json::Value;
 pub use crate::queue::{JobService, QueueConfig, ServiceStatus, SubmitError};
 pub use crate::scale::Scale;
-pub use crate::source::{
-    est_pre_bytes, seg_records_for_budget, streamed_peak_bytes, DEFAULT_MEM_BUDGET_BYTES,
-};
+pub use crate::source::{est_pre_bytes, seg_records_for_budget, DEFAULT_MEM_BUDGET_BYTES};
 pub use crate::store::{
     store_footprint, CacheRead, ResultStore, StoreClassFootprint, StoreFootprint,
 };
@@ -181,9 +179,10 @@ pub struct HarnessConfig {
     /// divided evenly among the concurrent workers. A single-core job
     /// whose stream ([`est_pre_bytes`]) would not fit its worker's
     /// share replays segment-at-a-time instead — from an on-disk block
-    /// stream with a store, through the pipelined front end without
-    /// one — with byte-identical results. Traces themselves are never
-    /// materialized: streams are built by chunked generation.
+    /// stream with a store, from blocks its worker resolves as it
+    /// replays them without one — with byte-identical results. Traces
+    /// themselves are never materialized: streams are built by chunked
+    /// generation.
     pub mem_budget_bytes: u64,
     /// On-disk result store directory; `None` disables caching.
     pub store_dir: Option<PathBuf>,
@@ -1095,7 +1094,7 @@ mod tests {
 
     /// The bounded-memory streamed path — in every store configuration —
     /// must be byte-identical to the unconstrained materialized path:
-    /// with no store (pipelined FE∥BE), with a store (per-segment block
+    /// with no store (blocks resolved on the worker), with a store (per-segment block
     /// stream on disk), and with the segmented trace store feeding the
     /// front end through mmap'd windows.
     #[test]
@@ -1103,13 +1102,13 @@ mod tests {
         let jobs = small_batch();
         let reference = Harness::serial().run(&jobs);
 
-        // No store: the pipelined path.
+        // No store: blocks resolved on the worker thread.
         let h = Harness::new(HarnessConfig {
             jobs: 1,
             mem_budget_bytes: 1,
             ..HarnessConfig::default()
         });
-        assert_eq!(h.run(&jobs), reference, "pipelined path diverged");
+        assert_eq!(h.run(&jobs), reference, "no-store block path diverged");
 
         // Store: the on-disk block-stream path, cold then warm, with
         // and without the segmented trace store.
@@ -1161,8 +1160,11 @@ mod tests {
         }
     }
 
-    /// With a tiny budget a lockstep unit replays the on-disk block
-    /// stream once for all lanes; results must match the serial path.
+    /// With a tiny budget a lockstep unit replays its block stream once
+    /// for all lanes — read from the on-disk stream with a store,
+    /// resolved on the worker without one; results must match the
+    /// serial path. The jobs span three 64 Ki-record floor segments,
+    /// so both units replay several blocks.
     #[test]
     fn streamed_lockstep_matches_serial() {
         let w = WorkloadSpec::database().scaled(1, 16);
@@ -1170,9 +1172,14 @@ mod tests {
             PrefetcherSpec::None,
             PrefetcherSpec::Ebcp(ebcp_core::EbcpConfig::tuned()),
         ];
+        let long = RunSpec {
+            warmup_insts: 100_000,
+            measure_insts: 60_000,
+            ..spec(w, 3)
+        };
         let jobs: Vec<Job> = pfs
             .iter()
-            .map(|pf| Job::new(spec(w.clone(), 3), pf.clone()))
+            .map(|pf| Job::new(long.clone(), pf.clone()))
             .collect();
         let reference: Vec<SimResult> = jobs
             .iter()
@@ -1180,14 +1187,20 @@ mod tests {
             .collect();
         let dir = std::env::temp_dir().join(format!("ebcp-harness-slock-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let h = Harness::new(HarnessConfig {
-            jobs: 1,
-            mem_budget_bytes: 1,
-            store_dir: Some(dir.clone()),
-            ..HarnessConfig::default()
-        });
-        assert_eq!(h.run(&jobs), reference);
-        assert_eq!(h.summary().executed, 2);
+        for store_dir in [Some(dir.clone()), None] {
+            let h = Harness::new(HarnessConfig {
+                jobs: 1,
+                mem_budget_bytes: 1,
+                store_dir: store_dir.clone(),
+                ..HarnessConfig::default()
+            });
+            assert_eq!(h.run(&jobs), reference, "store {store_dir:?}");
+            assert_eq!(h.summary().executed, 2);
+        }
+        let stream = preres::open_stream_checked(&dir, &jobs[0])
+            .into_hit()
+            .expect("stream cached");
+        assert_eq!(stream.n_segments(), 3, "the unit replayed several blocks");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

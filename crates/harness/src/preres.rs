@@ -310,17 +310,6 @@ impl PreresStream {
         })
     }
 
-    /// Packed-event bytes of the largest segment — the peak resident
-    /// block cost of replaying this stream, which the harness memory
-    /// budget charges per streamed worker.
-    pub fn max_block_bytes(&self) -> u64 {
-        self.index
-            .iter()
-            .map(|s| s.n_events * EVENT_BYTES)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Reads segment `k` (validated at open; no re-verification).
     ///
     /// # Errors
@@ -358,8 +347,8 @@ impl PreresStream {
     /// Panics on a file-system failure mid-iteration (the stream was
     /// fully validated at open; a read failing mid-replay is an
     /// environment fault).
-    pub fn blocks(&mut self) -> impl Iterator<Item = PreBlock> + '_ {
-        (0..self.index.len()).map(|k| self.block(k).expect("validated stream read mid-replay"))
+    pub fn blocks(mut self) -> impl Iterator<Item = PreBlock> {
+        (0..self.index.len()).map(move |k| self.block(k).expect("validated stream read mid-replay"))
     }
 }
 
@@ -370,6 +359,27 @@ fn read_exact_at(file: &mut File, pos: u64, buf: &mut [u8]) -> io::Result<()> {
 
 fn le_u64(buf: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(buf[at..at + 8].try_into().expect("8-byte window"))
+}
+
+/// Opens the stream this process has just written for `job`.
+///
+/// # Panics
+///
+/// Panics naming the miss, or the quarantine path and reason, when the
+/// stream does not verify: a stream written moments ago that fails is
+/// a broken run, not a cache miss.
+pub fn open_written(store_dir: &Path, job: &Job) -> PreresStream {
+    match open_stream_checked(store_dir, job) {
+        CacheRead::Hit(stream) => stream,
+        CacheRead::Miss => panic!(
+            "freshly written pre-resolved stream missing from {}",
+            store_dir.display()
+        ),
+        CacheRead::Quarantined { path, reason } => panic!(
+            "freshly written pre-resolved stream quarantined at {}: {reason}",
+            path.display()
+        ),
+    }
 }
 
 /// Opens and fully validates `job`'s cached stream for block-at-a-time
@@ -633,11 +643,10 @@ mod tests {
         }
         w.finish().unwrap();
 
-        let mut stream = open_stream_checked(&dir, &j).into_hit().expect("hit");
+        let stream = open_stream_checked(&dir, &j).into_hit().expect("hit");
         assert_eq!(stream.records(), pre.records);
         assert_eq!(stream.seg_records(), 3_000);
         assert_eq!(stream.n_segments(), blocks.len());
-        assert!(stream.max_block_bytes() > 0);
         let back: Vec<PreBlock> = stream.blocks().collect();
         assert_eq!(back, blocks, "blocks survive the disk round trip");
 

@@ -42,13 +42,6 @@ pub fn seg_records_for_budget(per_worker_bytes: u64) -> u64 {
     (per_worker_bytes / (STREAMED_HEADROOM * STREAMED_BYTES_PER_RECORD)).clamp(1 << 16, 4 << 20)
 }
 
-/// The budget charge of one streamed worker at `seg_records` — the
-/// inverse of [`seg_records_for_budget`], used by tests and the status
-/// report.
-pub fn streamed_peak_bytes(seg_records: u64) -> u64 {
-    seg_records * STREAMED_HEADROOM * STREAMED_BYTES_PER_RECORD
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,7 +63,7 @@ mod tests {
         // Inside the clamp range the charge stays within budget.
         let budget = 100_000_000;
         let seg = seg_records_for_budget(budget);
-        assert!(streamed_peak_bytes(seg) <= budget);
+        assert!(seg * STREAMED_HEADROOM * STREAMED_BYTES_PER_RECORD <= budget);
         // Tiny and huge budgets clamp instead of degenerating.
         assert_eq!(seg_records_for_budget(0), 1 << 16);
         assert_eq!(seg_records_for_budget(u64::MAX / 8), 4 << 20);

@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use ebcp_mem::{BusStats, MemStats};
 use ebcp_sim::SimResult;
 
-use crate::job::{fnv1a64, Fnv64, Job};
+use crate::job::{fnv1a64, Fnv64, Job, JobId};
 use crate::json::{self, JsonSink, ParseError, Reader, Value};
 
 /// On-disk schema version; bump on incompatible result layout changes.
@@ -240,21 +240,42 @@ impl ResultStore {
     /// Propagates I/O failures; callers may treat them as non-fatal
     /// (the run still succeeded, only the cache write was lost).
     pub fn save(&self, job: &Job, result: &SimResult) -> io::Result<()> {
-        let doc = Value::Obj(vec![
-            ("schema".into(), Value::Int(SCHEMA)),
-            ("id".into(), Value::Str(job.id().to_string())),
-            ("job".into(), Value::Str(job.canonical())),
-            ("checksum".into(), Value::Str(result_checksum(result))),
-            ("result".into(), result_to_json(result)),
-        ]);
-        let path = self.path_for(job);
-        if let Some(parent) = path.parent() {
-            fs::create_dir_all(parent)?;
-        }
-        let tmp = unique_tmp(&path, "json");
-        fs::write(&tmp, doc.to_json_pretty())?;
-        fs::rename(&tmp, &path)
+        write_entry(
+            &self.path_for(job),
+            SCHEMA,
+            job.id(),
+            job.canonical(),
+            result_checksum(result),
+            result_to_json(result),
+        )
     }
+}
+
+/// Writes one store entry document atomically: create the parent
+/// directory, write a pid- and sequence-unique temp file, rename it
+/// over `path`. The single writer behind [`ResultStore::save`] and
+/// [`ResultStore::save_cmp`].
+pub(crate) fn write_entry(
+    path: &Path,
+    schema: u64,
+    id: JobId,
+    canonical: String,
+    checksum: String,
+    result: Value,
+) -> io::Result<()> {
+    let doc = Value::Obj(vec![
+        ("schema".into(), Value::Int(schema)),
+        ("id".into(), Value::Str(id.to_string())),
+        ("job".into(), Value::Str(canonical)),
+        ("checksum".into(), Value::Str(checksum)),
+        ("result".into(), result),
+    ]);
+    if let Some(parent) = path.parent() {
+        fs::create_dir_all(parent)?;
+    }
+    let tmp = unique_tmp(path, "json");
+    fs::write(&tmp, doc.to_json_pretty())?;
+    fs::rename(&tmp, path)
 }
 
 /// On-disk footprint of one class of store files (results, pre-resolved

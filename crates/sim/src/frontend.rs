@@ -333,14 +333,9 @@ impl PreResolved {
         // up-front reservation replaces ~20 doubling reallocations of a
         // multi-MB buffer (large enough to go through mmap each time,
         // which measurably stalls long-lived processes).
-        pr.reserve(records.len() / 3 + 16);
+        pr.events.reserve(records.len() / 3 + 16);
         pr.push_chunk(records);
         pr.finish()
-    }
-
-    /// Estimated heap footprint of the packed stream.
-    pub fn est_bytes(&self) -> u64 {
-        (self.events.len() * std::mem::size_of::<PreEvent>()) as u64
     }
 }
 
@@ -359,13 +354,6 @@ pub struct PreBlock {
     pub events: Vec<PreEvent>,
     /// Trace records the span stands for.
     pub records: u64,
-}
-
-impl PreBlock {
-    /// Estimated heap footprint of this block's packed events.
-    pub fn est_bytes(&self) -> u64 {
-        (self.events.len() * std::mem::size_of::<PreEvent>()) as u64
-    }
 }
 
 /// Incremental builder for a [`PreResolved`] stream: feed trace records
@@ -397,21 +385,10 @@ impl PreResolver {
         }
     }
 
-    /// Reserves room for at least `additional` further events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.events.reserve(additional);
-    }
-
-    /// Resolves and appends one record.
-    #[inline]
-    pub fn push(&mut self, rec: &TraceRecord) {
-        self.push_chunk(std::slice::from_ref(rec));
-    }
-
-    /// Resolves and appends a run of records. Same stream as pushing
-    /// them one by one, but the gap counter stays in a local across the
-    /// chunk — worth a measurable slice of the once-per-workload
-    /// pre-resolution pass.
+    /// Resolves and appends a run of records. The stream does not
+    /// depend on how the records are split into chunks; the gap
+    /// counter stays in a local across the chunk — worth a measurable
+    /// slice of the once-per-workload pre-resolution pass.
     pub fn push_chunk(&mut self, recs: &[TraceRecord]) {
         self.records += recs.len() as u64;
         let mut gap = self.gap;
@@ -475,16 +452,9 @@ impl PreResolver {
 
     /// Finishes the stream, flushing any trailing gap as a filler.
     pub fn finish(mut self) -> PreResolved {
-        if self.gap > 0 {
-            self.events.push(PreEvent {
-                pc: 0,
-                dline: 0,
-                gap: self.gap,
-                flags: 0,
-            });
-        }
+        let events = self.split_block().events;
         PreResolved {
-            events: self.events,
+            events,
             records: self.records,
             l1i: self.l1i,
             l1d: self.l1d,
@@ -602,9 +572,7 @@ mod tests {
         let batch = PreResolved::from_records(&cfg(), &trace);
         let mut pr = PreResolver::new(&cfg());
         for chunk in trace.chunks(777) {
-            for rec in chunk {
-                pr.push(rec);
-            }
+            pr.push_chunk(chunk);
         }
         assert_eq!(pr.finish(), batch);
     }
@@ -815,13 +783,13 @@ mod tests {
             let mut pr = PreResolver::new(&cfg());
             let pc = Pc::new(0x5000);
             // Record one is a cold ifetch miss: one real event, gap 0.
-            pr.push(&TraceRecord::alu(pc));
+            pr.push_chunk(&[TraceRecord::alu(pc)]);
             prop_assert_eq!(pr.events.len(), 1);
             // Simulate a ~4 Gi inert run without pushing 4 Gi records:
             // the builder keeps no record history, only the counter.
             pr.gap = u32::MAX - k;
             for _ in 0..k + extra {
-                pr.push(&TraceRecord::alu(pc)); // same fetch line: inert
+                pr.push_chunk(&[TraceRecord::alu(pc)]); // same fetch line: inert
             }
             let stream = pr.finish();
             let filler = stream.events[1];

@@ -13,9 +13,10 @@ use serde::{Deserialize, Serialize};
 use crate::cmp::{CmpEngine, CmpResult};
 use crate::config::SimConfig;
 use crate::engine::Engine;
-use crate::frontend::{PreResolved, PreResolver, ReplayCursor};
+use crate::frontend::PreResolved;
 use crate::lockstep::Lockstep;
 use crate::metrics::SimResult;
+use crate::segment::{self, resolve_blocks};
 
 pub use ebcp_trace::template::WorkloadProgram as Program;
 
@@ -158,31 +159,23 @@ impl RunSpec {
     /// geometry), never on the prefetcher, so one stream serves every
     /// [`RunSpec::run_preresolved`] cell of a sweep.
     pub fn pre_resolve(&self) -> PreResolved {
-        let mut gen = TraceGenerator::new(&self.workload, self.seed);
-        self.pre_resolve_from(&mut gen)
+        self.pre_resolve_with(Arc::new(WorkloadProgram::build(&self.workload)))
     }
 
     /// [`RunSpec::pre_resolve`] reusing an already-built workload
-    /// program.
+    /// program: the one block [`resolve_blocks`] yields when it never
+    /// cuts.
     pub fn pre_resolve_with(&self, program: Arc<WorkloadProgram>) -> PreResolved {
-        let mut gen = TraceGenerator::with_program(program, self.workload.clone(), self.seed);
-        self.pre_resolve_from(&mut gen)
-    }
-
-    fn pre_resolve_from(&self, gen: &mut TraceGenerator) -> PreResolved {
-        let mut pr = PreResolver::new(&self.sim);
-        let mut chunk = Vec::with_capacity(Engine::CHUNK_RECORDS);
-        let mut left = self.warmup_insts + self.measure_insts;
-        while left > 0 {
-            let want = Engine::CHUNK_RECORDS.min(usize::try_from(left).unwrap_or(usize::MAX));
-            let got = gen.next_chunk(&mut chunk, want);
-            if got == 0 {
-                break;
-            }
-            pr.push_chunk(&chunk);
-            left -= got as u64;
+        let gen = TraceGenerator::with_program(program, self.workload.clone(), self.seed);
+        let block = resolve_blocks(self, gen, u64::MAX)
+            .next()
+            .expect("resolve_blocks yields at least one block");
+        PreResolved {
+            events: block.events,
+            records: block.records,
+            l1i: self.sim.l1i,
+            l1d: self.sim.l1d,
         }
-        pr.finish()
     }
 
     /// Runs a prefetcher by replaying a pre-resolved event stream —
@@ -203,10 +196,7 @@ impl RunSpec {
             pf.name(),
         );
         let mut engine = Engine::new(self.sim, pf.build());
-        let mut cur = ReplayCursor::default();
-        engine.replay_events(&pre.events, &mut cur, self.warmup_insts);
-        engine.reset_stats();
-        engine.replay_events(&pre.events, &mut cur, self.measure_insts);
+        segment::warm_measure::<_, PreResolved, _, _>(&mut engine, self, [pre]);
         engine.result(&self.workload.name)
     }
 
@@ -247,15 +237,8 @@ impl RunSpec {
              stream describes a different machine and must be rebuilt",
             self.workload.name,
         );
-        let engines = pfs
-            .iter()
-            .map(|pf| Engine::new(self.sim, pf.build()))
-            .collect();
-        let mut group = Lockstep::with_tier(engines, tier);
-        let mut cur = ReplayCursor::default();
-        group.replay(&pre.events, &mut cur, self.warmup_insts);
-        group.reset_stats();
-        group.replay(&pre.events, &mut cur, self.measure_insts);
+        let mut group = Lockstep::with_tier(segment::engines(self, pfs), tier);
+        segment::warm_measure::<_, PreResolved, _, _>(&mut group, self, [pre]);
         group.results(&self.workload.name)
     }
 }

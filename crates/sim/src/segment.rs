@@ -1,39 +1,33 @@
-//! Segment-at-a-time and segment-parallel execution.
+//! The block pipeline: one front-end producer, one warm/measure replay
+//! loop, and segment-parallel scatter.
 //!
 //! The large trace tier cannot afford `run_preresolved`'s contract of
-//! one materialized event stream per job. This module replays a job
-//! from bounded [`PreBlock`]s instead, in three modes:
+//! one materialized event stream per job. This module produces and
+//! replays a job as bounded [`PreBlock`]s instead:
 //!
-//! * [`run_preresolved_blocks`] — **serial, exact**: one engine
-//!   consumes blocks back to back. State handoff between segments is
-//!   complete by construction (it is the same engine), so the result
-//!   is byte-identical to replaying the unsplit stream; peak memory is
+//! * [`resolve_blocks`] — **the one producer**: chunks from any
+//!   [`ChunkSource`] (a live generator or an on-disk segmented trace)
+//!   through one [`PreResolver`], cut every `seg_records` records.
+//!   `RunSpec::pre_resolve` is its single block at `u64::MAX`; the
+//!   harness writes its blocks to the on-disk stream cache, or replays
+//!   them on the worker thread when there is no store.
+//! * [`run_preresolved_blocks`] / [`run_preresolved_blocks_many`] —
+//!   **serial, exact**: one engine (or one lockstep group) consumes
+//!   blocks back to back through the one warm/measure loop, which
+//!   `RunSpec::run_preresolved(_many)` also run over a whole stream as
+//!   one block. State handoff between blocks is complete by
+//!   construction (it is the same engine), so the result is
+//!   byte-identical to replaying the unsplit stream; peak memory is
 //!   O(block).
-//! * [`run_pipelined`] — **two-stage pipeline, exact**: a producer
-//!   thread generates the trace and pre-resolves it block by block
-//!   into a small bounded channel while the consumer replays the back
-//!   end. Same computation as the serial mode (the channel preserves
-//!   order and the engine is continuous), with front-end and back-end
-//!   work overlapped in wall-clock. The overlap win is bounded by the
-//!   front end's share of the cost (~5-10%), so this mode buys
-//!   exactness at O(segment) memory, not parallel speedup.
 //! * [`run_scatter_spans_with`] — **segment-parallel, documented
-//!   tolerance**: the blocks that intersect the measured region are
-//!   cut into contiguous spans handled by independent workers, each
-//!   warming on the `overlap` preceding blocks from a cold engine, and
-//!   the per-span statistic deltas are spliced with
-//!   [`SimResult::accumulate`]. Handoff here is
-//!   *incomplete* — a worker reconstructs cache/MSHR/prefetcher state
-//!   by replaying the overlap window rather than receiving the exact
-//!   state — so results approximate the monolithic run within a
-//!   tolerance that shrinks as `overlap` grows (the equivalence battery
-//!   pins the tolerance; DESIGN.md §3f has the rationale). Output is
-//!   deterministic for a given (blocks, overlap, spans) regardless of
-//!   thread count and scheduling. This is the ≥2-worker configuration that
-//!   beats a single worker on wall-clock: workers skip the serial
-//!   replay of every block before their overlap window, so a long
-//!   warm-up prefix — the bulk of a large-tier trace — costs each
-//!   worker only its overlap replays.
+//!   tolerance**: contiguous spans of the measured region replay on
+//!   independent workers, each warming a cold engine on an overlap
+//!   window, and the per-span deltas are spliced. Handoff is
+//!   *incomplete*, so results approximate the monolithic run within a
+//!   tolerance that shrinks as the overlap grows (DESIGN.md §3f). This
+//!   is the ≥2-worker configuration that beats a single worker on
+//!   wall-clock: workers skip the serial warm-up prefix outside their
+//!   overlap windows.
 //!
 //! Budget arithmetic: `Engine::replay_events` consumes exactly
 //! `min(budget, records remaining in the block)` instructions, so the
@@ -43,16 +37,169 @@
 
 use std::borrow::Borrow;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Mutex;
 
-use ebcp_trace::template::WorkloadProgram;
-use ebcp_trace::TraceGenerator;
+use ebcp_trace::ChunkSource;
 
 use crate::engine::Engine;
-use crate::frontend::{PreBlock, PreResolver, ReplayCursor};
+use crate::frontend::{PreBlock, PreEvent, PreResolved, PreResolver, ReplayCursor};
 use crate::lockstep::Lockstep;
 use crate::metrics::SimResult;
 use crate::runner::{PrefetcherSpec, RunSpec};
+
+/// Resolves `spec`'s `warmup + measure` records from `src` through the
+/// L1 front end, yielding a [`PreBlock`] every `seg_records` records
+/// (the last one may be shorter). Only the block being built is
+/// resident, so whoever drives the iterator holds O(segment).
+///
+/// Always yields at least one block: a source with nothing to give
+/// yields one empty block. The blocks concatenate to exactly the
+/// stream [`PreResolved::from_records`] builds from the same records,
+/// cut as [`crate::frontend::segment_events`] cuts it.
+///
+/// # Panics
+///
+/// Panics if `seg_records` is zero.
+pub fn resolve_blocks<S: ChunkSource>(
+    spec: &RunSpec,
+    mut src: S,
+    seg_records: u64,
+) -> impl Iterator<Item = PreBlock> {
+    assert!(seg_records > 0, "segment length must be at least 1 record");
+    let mut pr = PreResolver::new(&spec.sim);
+    let mut chunk = Vec::with_capacity(Engine::CHUNK_RECORDS);
+    let mut left = spec.warmup_insts + spec.measure_insts;
+    let mut yielded = false;
+    std::iter::from_fn(move || {
+        while left > 0 {
+            let room = seg_records - pr.pending_records();
+            let want = (Engine::CHUNK_RECORDS as u64).min(left).min(room) as usize;
+            let got = src.next_chunk(&mut chunk, want);
+            if got == 0 {
+                left = 0; // the source ran dry
+                break;
+            }
+            pr.push_chunk(&chunk);
+            left -= got as u64;
+            if pr.pending_records() == seg_records {
+                yielded = true;
+                return Some(pr.split_block());
+            }
+        }
+        let tail = pr.pending_records() > 0 || !yielded;
+        yielded = true;
+        tail.then(|| pr.split_block())
+    })
+}
+
+/// A back end the warm/measure loop drives: one [`Engine`], or a
+/// [`Lockstep`] group of them.
+pub(crate) trait Replay {
+    /// Replays up to `budget` records of `events` from `cur`.
+    fn replay(&mut self, events: &[PreEvent], cur: &mut ReplayCursor, budget: u64);
+
+    /// Resets measurement counters (the warm-up/measure boundary).
+    fn reset_stats(&mut self);
+}
+
+impl Replay for Engine {
+    fn replay(&mut self, events: &[PreEvent], cur: &mut ReplayCursor, budget: u64) {
+        self.replay_events(events, cur, budget);
+    }
+
+    fn reset_stats(&mut self) {
+        Engine::reset_stats(self);
+    }
+}
+
+impl Replay for Lockstep {
+    fn replay(&mut self, events: &[PreEvent], cur: &mut ReplayCursor, budget: u64) {
+        Lockstep::replay(self, events, cur, budget);
+    }
+
+    fn reset_stats(&mut self) {
+        Lockstep::reset_stats(self);
+    }
+}
+
+/// What the warm/measure loop replays as one block: a [`PreBlock`] of
+/// a segmented stream, or a whole [`PreResolved`] stream, borrowed.
+pub(crate) trait Block {
+    /// The block's packed events.
+    fn events(&self) -> &[PreEvent];
+
+    /// Trace records the events stand for.
+    fn records(&self) -> u64;
+}
+
+impl Block for PreBlock {
+    fn events(&self) -> &[PreEvent] {
+        &self.events
+    }
+
+    fn records(&self) -> u64 {
+        self.records
+    }
+}
+
+impl Block for PreResolved {
+    fn events(&self) -> &[PreEvent] {
+        &self.events
+    }
+
+    fn records(&self) -> u64 {
+        self.records
+    }
+}
+
+/// The one warm/measure loop: replays `blocks` back to back on `back`,
+/// resetting statistics after the first `spec.warmup_insts` records
+/// (wherever in a block that lands) and stopping after the next
+/// `spec.measure_insts`. Statistics reset even when the blocks run out
+/// inside the warm-up, as stepping the same records would.
+pub(crate) fn warm_measure<R, T, B, I>(back: &mut R, spec: &RunSpec, blocks: I)
+where
+    R: Replay,
+    T: Block + ?Sized,
+    B: Borrow<T>,
+    I: IntoIterator<Item = B>,
+{
+    let mut left = [spec.warmup_insts, spec.measure_insts];
+    let mut phase = 0;
+    if left[0] == 0 {
+        back.reset_stats();
+        phase = 1;
+    }
+    'blocks: for block in blocks {
+        let block = block.borrow();
+        let mut cur = ReplayCursor::default();
+        let mut block_left = block.records();
+        loop {
+            let take = left[phase].min(block_left);
+            back.replay(block.events(), &mut cur, take);
+            left[phase] -= take;
+            block_left -= take;
+            if left[phase] > 0 {
+                continue 'blocks;
+            }
+            if phase == 1 {
+                break 'blocks;
+            }
+            back.reset_stats();
+            phase = 1;
+        }
+    }
+    if phase == 0 {
+        back.reset_stats();
+    }
+}
+
+/// One engine per prefetcher, for a [`Lockstep`] group.
+pub(crate) fn engines(spec: &RunSpec, pfs: &[PrefetcherSpec]) -> Vec<Engine> {
+    pfs.iter()
+        .map(|pf| Engine::new(spec.sim, pf.build()))
+        .collect()
+}
 
 /// Replays `blocks` back to back on one engine — byte-identical to
 /// [`RunSpec::run_preresolved`] over the concatenated stream, with peak
@@ -61,41 +208,15 @@ use crate::runner::{PrefetcherSpec, RunSpec};
 /// `blocks` must cover at least `warmup + measure` records of the
 /// spec's trace, resolved under `spec.sim`'s L1 geometries (the
 /// harness enforces the geometry via the stream cache's canonical
-/// string; [`crate::frontend::segment_events`] and
-/// [`crate::frontend::PreResolver::split_block`] both preserve it).
+/// string; [`resolve_blocks`] and [`crate::frontend::segment_events`]
+/// both preserve it).
 pub fn run_preresolved_blocks<I, B>(spec: &RunSpec, blocks: I, pf: &PrefetcherSpec) -> SimResult
 where
     I: IntoIterator<Item = B>,
     B: Borrow<PreBlock>,
 {
     let mut engine = Engine::new(spec.sim, pf.build());
-    let mut warm_left = spec.warmup_insts;
-    let mut meas_left = spec.measure_insts;
-    if warm_left == 0 {
-        engine.reset_stats();
-    }
-    for block in blocks {
-        let block = block.borrow();
-        let mut cur = ReplayCursor::default();
-        let mut block_left = block.records;
-        if warm_left > 0 {
-            let take = warm_left.min(block_left);
-            engine.replay_events(&block.events, &mut cur, take);
-            warm_left -= take;
-            block_left -= take;
-            if warm_left == 0 {
-                engine.reset_stats();
-            } else {
-                continue;
-            }
-        }
-        let take = meas_left.min(block_left);
-        engine.replay_events(&block.events, &mut cur, take);
-        meas_left -= take;
-        if meas_left == 0 {
-            break;
-        }
-    }
+    warm_measure::<_, PreBlock, _, _>(&mut engine, spec, blocks);
     engine.result(&spec.workload.name)
 }
 
@@ -112,88 +233,9 @@ where
     I: IntoIterator<Item = B>,
     B: Borrow<PreBlock>,
 {
-    let engines = pfs
-        .iter()
-        .map(|pf| Engine::new(spec.sim, pf.build()))
-        .collect();
-    let mut group = Lockstep::new(engines);
-    let mut warm_left = spec.warmup_insts;
-    let mut meas_left = spec.measure_insts;
-    if warm_left == 0 {
-        group.reset_stats();
-    }
-    for block in blocks {
-        let block = block.borrow();
-        let mut cur = ReplayCursor::default();
-        let mut block_left = block.records;
-        if warm_left > 0 {
-            let take = warm_left.min(block_left);
-            group.replay(&block.events, &mut cur, take);
-            warm_left -= take;
-            block_left -= take;
-            if warm_left == 0 {
-                group.reset_stats();
-            } else {
-                continue;
-            }
-        }
-        let take = meas_left.min(block_left);
-        group.replay(&block.events, &mut cur, take);
-        meas_left -= take;
-        if meas_left == 0 {
-            break;
-        }
-    }
+    let mut group = Lockstep::new(engines(spec, pfs));
+    warm_measure::<_, PreBlock, _, _>(&mut group, spec, blocks);
     group.results(&spec.workload.name)
-}
-
-/// Depth of the producer→consumer block channel: enough to hide
-/// producer jitter, small enough that resident blocks stay O(segment).
-const PIPELINE_DEPTH: usize = 2;
-
-/// Two-stage pipelined run: a producer thread generates and
-/// pre-resolves the trace in `seg_records` blocks; the calling thread
-/// replays them as they arrive. Exact — same computation as
-/// [`RunSpec::run_preresolved`] — with front-end and back-end work
-/// overlapped and at most [`PIPELINE_DEPTH`] + 1 blocks resident.
-pub fn run_pipelined(
-    spec: &RunSpec,
-    program: Arc<WorkloadProgram>,
-    seg_records: u64,
-    pf: &PrefetcherSpec,
-) -> SimResult {
-    assert!(seg_records > 0, "segment length must be at least 1 record");
-    let total = spec.warmup_insts + spec.measure_insts;
-    let (tx, rx) = mpsc::sync_channel::<PreBlock>(PIPELINE_DEPTH);
-    std::thread::scope(|s| {
-        s.spawn(move || {
-            let mut gen = TraceGenerator::with_program(program, spec.workload.clone(), spec.seed);
-            let mut pr = PreResolver::new(&spec.sim);
-            let mut chunk = Vec::with_capacity(Engine::CHUNK_RECORDS);
-            let mut left = total;
-            while left > 0 {
-                let room = seg_records - pr.pending_records();
-                let want = (Engine::CHUNK_RECORDS as u64)
-                    .min(left)
-                    .min(room)
-                    .try_into()
-                    .unwrap_or(usize::MAX);
-                let got = gen.next_chunk(&mut chunk, want);
-                if got == 0 {
-                    break;
-                }
-                pr.push_chunk(&chunk);
-                left -= got as u64;
-                if pr.pending_records() == seg_records && tx.send(pr.split_block()).is_err() {
-                    return; // consumer hit its budget and hung up
-                }
-            }
-            if pr.pending_records() > 0 {
-                let _ = tx.send(pr.split_block());
-            }
-        });
-        run_preresolved_blocks(spec, rx.iter(), pf)
-    })
 }
 
 /// Segment-parallel scatter run over blocks fetched on demand.
@@ -443,15 +485,31 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_matches_monolithic() {
+    fn resolved_blocks_match_segmented_stream_and_stepping_oracle() {
         let spec = quick_spec();
-        let pre = spec.pre_resolve();
-        let program = Arc::new(WorkloadProgram::build(&spec.workload));
-        for pf in roster() {
-            let mono = spec.run_preresolved(&pre, &pf);
-            let piped = run_pipelined(&spec, Arc::clone(&program), 9_973, &pf);
-            assert_eq!(mono, piped, "{}", pf.name());
+        let pre = PreResolved::from_records(&spec.sim, &spec.materialize());
+        let stepped: Vec<SimResult> = roster()
+            .iter()
+            .map(|pf| spec.run_on(&spec.materialize(), pf))
+            .collect();
+        for seg in [4_999, 65_536, u64::MAX] {
+            let gen = ebcp_trace::TraceGenerator::new(&spec.workload, spec.seed);
+            let blocks: Vec<PreBlock> = resolve_blocks(&spec, gen, seg).collect();
+            assert_eq!(blocks, segment_events(&pre, seg), "seg {seg}");
+            for (pf, oracle) in roster().iter().zip(&stepped) {
+                let replayed = run_preresolved_blocks(&spec, &blocks, pf);
+                assert_eq!(replayed, *oracle, "{} with seg {seg}", pf.name());
+            }
         }
+        // Nothing to resolve still yields the one empty block.
+        let empty = RunSpec {
+            warmup_insts: 0,
+            measure_insts: 0,
+            ..spec.clone()
+        };
+        let gen = ebcp_trace::TraceGenerator::new(&empty.workload, empty.seed);
+        let blocks: Vec<PreBlock> = resolve_blocks(&empty, gen, 4_999).collect();
+        assert_eq!(blocks, vec![PreBlock::default()]);
     }
 
     #[test]

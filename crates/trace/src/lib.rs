@@ -66,9 +66,10 @@ pub use stats::TraceStats;
 /// for `max > 0`).
 ///
 /// This is the contract [`TraceGenerator::next_chunk`] has always had;
-/// the trait exists so the engine's chunked run loop and the two-phase
-/// front end accept either a live generator or an on-disk
-/// [`SegmentedTrace`] without materializing the records in between.
+/// the trait exists so the simulator's one front-end producer
+/// (`ebcp_sim::resolve_blocks`) accepts either a live generator or an
+/// on-disk [`SegmentedTrace`] without materializing the records in
+/// between.
 pub trait ChunkSource {
     /// Refills `out` (cleared first) with up to `max` records.
     fn next_chunk(&mut self, out: &mut Vec<TraceRecord>, max: usize) -> usize;
@@ -77,6 +78,12 @@ pub trait ChunkSource {
 impl ChunkSource for TraceGenerator {
     fn next_chunk(&mut self, out: &mut Vec<TraceRecord>, max: usize) -> usize {
         TraceGenerator::next_chunk(self, out, max)
+    }
+}
+
+impl<S: ChunkSource + ?Sized> ChunkSource for Box<S> {
+    fn next_chunk(&mut self, out: &mut Vec<TraceRecord>, max: usize) -> usize {
+        (**self).next_chunk(out, max)
     }
 }
 
