@@ -487,7 +487,7 @@ fn bench_trace_scale(scale: Scale, out_dir: &Path, baseline: Option<&Path>) {
             std::process::exit(1);
         }
     };
-    match tracescale::check_against_baseline(&rows, large, &base_doc, 0.25) {
+    match tracescale::check_against_baseline(&rows, scale, large, &base_doc, 0.25) {
         Ok((cur, base)) => {
             eprintln!("# trace-scale gate passed: geomean {cur:.1} Minst/s vs baseline {base:.1}")
         }

@@ -199,7 +199,7 @@ pub fn measure_sweep(scale: Scale) -> Vec<SweepRow> {
 /// ([`RunSpec::run_preresolved_many`](ebcp_sim::RunSpec)), against the
 /// serial pre-resolve-once + replay-each sweep the harness used before
 /// lockstep. The decode and gap-collapse work the serial sweep repeats
-/// per prefetcher is paid once here, so this is the cell the SIMD-lane
+/// per prefetcher is paid once here, so this is the cell the lockstep
 /// replay is gated on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LockstepRow {
@@ -665,9 +665,7 @@ pub fn render_lockstep(rows: &[LockstepRow]) -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,
-        "Lockstep throughput (one pass over the shared stream drives every lane; \
-         SIMD tier: {:?})",
-        ebcp_mem::simd::tier()
+        "Lockstep throughput (one pass over the shared stream drives every lane)"
     );
     let _ = writeln!(
         s,
@@ -1031,7 +1029,9 @@ mod tests {
         let ls = render_lockstep(&[lockstep_row(400.0, 4.0)]);
         assert!(ls.contains("database"));
         assert!(ls.contains("4.00x"));
-        assert!(ls.contains("SIMD tier"));
+        assert!(ls.starts_with(
+            "Lockstep throughput (one pass over the shared stream drives every lane)\n"
+        ));
         let cm = render_cmp(&[cmp_row(800.0)]);
         assert!(cm.contains("ebcp"));
         assert!(cm.contains("chip-wide"));

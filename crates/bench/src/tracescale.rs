@@ -449,15 +449,17 @@ pub fn to_json(scale: Scale, large: bool, rows: &[TraceScaleRow], vm_hwm: Option
 /// Compares measured cells against a committed baseline document.
 ///
 /// Returns `(current, baseline)` geometric mean Minst/s on success. A
-/// baseline written at a different tier is a configuration error, not
-/// a regression.
+/// baseline written at a different tier or machine scale is a
+/// configuration error, not a regression: Minst/s at one `scale_den`
+/// says nothing about another.
 ///
 /// # Errors
 ///
-/// Fails on a malformed or tier-mismatched baseline, or a geometric
-/// mean more than `max_drop` below it.
+/// Fails on a malformed, tier-mismatched or scale-mismatched baseline,
+/// or a geometric mean more than `max_drop` below it.
 pub fn check_against_baseline(
     rows: &[TraceScaleRow],
+    scale: Scale,
     large: bool,
     baseline: &Value,
     max_drop: f64,
@@ -468,6 +470,16 @@ pub fn check_against_baseline(
         other => {
             return Err(format!(
                 "baseline tier {other:?} does not match the measured tier {tier:?}"
+            ))
+        }
+    }
+    match baseline.get("scale_den").and_then(Value::as_u64) {
+        Some(den) if den == scale.den => {}
+        other => {
+            return Err(format!(
+                "baseline scale_den {other:?} does not match the measured scale_den {}; \
+                 re-record the baseline at this scale",
+                scale.den
             ))
         }
     }
@@ -613,16 +625,21 @@ mod tests {
         let row = &doc.get("rows").unwrap().as_arr().unwrap()[0];
         assert_eq!(row.get("workers").unwrap().as_u64(), Some(4));
         assert_eq!(row.get("scatter_ms").unwrap().as_f64(), Some(30.0));
-        let (cur, base) = check_against_baseline(&rows, false, &doc, 0.25).unwrap();
+        let quick = Scale::quick();
+        let (cur, base) = check_against_baseline(&rows, quick, false, &doc, 0.25).unwrap();
         assert!((cur - base).abs() < 1e-9, "self-comparison passes");
         // A tier mismatch is an error, not a silent pass.
-        assert!(check_against_baseline(&rows, true, &doc, 0.25).is_err());
+        assert!(check_against_baseline(&rows, quick, true, &doc, 0.25).is_err());
+        // So is a machine-scale mismatch, even on a self-comparison.
+        let den4 = Scale { den: 4, ..quick };
+        let err = check_against_baseline(&rows, den4, false, &doc, 0.25).unwrap_err();
+        assert!(err.contains("scale_den"), "{err}");
         // A 25% drop gate trips when the baseline is inflated.
         let mut inflated = rows.clone();
         for r in &mut inflated {
             r.mips /= 2.0;
         }
-        assert!(check_against_baseline(&inflated, false, &doc, 0.25).is_err());
+        assert!(check_against_baseline(&inflated, quick, false, &doc, 0.25).is_err());
         assert!(check_speedup(&rows).is_ok());
         let slow = vec![TraceScaleRow {
             speedup: 0.9,

@@ -32,10 +32,11 @@
 //! * the set mask and tag shift are precomputed in [`CacheGeometry`] at
 //!   construction; a lookup does no division or `trailing_zeros`.
 //! * [`SetAssocCache::access`] scans the set in one branchless pass
-//!   (the statically-dispatched `scan4_probe` SIMD kernel for packed
-//!   sets) that finds the hit way and the replacement victim together —
-//!   every per-way decision is a compare+select, so the only
-//!   data-dependent branch per lookup is the final hit/miss outcome.
+//!   (for packed sets the `scan4_probe` kernel: SSE2 chosen at compile
+//!   time on x86_64, the scalar loop elsewhere) that finds the hit way
+//!   and the replacement victim together — every per-way decision is a
+//!   compare+select, so the only data-dependent branch per lookup is
+//!   the final hit/miss outcome.
 //!   The scaled-down L1s thrash by design, which made per-way branches
 //!   (and an MRU pre-probe) chronic mispredicts; [`SetAssocCache::probe`]
 //!   and `mark_dirty`, whose reference streams do repeat lines, still

@@ -36,11 +36,10 @@ pub mod cache;
 pub mod memory;
 pub mod mshr;
 pub mod prefetch_buffer;
-pub mod simd;
+mod simd;
 
 pub use bus::{Bus, BusConfig, BusStats};
 pub use cache::{CacheGeometry, Eviction, SetAssocCache};
 pub use memory::{MemConfig, MemOutcome, MemStats, MemorySystem};
 pub use mshr::{MshrFile, MshrOutcome};
 pub use prefetch_buffer::{PrefetchBuffer, PrefetchBufferStats};
-pub use simd::SimdTier;

@@ -57,7 +57,6 @@ pub use cmp::{CmpEngine, CmpResult};
 pub use cmp_stepping::SteppingCmpEngine;
 pub use config::{CoreConfig, SimConfig};
 pub use des::{Tick, WakeHeap};
-pub use ebcp_mem::SimdTier;
 pub use engine::Engine;
 pub use frontend::{
     segment_events, FrontEnd, PreBlock, PreEvent, PreResolved, PreResolver, ReplayCursor,

@@ -16,10 +16,12 @@
 //!   deadline diverge per lane.
 //! * **SoA lane state.** While every lane is *idle* (nothing
 //!   outstanding, no heap event due) the fast pass keeps per-lane
-//!   `cycle[]`/`next_ev[]` in flat arrays and advances them with the
-//!   runtime-dispatched SIMD kernels of `ebcp_mem::simd`
-//!   ([`add_broadcast`], [`any_due`]); event decode, gap collapse, and
-//!   the deadline test are paid once per entry for the whole group.
+//!   `cycle[]`/`next_ev[]` in flat arrays and advances them with two
+//!   plain lane loops (`add_broadcast`, `any_due`); event decode, gap
+//!   collapse, and the deadline test are paid once per entry for the
+//!   whole group. The loops stay scalar on purpose: the pass is bound
+//!   by the per-lane L2 probe, and SSE2/AVX2 versions of them measured
+//!   no faster (DESIGN.md §3d).
 //! * **Per-entry fallback.** When any lane has a miss window open, the
 //!   group processes one entry at a time: each lane takes the
 //!   single-entry fast specialization if it qualifies, else the exact
@@ -30,20 +32,16 @@
 //! entry in submission order, each lane's operation sequence is
 //! *exactly* the serial replay's — results are byte-identical by
 //! construction, and `crates/bench/tests/lockstep.rs` enforces it over
-//! the full roster × workload matrix on every SIMD tier.
+//! the full roster × workload matrix.
 //!
 //! **Fault isolation.** Prefetcher code only runs inside the
 //! miss-continuation and general-path calls; each is wrapped in
 //! [`catch_unwind`] per lane. A panicking lane is marked dead with its
 //! panic reason and drops out of the group; sibling lanes continue
 //! unperturbed, preserving the harness's per-cell fault isolation.
-//!
-//! [`add_broadcast`]: ebcp_mem::simd::add_broadcast
-//! [`any_due`]: ebcp_mem::simd::any_due
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use ebcp_mem::simd::{self, SimdTier};
 use ebcp_types::{LineAddr, Pc};
 
 use crate::engine::Engine;
@@ -62,6 +60,26 @@ fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "panic with non-string payload".to_string()
     }
+}
+
+/// Advances every lane's clock by `inc` (wrapping).
+#[inline]
+fn add_broadcast(xs: &mut [u64], inc: u64) {
+    for x in xs {
+        *x = x.wrapping_add(inc);
+    }
+}
+
+/// Whether any lane's next event deadline falls within the entry about
+/// to be replayed: `next_ev[i] <= cycle[i] + step` (wrapping add — idle
+/// lanes carry `u64::MAX`).
+#[inline]
+fn any_due(next_ev: &[u64], cycle: &[u64], step: u64) -> bool {
+    debug_assert_eq!(next_ev.len(), cycle.len());
+    next_ev
+        .iter()
+        .zip(cycle)
+        .any(|(&ne, &cy)| ne <= cy.wrapping_add(step))
 }
 
 struct Lane {
@@ -87,11 +105,10 @@ pub struct Lockstep {
     next_soa: Vec<u64>,
     /// Scratch: live-lane positions whose L2 probe missed this entry.
     missed: Vec<usize>,
-    tier: SimdTier,
 }
 
 impl Lockstep {
-    /// A lockstep group over `engines`, using the detected SIMD tier.
+    /// A lockstep group over `engines`.
     ///
     /// # Panics
     ///
@@ -99,23 +116,7 @@ impl Lockstep {
     /// configuration (lanes must share the timing model exactly for
     /// the shared clock scalars to be valid).
     pub fn new(engines: Vec<Engine>) -> Self {
-        Self::with_tier(engines, simd::tier())
-    }
-
-    /// Like [`Lockstep::new`] with an explicit SIMD tier, so tests can
-    /// exercise the scalar and SSE2 fallbacks deliberately. All tiers
-    /// are bit-identical; this never changes results.
-    ///
-    /// # Panics
-    ///
-    /// Additionally panics if `tier` is not available on this host.
-    pub fn with_tier(engines: Vec<Engine>, tier: SimdTier) -> Self {
         assert!(!engines.is_empty(), "a lockstep group needs >= 1 lane");
-        assert!(
-            tier.available(),
-            "SIMD tier {} is not available on this host",
-            tier.label()
-        );
         let cfg = *engines[0].lane_cfg();
         for e in &engines[1..] {
             assert!(
@@ -133,13 +134,7 @@ impl Lockstep {
             cycle_soa: Vec::new(),
             next_soa: Vec::new(),
             missed: Vec::new(),
-            tier,
         }
-    }
-
-    /// Number of lanes (dead ones included).
-    pub fn lanes(&self) -> usize {
-        self.lanes.len()
     }
 
     /// Resets measurement counters on every surviving lane (the
@@ -194,7 +189,7 @@ impl Lockstep {
                 return;
             }
             // Group fast pass: every live lane idle, SoA clock state,
-            // SIMD lane advance. Mirrors `Engine::replay_fast`.
+            // one broadcast lane advance. Mirrors `Engine::replay_fast`.
             if pow2 && left > 0 && self.all_live_idle() {
                 self.fast_pass(events, cur, &mut left);
                 self.refresh_live();
@@ -202,7 +197,7 @@ impl Lockstep {
                     return;
                 }
             }
-            // Per-entry tier: the entry the fast pass bailed on (or a
+            // Per-entry path: the entry the fast pass bailed on (or a
             // lane with an open window). Each lane takes the
             // single-entry fast specialization when it qualifies, else
             // the exact serial general path. The budget/cursor split
@@ -262,9 +257,7 @@ impl Lockstep {
             cycle_soa,
             next_soa,
             missed,
-            tier,
         } = self;
-        let tier = *tier;
         let cfg = *lanes[live[0]].engine.lane_cfg();
         let shift = cfg.core.issue_width.trailing_zeros();
         let mask = u64::from(cfg.core.issue_width) - 1;
@@ -306,7 +299,7 @@ impl Lockstep {
             // Any lane whose heap deadline falls within this entry
             // sends the whole group back to the general path.
             let step = (slots + gap_left) >> shift;
-            if simd::any_due(tier, next_soa, cycle_soa, step) {
+            if any_due(next_soa, cycle_soa, step) {
                 break;
             }
 
@@ -316,7 +309,7 @@ impl Lockstep {
             slots += gap_left + 1;
             let inc = slots >> shift;
             slots &= mask;
-            simd::add_broadcast(tier, cycle_soa, inc);
+            add_broadcast(cycle_soa, inc);
 
             let line = LineAddr::from_index(ev.dline);
             match ev.flags >> K_SHIFT {
@@ -402,10 +395,10 @@ impl Lockstep {
                 }
                 K_MISPREDICT => {
                     mp += 1;
-                    simd::add_broadcast(tier, cycle_soa, mp_pen);
+                    add_broadcast(cycle_soa, mp_pen);
                 }
                 K_SERIALIZE => {
-                    simd::add_broadcast(tier, cycle_soa, ser_cost);
+                    add_broadcast(cycle_soa, ser_cost);
                 }
                 other => unreachable!("corrupt PreEvent kind {other}"),
             }

@@ -218,18 +218,6 @@ impl RunSpec {
         pre: &PreResolved,
         pfs: &[PrefetcherSpec],
     ) -> Vec<Result<SimResult, String>> {
-        self.run_preresolved_many_with(pre, pfs, ebcp_mem::simd::tier())
-    }
-
-    /// [`RunSpec::run_preresolved_many`] with an explicit SIMD tier
-    /// (all tiers are bit-identical; tests use this to exercise the
-    /// scalar and SSE2 fallback paths).
-    pub fn run_preresolved_many_with(
-        &self,
-        pre: &PreResolved,
-        pfs: &[PrefetcherSpec],
-        tier: ebcp_mem::SimdTier,
-    ) -> Vec<Result<SimResult, String>> {
         assert_eq!(
             (pre.l1i, pre.l1d),
             (self.sim.l1i, self.sim.l1d),
@@ -237,7 +225,7 @@ impl RunSpec {
              stream describes a different machine and must be rebuilt",
             self.workload.name,
         );
-        let mut group = Lockstep::with_tier(segment::engines(self, pfs), tier);
+        let mut group = Lockstep::new(segment::engines(self, pfs));
         segment::warm_measure::<_, PreResolved, _, _>(&mut group, self, [pre]);
         group.results(&self.workload.name)
     }
@@ -687,7 +675,7 @@ mod tests {
     }
 
     #[test]
-    fn lockstep_matches_serial_preresolved_replay_on_every_tier() {
+    fn lockstep_matches_serial_preresolved_replay() {
         let spec = quick_spec();
         let pre = spec.pre_resolve();
         let pfs = vec![
@@ -702,17 +690,9 @@ mod tests {
             .iter()
             .map(|pf| spec.run_preresolved(&pre, pf))
             .collect();
-        for tier in ebcp_mem::SimdTier::available_tiers() {
-            let lock = spec.run_preresolved_many_with(&pre, &pfs, tier);
-            for ((s, l), pf) in serial.iter().zip(&lock).zip(&pfs) {
-                assert_eq!(
-                    s,
-                    l.as_ref().unwrap(),
-                    "lane {} diverged on tier {}",
-                    pf.name(),
-                    tier.label()
-                );
-            }
+        let lock = spec.run_preresolved_many(&pre, &pfs);
+        for ((s, l), pf) in serial.iter().zip(&lock).zip(&pfs) {
+            assert_eq!(s, l.as_ref().unwrap(), "lane {} diverged", pf.name());
         }
     }
 
