@@ -1,8 +1,10 @@
 //! Component microbenchmarks: cache, prefetch buffer, correlation
-//! table, trace generation and raw engine throughput.
+//! table, trace generation, raw engine throughput and job hashing.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use ebcp_bench::service::serve_grid;
 use ebcp_core::CorrelationTable;
+use ebcp_harness::{CmpJob, Job, Scale};
 use ebcp_mem::{CacheGeometry, PrefetchBuffer, SetAssocCache};
 use ebcp_prefetch::NullPrefetcher;
 use ebcp_sim::{Engine, SimConfig};
@@ -101,9 +103,33 @@ fn bench_engine(c: &mut Criterion) {
     g.finish();
 }
 
+/// Hashing the 150-cell serve grid (75 jobs, 75 two-core CMP cells),
+/// as each end of a submit does: one full canonical-string hash per
+/// cell, against one spec prefix per run of equal specs.
+fn bench_job_ids(c: &mut Criterion) {
+    let grid = serve_grid(Scale::quick());
+    let jobs = grid.jobs().expect("the serve grid expands");
+    let cmp = grid.cmp_jobs().expect("the serve grid expands");
+    let mut g = c.benchmark_group("job_ids");
+    g.sample_size(50);
+    g.throughput(Throughput::Elements((jobs.len() + cmp.len()) as u64));
+    g.bench_function("per_job_id_serve_grid", |b| {
+        b.iter(|| {
+            let ids: Vec<_> = jobs.iter().map(Job::id).collect();
+            let cmp_ids: Vec<_> = cmp.iter().map(CmpJob::id).collect();
+            (ids, cmp_ids)
+        });
+    });
+    g.bench_function("batch_ids_serve_grid", |b| {
+        b.iter(|| (Job::ids(&jobs), CmpJob::ids(&cmp)));
+    });
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_cache, bench_prefetch_buffer, bench_correlation_table, bench_generator, bench_engine
+    targets = bench_cache, bench_prefetch_buffer, bench_correlation_table, bench_generator, bench_engine,
+        bench_job_ids
 }
 criterion_main!(benches);

@@ -377,18 +377,22 @@ pub fn cmd_sweep_local(
     };
     let h = harness(jobs, store_dir, mem);
     let outcomes = h.run_outcomes(&jobs_vec);
+    // Each CMP cell is hashed once: the ids dedupe the grid, key the
+    // harness run and label the rows.
     let mut seen = std::collections::HashSet::new();
-    let unique_cmp: Vec<ebcp_harness::CmpJob> = cmp_vec
+    let (unique_cmp, cmp_ids): (Vec<ebcp_harness::CmpJob>, Vec<ebcp_harness::JobId>) = cmp_vec
         .iter()
-        .filter(|j| seen.insert(j.id()))
-        .cloned()
-        .collect();
-    let cmp_outcomes = h.run_cmp_outcomes(&unique_cmp);
+        .zip(ebcp_harness::CmpJob::ids(&cmp_vec))
+        .filter(|&(_, id)| seen.insert(id))
+        .map(|(job, id)| (job.clone(), id))
+        .unzip();
+    let cmp_outcomes = h.run_cmp_outcomes_with_ids(&unique_cmp, &cmp_ids);
     let cmp_rows: Vec<ebcp_harness::CmpResultRow> = unique_cmp
         .iter()
+        .zip(cmp_ids)
         .zip(&cmp_outcomes)
-        .map(|(job, outcome)| ebcp_harness::CmpResultRow {
-            id: job.id(),
+        .map(|((job, id), outcome)| ebcp_harness::CmpResultRow {
+            id,
             cell: job.spec.name.clone(),
             prefetcher: job.pf.name().to_string(),
             cores: job.cores() as u64,
@@ -412,18 +416,10 @@ pub fn cmd_sweep_local(
     0
 }
 
-/// `repro bench-serve`: measures warm-cache submit latency against an
-/// in-process daemon and writes `<out-dir>/BENCH_serve.json`.
-///
-/// The sweep is the grid users submit: every workload × the full
-/// sweep roster, plus a 2-core CMP axis (150 cells at quick scale).
-/// It is submitted once cold (populating the memo), then
-/// `WARM_SUBMITS` more times; each warm submit performs zero
-/// simulations, so its wall time is pure service overhead — queueing,
-/// memo lookups, streaming and client-side reassembly.
-pub fn bench_serve(out_dir: &Path, scale: Scale) -> i32 {
-    const WARM_SUBMITS: usize = 30;
-    let spec = SweepSpec {
+/// The grid users submit: every workload × the full sweep roster, plus
+/// a 2-core CMP axis (150 cells at quick scale).
+pub fn serve_grid(scale: Scale) -> SweepSpec {
+    SweepSpec {
         workloads: scale.workloads_all().into_iter().map(|w| w.name).collect(),
         prefetchers: crate::throughput::sweep_roster(scale)
             .iter()
@@ -431,7 +427,19 @@ pub fn bench_serve(out_dir: &Path, scale: Scale) -> i32 {
             .collect(),
         cores: vec![2],
         scale,
-    };
+    }
+}
+
+/// `repro bench-serve`: measures warm-cache submit latency against an
+/// in-process daemon and writes `<out-dir>/BENCH_serve.json`.
+///
+/// The sweep is [`serve_grid`]. It is submitted once cold (populating
+/// the memo), then `WARM_SUBMITS` more times; each warm submit performs
+/// zero simulations, so its wall time is pure service overhead —
+/// queueing, memo lookups, streaming and client-side reassembly.
+pub fn bench_serve(out_dir: &Path, scale: Scale) -> i32 {
+    const WARM_SUBMITS: usize = 30;
+    let spec = serve_grid(scale);
     // One single-core cell plus one CMP cell per core count, for each
     // workload × prefetcher (the roster is deduplicated by name).
     let cells = spec.workloads.len() * spec.prefetchers.len() * (1 + spec.cores.len());

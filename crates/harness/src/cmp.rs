@@ -13,14 +13,13 @@
 //! ([`crate::Harness::run_cmp_outcomes`]), all through the executor the
 //! single-core cells use. Outcomes are [`crate::CmpOutcome`]s.
 
-use std::fmt;
 use std::fs;
 use std::io;
 use std::path::PathBuf;
 
 use ebcp_sim::{CmpResult, CmpSpec, PrefetcherSpec, SimResult};
 
-use crate::job::{fnv1a64_fmt, Fnv64, Job, JobId};
+use crate::job::{canonical, Fnv64, IdHasher, Job, JobId};
 use crate::json::{self, JsonSink, ParseError, Reader, Value};
 use crate::store::{
     check_entry, read_keyed, read_result, result_from_json, result_to_json, write_entry,
@@ -57,7 +56,7 @@ impl CmpJob {
     /// [`Job::canonical`] for why `Debug` is a sound canonical form).
     #[must_use]
     pub fn canonical(&self) -> String {
-        self.canonical_args(fmt::format)
+        canonical(CMP_CANON_VERSION, &self.spec, &self.pf)
     }
 
     /// The job's content hash. Lives in the same [`JobId`] namespace as
@@ -66,16 +65,15 @@ impl CmpJob {
     /// Streamed into the hasher, like [`Job::id`].
     #[must_use]
     pub fn id(&self) -> JobId {
-        JobId(self.canonical_args(fnv1a64_fmt))
+        IdHasher::new(CMP_CANON_VERSION).id(&self.spec, &self.pf)
     }
 
-    /// Hands the canonical string's pieces to `f` — the one definition
-    /// both [`CmpJob::canonical`] and [`CmpJob::id`] render.
-    fn canonical_args<R>(&self, f: impl FnOnce(fmt::Arguments<'_>) -> R) -> R {
-        f(format_args!(
-            "{CMP_CANON_VERSION}|{:?}|{:?}",
-            self.spec, self.pf
-        ))
+    /// Every job's [`CmpJob::id`], in order, hashing each run of
+    /// consecutive cells with equal specs once, as [`Job::ids`] does.
+    #[must_use]
+    pub fn ids(jobs: &[CmpJob]) -> Vec<JobId> {
+        let mut h = IdHasher::new(CMP_CANON_VERSION);
+        jobs.iter().map(|j| h.id(&j.spec, &j.pf)).collect()
     }
 
     /// The single-core job whose pre-resolved stream core `k` consumes.
@@ -200,7 +198,12 @@ impl ResultStore {
     /// single-core entries, `.cmp.json` suffix so the two result shapes
     /// never collide on a file name.
     pub fn cmp_entry_path(&self, job: &CmpJob) -> PathBuf {
-        let name = format!("{}.cmp.json", job.id());
+        self.cmp_entry_path_of(job.id())
+    }
+
+    /// [`ResultStore::cmp_entry_path`] of the job with id `id`.
+    fn cmp_entry_path_of(&self, id: JobId) -> PathBuf {
+        let name = format!("{id}.cmp.json");
         self.dir().join(&name[..2]).join(name)
     }
 
@@ -208,7 +211,13 @@ impl ResultStore {
     /// [`ResultStore::load_checked`]: valid hit, plain miss (absent /
     /// stale schema / hash collision), or quarantined corruption.
     pub fn load_checked_cmp(&self, job: &CmpJob) -> CacheRead<CmpResult> {
-        let path = self.cmp_entry_path(job);
+        self.load_checked_cmp_id(job, job.id())
+    }
+
+    /// [`ResultStore::load_checked_cmp`] for a caller that already holds
+    /// the job's id (`id == job.id()`).
+    pub(crate) fn load_checked_cmp_id(&self, job: &CmpJob, id: JobId) -> CacheRead<CmpResult> {
+        let path = self.cmp_entry_path_of(id);
         let Ok(text) = fs::read_to_string(&path) else {
             return CacheRead::Miss;
         };
@@ -229,10 +238,21 @@ impl ResultStore {
     ///
     /// Propagates I/O failures; callers may treat them as non-fatal.
     pub fn save_cmp(&self, job: &CmpJob, result: &CmpResult) -> io::Result<()> {
+        self.save_cmp_id(job, job.id(), result)
+    }
+
+    /// [`ResultStore::save_cmp`] for a caller that already holds the
+    /// job's id (`id == job.id()`).
+    pub(crate) fn save_cmp_id(
+        &self,
+        job: &CmpJob,
+        id: JobId,
+        result: &CmpResult,
+    ) -> io::Result<()> {
         write_entry(
-            &self.cmp_entry_path(job),
+            &self.cmp_entry_path_of(id),
             CMP_SCHEMA,
-            job.id(),
+            id,
             job.canonical(),
             cmp_checksum(result),
             cmp_result_to_json(result),

@@ -27,7 +27,7 @@ use crate::{
 };
 
 /// What the executor needs to know about one shape of cell.
-pub(crate) trait Cell: fmt::Debug + PartialEq + Sync {
+pub(crate) trait Cell: fmt::Debug + PartialEq + Sync + Sized {
     /// The simulation result.
     type Output: Clone + Send;
 
@@ -37,8 +37,8 @@ pub(crate) trait Cell: fmt::Debug + PartialEq + Sync {
     /// The schema tag a content-hash collision asks to bump.
     const CANON: &'static str;
 
-    /// The cell's content hash.
-    fn id(&self) -> JobId;
+    /// Every cell's content hash, in order (`Job::ids`/`CmpJob::ids`).
+    fn ids(cells: &[Self]) -> Vec<JobId>;
 
     /// Short human label for events and failure summaries.
     fn label(&self) -> String;
@@ -49,11 +49,12 @@ pub(crate) trait Cell: fmt::Debug + PartialEq + Sync {
     /// The harness memo this shape's outcomes live in.
     fn memo(h: &Harness) -> &Mutex<HashMap<JobId, Outcome<Self::Output>>>;
 
-    /// Integrity-checked load of the cell's store entry.
-    fn load(&self, store: &ResultStore) -> CacheRead<Self::Output>;
+    /// Integrity-checked load of the cell's store entry; `id` is the
+    /// cell's content hash, which names the entry's file.
+    fn load(&self, store: &ResultStore, id: JobId) -> CacheRead<Self::Output>;
 
-    /// Persists a successful result.
-    fn save(&self, store: &ResultStore, result: &Self::Output) -> io::Result<()>;
+    /// Persists a successful result under the cell's id `id`.
+    fn save(&self, store: &ResultStore, id: JobId, result: &Self::Output) -> io::Result<()>;
 
     /// Why the cell cannot run at all, decided before any cache probe.
     /// A rejection is memoized like any other failure and never cached.
@@ -117,8 +118,8 @@ impl Cell for Job {
     const NOUN: &'static str = "job";
     const CANON: &'static str = "CANON_VERSION";
 
-    fn id(&self) -> JobId {
-        Job::id(self)
+    fn ids(cells: &[Job]) -> Vec<JobId> {
+        Job::ids(cells)
     }
 
     fn label(&self) -> String {
@@ -133,12 +134,12 @@ impl Cell for Job {
         &h.memo
     }
 
-    fn load(&self, store: &ResultStore) -> CacheRead<SimResult> {
-        store.load_checked(self)
+    fn load(&self, store: &ResultStore, id: JobId) -> CacheRead<SimResult> {
+        store.load_checked_id(self, id)
     }
 
-    fn save(&self, store: &ResultStore, result: &SimResult) -> io::Result<()> {
-        store.save(self, result)
+    fn save(&self, store: &ResultStore, id: JobId, result: &SimResult) -> io::Result<()> {
+        store.save_id(self, id, result)
     }
 
     /// A single-core `Job` over a CMP *per-core* workload is a
@@ -228,8 +229,8 @@ impl Cell for CmpJob {
     const NOUN: &'static str = "CMP job";
     const CANON: &'static str = "CMP_CANON_VERSION";
 
-    fn id(&self) -> JobId {
-        CmpJob::id(self)
+    fn ids(cells: &[CmpJob]) -> Vec<JobId> {
+        CmpJob::ids(cells)
     }
 
     fn label(&self) -> String {
@@ -244,12 +245,12 @@ impl Cell for CmpJob {
         &h.cmp_memo
     }
 
-    fn load(&self, store: &ResultStore) -> CacheRead<CmpResult> {
-        store.load_checked_cmp(self)
+    fn load(&self, store: &ResultStore, id: JobId) -> CacheRead<CmpResult> {
+        store.load_checked_cmp_id(self, id)
     }
 
-    fn save(&self, store: &ResultStore, result: &CmpResult) -> io::Result<()> {
-        store.save_cmp(self, result)
+    fn save(&self, store: &ResultStore, id: JobId, result: &CmpResult) -> io::Result<()> {
+        store.save_cmp_id(self, id, result)
     }
 
     /// Every core's stream from the warm map, then one discrete-event
@@ -267,7 +268,7 @@ impl Cell for CmpJob {
 }
 
 impl Harness {
-    /// Resolves a batch of cells (`ids[i] == jobs[i].id()`), returning
+    /// Resolves a batch of cells (`ids == C::ids(jobs)`), returning
     /// one outcome per cell in submission order. Duplicates — within
     /// the batch, against earlier batches, or against the on-disk store
     /// — are served without simulating; a corrupt store entry is
@@ -278,7 +279,7 @@ impl Harness {
     /// If the two slices differ in length.
     pub(crate) fn resolve<C: Cell>(&self, jobs: &[C], ids: &[JobId]) -> Vec<Outcome<C::Output>> {
         assert_eq!(jobs.len(), ids.len(), "one id per job");
-        debug_assert!(jobs.iter().zip(ids).all(|(j, &id)| j.id() == id));
+        debug_assert_eq!(C::ids(jobs), ids);
         let t0 = Instant::now();
         // Deduplicate, preserving first-submission order. A 64-bit
         // content-hash collision between *different* cells is
@@ -335,7 +336,7 @@ impl Harness {
                         None => match self
                             .store
                             .as_ref()
-                            .map_or(CacheRead::Miss, |s| cell.load(s))
+                            .map_or(CacheRead::Miss, |s| cell.load(s, id))
                         {
                             CacheRead::Hit(r) => {
                                 c.disk_hits += 1;
@@ -389,8 +390,7 @@ impl Harness {
     /// With a summary naming the failed cells if any failed, after the
     /// whole batch has executed.
     pub(crate) fn resolve_strict<C: Cell>(&self, jobs: &[C]) -> Vec<C::Output> {
-        let ids: Vec<JobId> = jobs.iter().map(C::id).collect();
-        let outcomes = self.resolve(jobs, &ids);
+        let outcomes = self.resolve(jobs, &C::ids(jobs));
         let mut failed: Vec<String> = Vec::new();
         for (job, outcome) in jobs.iter().zip(&outcomes) {
             if let Some(reason) = outcome.failure() {
@@ -489,7 +489,7 @@ impl Harness {
                             Outcome::Ok(result) | Outcome::Retried(result) => {
                                 if let Some(store) = &self.store {
                                     // Cache-write failure loses only incrementality.
-                                    let _ = cell.save(store, result);
+                                    let _ = cell.save(store, pending[i].id, result);
                                 }
                                 Event::JobFinished {
                                     label: cell.label(),

@@ -81,6 +81,73 @@ pub(crate) fn fnv1a64_fmt(args: fmt::Arguments<'_>) -> u64 {
     h.finish()
 }
 
+/// The first piece of a cell's canonical string `"{tag}|{spec:?}|{pf:?}"`:
+/// `"{tag}|{spec:?}|"`, shared by every cell of one spec. [`write_pf`]
+/// writes the rest. The two are the one definition of the layout behind
+/// [`Job`] and [`crate::CmpJob`] canonical strings and ids.
+fn write_spec_prefix(out: &mut impl fmt::Write, tag: &str, spec: &impl fmt::Debug) {
+    // `Fnv64` and `String` never fail, and the specs' `Debug` impls
+    // are derived, so formatting cannot fail either.
+    let _ = write!(out, "{tag}|{spec:?}|");
+}
+
+/// The second piece of a canonical string: the prefetcher's `Debug` text.
+fn write_pf(out: &mut impl fmt::Write, pf: &PrefetcherSpec) {
+    let _ = write!(out, "{pf:?}");
+}
+
+/// The canonical string of the cell `(spec, pf)` under schema `tag`.
+pub(crate) fn canonical(tag: &str, spec: &impl fmt::Debug, pf: &PrefetcherSpec) -> String {
+    let mut s = String::new();
+    write_spec_prefix(&mut s, tag, spec);
+    write_pf(&mut s, pf);
+    s
+}
+
+/// Hashes a sequence of cells' canonical strings, streaming the
+/// `"{tag}|{spec:?}|"` prefix into [`Fnv64`] once per run of consecutive
+/// cells whose specs compare `==`: each cell clones that hash state and
+/// streams only its prefetcher's `Debug` text (~160 B against a
+/// 1.5–2.4 KB spec). The ids equal [`fnv1a64`] of the full strings.
+///
+/// Precondition: specs that compare `==` must format identically. This
+/// is the no-NaN, no-−0.0 float invariant [`Job::canonical`] already
+/// relies on (`0.0 == -0.0` but they print differently); a debug build
+/// checks every id against a hash of the full string.
+pub(crate) struct IdHasher<'a, S> {
+    tag: &'static str,
+    /// The last spec hashed and the hash state after its prefix.
+    prefix: Option<(&'a S, Fnv64)>,
+}
+
+impl<'a, S: fmt::Debug + PartialEq> IdHasher<'a, S> {
+    /// A hasher for cells under schema `tag`.
+    pub(crate) fn new(tag: &'static str) -> Self {
+        IdHasher { tag, prefix: None }
+    }
+
+    /// The id of the cell `(spec, pf)`.
+    pub(crate) fn id(&mut self, spec: &'a S, pf: &PrefetcherSpec) -> JobId {
+        let mut h = match &self.prefix {
+            Some((last, prefix)) if *last == spec => prefix.clone(),
+            _ => {
+                let mut prefix = Fnv64::new();
+                write_spec_prefix(&mut prefix, self.tag, spec);
+                self.prefix = Some((spec, prefix.clone()));
+                prefix
+            }
+        };
+        write_pf(&mut h, pf);
+        let id = JobId(h.finish());
+        debug_assert_eq!(
+            id,
+            JobId(fnv1a64(canonical(self.tag, spec, pf).as_bytes())),
+            "specs that compare equal formatted differently"
+        );
+        id
+    }
+}
+
 /// A job's stable identity: the FNV-1a hash of its canonical string.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobId(pub u64);
@@ -117,23 +184,24 @@ impl Job {
     /// collisions.
     #[must_use]
     pub fn canonical(&self) -> String {
-        self.canonical_args(fmt::format)
+        canonical(CANON_VERSION, &self.spec, &self.pf)
     }
 
     /// The job's content hash: [`fnv1a64`] of [`Job::canonical`],
     /// streamed into the hasher instead of formatted into a `String`.
     #[must_use]
     pub fn id(&self) -> JobId {
-        JobId(self.canonical_args(fnv1a64_fmt))
+        IdHasher::new(CANON_VERSION).id(&self.spec, &self.pf)
     }
 
-    /// Hands the canonical string's pieces to `f` — the one definition
-    /// both [`Job::canonical`] and [`Job::id`] render.
-    fn canonical_args<R>(&self, f: impl FnOnce(fmt::Arguments<'_>) -> R) -> R {
-        f(format_args!(
-            "{CANON_VERSION}|{:?}|{:?}",
-            self.spec, self.pf
-        ))
+    /// Every job's [`Job::id`], in order, hashing each run of
+    /// consecutive jobs with equal specs' shared prefix once (see
+    /// [`IdHasher`]). A workload-major sweep grid hashes its `RunSpec`
+    /// once per workload instead of once per cell.
+    #[must_use]
+    pub fn ids(jobs: &[Job]) -> Vec<JobId> {
+        let mut h = IdHasher::new(CANON_VERSION);
+        jobs.iter().map(|j| h.id(&j.spec, &j.pf)).collect()
     }
 
     /// Hash identifying the *trace* this job replays: workload, seed and

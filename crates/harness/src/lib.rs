@@ -96,7 +96,7 @@ pub use crate::source::{est_pre_bytes, seg_records_for_budget, DEFAULT_MEM_BUDGE
 pub use crate::store::{
     store_footprint, CacheRead, ResultStore, StoreClassFootprint, StoreFootprint,
 };
-pub use crate::telemetry::{Event, EventBus, Progress, ResultSource, RunSummary};
+pub use crate::telemetry::{Event, EventBus, Progress, ResultSource, RunSummary, Subscription};
 
 /// Poison-recovering lock. A panic inside a worker is caught and
 /// converted to an [`Outcome::Failed`], but if one ever unwinds while
@@ -392,10 +392,9 @@ impl Harness {
     /// A `Job` over a CMP per-core workload (`addr_space != 0`) fails
     /// up front with an error naming [`Harness::run_cmp`] as the route.
     pub fn run_outcomes(&self, jobs: &[Job]) -> Vec<JobOutcome> {
-        // Hash each job once; dedupe, the memo pass and the final
-        // submission-order map all reuse these ids.
-        let ids: Vec<JobId> = jobs.iter().map(Job::id).collect();
-        self.resolve(jobs, &ids)
+        // Hash each job once; dedupe, the memo pass, the store and the
+        // final submission-order map all reuse these ids.
+        self.resolve(jobs, &Job::ids(jobs))
     }
 
     /// The labels and panic reasons of every job that failed so far,
@@ -428,12 +427,11 @@ impl Harness {
     /// [`results_doc_cmp`].
     pub fn run_cmp_outcomes(&self, jobs: &[CmpJob]) -> Vec<CmpOutcome> {
         // One hash per job, reused as in `run_outcomes`.
-        let ids: Vec<JobId> = jobs.iter().map(CmpJob::id).collect();
-        self.resolve(jobs, &ids)
+        self.resolve(jobs, &CmpJob::ids(jobs))
     }
 
     /// [`Harness::run_cmp_outcomes`] for a caller that already holds
-    /// each job's id (`ids[i] == jobs[i].id()`), such as a daemon that
+    /// each job's id (`ids == CmpJob::ids(jobs)`), such as a daemon that
     /// hashed the cells to dedupe a request.
     ///
     /// # Panics

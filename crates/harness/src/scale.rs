@@ -33,6 +33,13 @@ pub struct Scale {
 }
 
 impl Scale {
+    /// The largest scale denominator: at `den` 128 the 32 KB 4-way L1s
+    /// shrink to a single set, and at 256 they would hold less than
+    /// one. The machine and every roster prefetcher build at every
+    /// power of two up to it; [`SimConfig::scaled_down`] rejects any
+    /// other `den`.
+    pub const MAX_DEN: u64 = 128;
+
     /// Fast CI-sized runs (1/16 machine).
     pub const fn quick() -> Self {
         Scale {

@@ -172,17 +172,13 @@ impl ResultStore {
     /// The on-disk path of `job`'s entry (sharded layout). The file may
     /// or may not exist.
     pub fn entry_path(&self, job: &Job) -> PathBuf {
-        let name = format!("{}.json", job.id());
+        self.entry_path_of(job.id())
+    }
+
+    /// [`ResultStore::entry_path`] of the job with id `id`.
+    fn entry_path_of(&self, id: JobId) -> PathBuf {
+        let name = format!("{id}.json");
         self.dir.join(shard_of(&name)).join(name)
-    }
-
-    fn path_for(&self, job: &Job) -> PathBuf {
-        self.entry_path(job)
-    }
-
-    /// The legacy flat path entries lived at before sharding.
-    fn flat_path_for(&self, job: &Job) -> PathBuf {
-        self.dir.join(format!("{}.json", job.id()))
     }
 
     /// Loads the cached result for `job`, if present and valid.
@@ -198,14 +194,21 @@ impl ResultStore {
     /// entry, which is quarantined (renamed to `<id>.json.corrupt`) so
     /// the caller can log it and transparently re-run the job.
     pub fn load_checked(&self, job: &Job) -> CacheRead<SimResult> {
-        let sharded = self.path_for(job);
+        self.load_checked_id(job, job.id())
+    }
+
+    /// [`ResultStore::load_checked`] for a caller that already holds
+    /// the job's id (`id == job.id()`): the executor, which hashed the
+    /// whole batch up front.
+    pub(crate) fn load_checked_id(&self, job: &Job, id: JobId) -> CacheRead<SimResult> {
+        let sharded = self.entry_path_of(id);
         let (path, text) = match fs::read_to_string(&sharded) {
             Ok(text) => (sharded, text),
             Err(_) => {
                 // Read-through migration: a process running pre-sharding
                 // code may have written a flat entry after this store
                 // was opened and swept. Move it home, best effort.
-                let flat = self.flat_path_for(job);
+                let flat = self.dir.join(format!("{id}.json"));
                 let Ok(text) = fs::read_to_string(&flat) else {
                     return CacheRead::Miss;
                 };
@@ -240,10 +243,16 @@ impl ResultStore {
     /// Propagates I/O failures; callers may treat them as non-fatal
     /// (the run still succeeded, only the cache write was lost).
     pub fn save(&self, job: &Job, result: &SimResult) -> io::Result<()> {
+        self.save_id(job, job.id(), result)
+    }
+
+    /// [`ResultStore::save`] for a caller that already holds the job's
+    /// id (`id == job.id()`).
+    pub(crate) fn save_id(&self, job: &Job, id: JobId, result: &SimResult) -> io::Result<()> {
         write_entry(
-            &self.path_for(job),
+            &self.entry_path_of(id),
             SCHEMA,
-            job.id(),
+            id,
             job.canonical(),
             result_checksum(result),
             result_to_json(result),

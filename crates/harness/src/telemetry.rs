@@ -16,6 +16,8 @@
 //! every write and keeps the clear-and-redraw math globally right.
 
 use std::io::Write;
+use std::ops::Deref;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::Duration;
 
@@ -88,16 +90,19 @@ pub enum Event {
 /// Fan-out subscriber bus for telemetry events.
 ///
 /// Subscribers receive a clone of every event published after they
-/// subscribed, over their own `mpsc` channel. A dropped receiver is
-/// pruned on the next publish, so transient subscribers (a client
-/// connection that hung up mid-sweep) cost nothing after they go away.
+/// subscribed, over their own `mpsc` channel. A [`Subscription`]
+/// deregisters itself when dropped, so transient subscribers (one per
+/// submit to a long-lived daemon, or a client connection that hung up
+/// mid-sweep) cost nothing after they go away — even when nothing is
+/// ever published, as on a warm daemon answering from its memo.
 ///
 /// This is the seam the sweep service forwards live telemetry through:
 /// each client connection subscribes, filters for the labels of its own
 /// sweep, and streams the events down its socket.
 #[derive(Debug, Default)]
 pub struct EventBus {
-    subs: Mutex<Vec<mpsc::Sender<Event>>>,
+    subs: Mutex<Vec<(u64, mpsc::Sender<Event>)>>,
+    next_key: AtomicU64,
 }
 
 impl EventBus {
@@ -107,22 +112,49 @@ impl EventBus {
     }
 
     /// Registers a subscriber; every event published from now on is
-    /// delivered to the returned receiver until it is dropped.
-    pub fn subscribe(&self) -> mpsc::Receiver<Event> {
+    /// delivered to the returned subscription until it is dropped.
+    pub fn subscribe(&self) -> Subscription<'_> {
         let (tx, rx) = mpsc::channel();
-        lock(&self.subs).push(tx);
-        rx
+        let key = self.next_key.fetch_add(1, Ordering::Relaxed);
+        lock(&self.subs).push((key, tx));
+        Subscription { bus: self, key, rx }
     }
 
-    /// Publishes one event to every live subscriber, pruning the dead.
+    /// Publishes one event to every live subscriber.
     pub fn publish(&self, ev: &Event) {
-        lock(&self.subs).retain(|tx| tx.send(ev.clone()).is_ok());
+        for (_, tx) in lock(&self.subs).iter() {
+            // Subscriptions deregister before their receiver drops, so
+            // a send cannot fail.
+            let _ = tx.send(ev.clone());
+        }
     }
 
-    /// Live subscriber count (dead subscribers linger until the next
-    /// publish prunes them).
+    /// Live subscriber count.
     pub fn subscriber_count(&self) -> usize {
         lock(&self.subs).len()
+    }
+}
+
+/// One subscriber's end of an [`EventBus`]: derefs to the receiver of
+/// its events, and removes itself from the bus when dropped.
+#[derive(Debug)]
+pub struct Subscription<'a> {
+    bus: &'a EventBus,
+    key: u64,
+    rx: mpsc::Receiver<Event>,
+}
+
+impl Deref for Subscription<'_> {
+    type Target = mpsc::Receiver<Event>;
+
+    fn deref(&self) -> &mpsc::Receiver<Event> {
+        &self.rx
+    }
+}
+
+impl Drop for Subscription<'_> {
+    fn drop(&mut self) {
+        lock(&self.bus.subs).retain(|(key, _)| *key != self.key);
     }
 }
 
@@ -415,6 +447,24 @@ mod tests {
         });
         assert_eq!(bus.subscriber_count(), 1, "dead subscriber must be pruned");
         assert!(matches!(b.try_recv(), Ok(Event::JobFinished { .. })));
+    }
+
+    #[test]
+    fn dropped_subscriptions_deregister_without_a_publish() {
+        // A warm daemon subscribes once per submit and may never
+        // publish: the count must track live subscriptions anyway.
+        let bus = EventBus::new();
+        let kept = [bus.subscribe(), bus.subscribe()];
+        for _ in 0..1000 {
+            let sub = bus.subscribe();
+            assert_eq!(bus.subscriber_count(), kept.len() + 1);
+            drop(sub);
+        }
+        assert_eq!(bus.subscriber_count(), kept.len());
+        bus.publish(&Event::JobStarted { label: "y".into() });
+        for rx in &kept {
+            assert!(matches!(rx.try_recv(), Ok(Event::JobStarted { .. })));
+        }
     }
 
     /// A `Write` capturing into a shared buffer, so tests can inspect

@@ -146,3 +146,50 @@ fn pinned_ids_keep_older_stores_addressable() {
         .expect("the grid has database-mix@2c x ebcp");
     assert_eq!(cmp.id().to_string(), "333ec4d3eafe3f21");
 }
+
+/// `Job::ids` and `CmpJob::ids` hash each run of equal specs' shared
+/// prefix once; whatever the order, they must equal the per-job ids.
+fn assert_batch_ids_match<J>(jobs: &[J], batch: fn(&[J]) -> Vec<JobId>, one: fn(&J) -> JobId) {
+    let expected: Vec<JobId> = jobs.iter().map(one).collect();
+    assert_eq!(batch(jobs), expected);
+}
+
+/// The orders a batch can arrive in: as built (runs of equal specs),
+/// prefetcher-major (the spec changes on every cell), every cell twice
+/// in a row, the grid followed by itself reversed (specs interleave at
+/// the seam and repeat far apart), one cell, and none.
+fn orders<J: Clone>(grid: &[J], per_spec: usize) -> Vec<Vec<J>> {
+    let specs = grid.len() / per_spec;
+    let pf_major: Vec<J> = (0..per_spec)
+        .flat_map(|p| (0..specs).map(move |s| s * per_spec + p))
+        .map(|i| grid[i].clone())
+        .collect();
+    let doubled: Vec<J> = grid.iter().flat_map(|j| [j.clone(), j.clone()]).collect();
+    let mirrored: Vec<J> = grid.iter().chain(grid.iter().rev()).cloned().collect();
+    vec![
+        grid.to_vec(),
+        pf_major,
+        doubled,
+        mirrored,
+        grid[..1].to_vec(),
+        Vec::new(),
+    ]
+}
+
+#[test]
+fn batch_ids_equal_per_job_ids_in_any_order() {
+    let scale = Scale::quick();
+    let grid = single_core_grid(&scale);
+    assert_eq!(grid.len(), 5 * 15);
+    for jobs in orders(&grid, 15) {
+        assert_batch_ids_match(&jobs, Job::ids, Job::id);
+    }
+    let cmp = cmp_grid(&scale);
+    for cores in [1, 2, 4] {
+        let at: Vec<CmpJob> = cmp.iter().filter(|j| j.cores() == cores).cloned().collect();
+        assert_eq!(at.len(), 5 * 15);
+        for jobs in orders(&at, 15) {
+            assert_batch_ids_match(&jobs, CmpJob::ids, CmpJob::id);
+        }
+    }
+}

@@ -15,7 +15,9 @@ use std::net::TcpStream;
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
 
-use ebcp_harness::{results_doc_cmp, CmpResultRow, JobId, ResultRow, ServiceStatus, Value};
+use ebcp_harness::{
+    results_doc_cmp, CmpJob, CmpResultRow, Job, JobId, ResultRow, ServiceStatus, Value,
+};
 
 use crate::proto::{read_message, request_shutdown, request_status, request_submit, Conn, Message};
 use crate::sweep::SweepSpec;
@@ -124,15 +126,19 @@ impl Client {
         sweep: &SweepSpec,
         mut on_event: impl FnMut(&Message),
     ) -> io::Result<SweepOutcome> {
+        // Expanding the grid refuses a bad name before anything is
+        // sent; hashing waits until the request is on the wire, so it
+        // overlaps the daemon's own expansion and hashing.
         let jobs = sweep.jobs().map_err(bad_input)?;
         let cmp_jobs = sweep.cmp_jobs().map_err(bad_input)?;
+        self.conn.send(&request_submit(sweep.to_value()))?;
+
         // Submission-ordered unique identity rows, as a local run's
         // results.json would list them. Each job is hashed once; the
         // id sets dedupe here and validate streamed cells below.
         let mut ids: HashSet<JobId> = HashSet::with_capacity(jobs.len());
         let mut order: Vec<(JobId, String, String)> = Vec::new();
-        for job in &jobs {
-            let id = job.id();
+        for (job, id) in jobs.iter().zip(Job::ids(&jobs)) {
             if ids.insert(id) {
                 order.push((
                     id,
@@ -144,8 +150,7 @@ impl Client {
         // (id, cell name, prefetcher, cores) per unique CMP cell.
         let mut cmp_ids: HashSet<JobId> = HashSet::with_capacity(cmp_jobs.len());
         let mut cmp_order: Vec<(JobId, String, String, u64)> = Vec::new();
-        for job in &cmp_jobs {
-            let id = job.id();
+        for (job, id) in cmp_jobs.iter().zip(CmpJob::ids(&cmp_jobs)) {
             if cmp_ids.insert(id) {
                 cmp_order.push((
                     id,
@@ -155,7 +160,6 @@ impl Client {
                 ));
             }
         }
-        self.conn.send(&request_submit(sweep.to_value()))?;
 
         let mut cells: HashMap<JobId, ResultRow> = HashMap::new();
         let mut cmp_cells: HashMap<JobId, CmpResultRow> = HashMap::new();

@@ -306,23 +306,24 @@ impl Server {
                 Err(reason) => return conn.send(&resp_error(&reason)),
             };
         let submitted = jobs.len() + cmp_jobs.len();
-        // Each job is hashed once, here: the queue and the CMP runner
-        // take these ids, completions route back to their job through
+        // Each job is hashed once, here, each spec's shared prefix once
+        // per run of equal specs: the queue and the CMP runner take
+        // these ids, completions route back to their job through
         // `slot_of`, and CMP rows reuse `cmp_ids`.
+        let ids = Job::ids(&jobs);
         let mut slot_of: HashMap<JobId, usize> = HashMap::with_capacity(jobs.len());
         let mut unique: Vec<(JobId, Job)> = Vec::new();
-        for job in jobs {
-            let id = job.id();
+        for (job, id) in jobs.into_iter().zip(ids) {
             if let Entry::Vacant(slot) = slot_of.entry(id) {
                 slot.insert(unique.len());
                 unique.push((id, job));
             }
         }
+        let all_cmp_ids = CmpJob::ids(&cmp_jobs);
         let mut seen_cmp = HashSet::with_capacity(cmp_jobs.len());
         let mut cmp_ids: Vec<JobId> = Vec::new();
         let mut unique_cmp: Vec<CmpJob> = Vec::new();
-        for job in cmp_jobs {
-            let id = job.id();
+        for (job, id) in cmp_jobs.into_iter().zip(all_cmp_ids) {
             if seen_cmp.insert(id) {
                 cmp_ids.push(id);
                 unique_cmp.push(job);

@@ -188,7 +188,9 @@ impl SweepSpec {
     ///
     /// # Errors
     ///
-    /// A missing or mistyped field.
+    /// A missing or mistyped field, or a scale `den` that is not a power
+    /// of two in `1..=`[`Scale::MAX_DEN`] (the machine cannot be built
+    /// at any other).
     pub fn from_value(v: &Value) -> Result<Self, String> {
         let strs = |key: &str| -> Result<Vec<String>, String> {
             v.get(key)
@@ -223,12 +225,19 @@ impl SweepSpec {
                 })
                 .collect::<Result<_, _>>()?,
         };
+        let den = num("den")?;
+        if !den.is_power_of_two() || den > Scale::MAX_DEN {
+            return Err(format!(
+                "scale den {den} is not a power of two in 1..={}",
+                Scale::MAX_DEN
+            ));
+        }
         Ok(SweepSpec {
             workloads: strs("workloads")?,
             prefetchers: strs("prefetchers")?,
             cores,
             scale: Scale {
-                den: num("den")?,
+                den,
                 warm_tenths: num("warm_tenths")?,
                 measure_tenths: num("measure_tenths")?,
                 seed: num("seed")?,
@@ -315,27 +324,31 @@ mod tests {
         assert!(s.cmp_jobs().unwrap_err().contains("1..=64"));
     }
 
+    /// Every name [`SweepSpec::resolve_prefetcher`] knows, plus
+    /// compositions with the off-chip filter.
+    const ROSTER: [&str; 17] = [
+        "none",
+        "ebcp",
+        "ebcp-minus",
+        "fault",
+        "ghb-small",
+        "ghb-large",
+        "tcp-small",
+        "tcp-large",
+        "stream",
+        "sms",
+        "solihin-3,2",
+        "solihin-6,1",
+        "triangel",
+        "amc",
+        "ebcp+nof",
+        "stream+nof",
+        "triangel+nof",
+    ];
+
     #[test]
     fn every_roster_name_resolves() {
-        for n in [
-            "none",
-            "ebcp",
-            "ebcp-minus",
-            "fault",
-            "ghb-small",
-            "ghb-large",
-            "tcp-small",
-            "tcp-large",
-            "stream",
-            "sms",
-            "solihin-3,2",
-            "solihin-6,1",
-            "triangel",
-            "amc",
-            "ebcp+nof",
-            "stream+nof",
-            "triangel+nof",
-        ] {
+        for n in ROSTER {
             let pf = SweepSpec::resolve_prefetcher(n, &Scale::quick()).unwrap();
             assert_eq!(pf.name(), n);
         }
@@ -365,5 +378,47 @@ mod tests {
         let a: Vec<_> = jobs.iter().map(Job::id).collect();
         let b: Vec<_> = back.jobs().unwrap().iter().map(Job::id).collect();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn max_den_is_the_largest_scale_the_machine_and_roster_build_at() {
+        let scale = Scale {
+            den: Scale::MAX_DEN,
+            ..Scale::quick()
+        };
+        let _ = scale.machine();
+        for n in ROSTER {
+            let pf = SweepSpec::resolve_prefetcher(n, &scale).unwrap();
+            assert_eq!(pf.build().name(), n);
+        }
+        let s = SweepSpec {
+            workloads: scale.workloads_all().into_iter().map(|w| w.name).collect(),
+            prefetchers: vec!["none".into(), "ebcp".into()],
+            cores: vec![1, 64],
+            scale,
+        };
+        assert_eq!(s.jobs().unwrap().len(), 5 * 2);
+        assert_eq!(s.cmp_jobs().unwrap().len(), 5 * 2 * 2);
+        // One power of two further and the L1s hold less than one set.
+        let beyond = Scale {
+            den: Scale::MAX_DEN * 2,
+            ..scale
+        };
+        assert!(std::panic::catch_unwind(|| beyond.machine()).is_err());
+    }
+
+    #[test]
+    fn scale_den_outside_the_buildable_range_is_rejected() {
+        for den in [0, 3, 96, Scale::MAX_DEN * 2, 1 << 40] {
+            let mut s = sweep();
+            s.scale.den = den;
+            let err = SweepSpec::from_value(&s.to_value()).unwrap_err();
+            assert!(err.contains("scale den"), "den {den}: {err}");
+        }
+        for den in [1, 16, Scale::MAX_DEN] {
+            let mut s = sweep();
+            s.scale.den = den;
+            assert_eq!(SweepSpec::from_value(&s.to_value()).unwrap(), s);
+        }
     }
 }

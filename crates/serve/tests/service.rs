@@ -537,3 +537,96 @@ fn streamed_cell_lines_equal_the_reference_encoding_of_their_rows() {
     d.server.stop();
     d.runner.join().unwrap().unwrap();
 }
+
+/// Reads lines from `rd` until one is an `event` line other than
+/// `telemetry` or `accepted`, and returns that line's tree; cell lines
+/// are counted into `cells`.
+fn read_until_final_event(rd: &mut impl std::io::BufRead, cells: &mut usize) -> Value {
+    use ebcp_serve::proto::read_message;
+    let mut line = String::new();
+    loop {
+        line.clear();
+        assert!(rd.read_line(&mut line).unwrap() > 0, "daemon hung up");
+        match read_message(line.trim()).unwrap() {
+            Message::Cell(_) | Message::CmpCell(_) => *cells += 1,
+            Message::Event(v) => match v.get("event").and_then(Value::as_str) {
+                Some("telemetry" | "accepted") => {}
+                _ => return v,
+            },
+        }
+    }
+}
+
+/// A scale the machine cannot be built at is refused with an `error`
+/// line before any grid expansion, and the connection stays usable: the
+/// next submit on it completes.
+#[test]
+fn hostile_scale_den_gets_an_error_line_and_the_connection_keeps_serving() {
+    use ebcp_serve::proto::request_submit;
+    use std::io::{BufReader, Write};
+
+    let d = daemon(1, 64);
+    let raw_addr = d.addr.strip_prefix("tcp:").unwrap().to_string();
+    let mut sock = std::net::TcpStream::connect(&raw_addr).unwrap();
+    let mut rd = BufReader::new(sock.try_clone().unwrap());
+    for den in [0, 1 << 40] {
+        let mut bad = sweep(&["database"], &["none"]);
+        bad.scale.den = den;
+        let mut request = request_submit(bad.to_value()).to_json();
+        request.push('\n');
+        sock.write_all(request.as_bytes()).unwrap();
+        let v = read_until_final_event(&mut rd, &mut 0);
+        assert_eq!(v.get("event").and_then(Value::as_str), Some("error"));
+        let reason = v.get("reason").and_then(Value::as_str).unwrap_or_default();
+        assert!(reason.contains("scale den"), "den {den}: {reason}");
+    }
+    let mut request = request_submit(sweep(&["database"], &["none", "ebcp"]).to_value()).to_json();
+    request.push('\n');
+    sock.write_all(request.as_bytes()).unwrap();
+    let mut cells = 0;
+    let v = read_until_final_event(&mut rd, &mut cells);
+    assert_eq!(v.get("event").and_then(Value::as_str), Some("done"));
+    let summary = v.get("summary").expect("done carries a summary");
+    assert_eq!(summary.get("failed").and_then(Value::as_u64), Some(0));
+    assert_eq!(cells, 2);
+
+    drop((rd, sock));
+    d.server.stop();
+    d.runner.join().unwrap().unwrap();
+}
+
+/// Every non-blank proper prefix of a valid submit line, sent as a line
+/// of its own, is answered with an `error` line, and the daemon goes on
+/// serving: a truncated request never panics a handler or hangs it.
+#[test]
+fn every_truncated_submit_line_gets_an_error_line() {
+    use ebcp_serve::proto::request_submit;
+    use std::io::{BufRead, BufReader, Write};
+
+    let d = daemon(1, 64);
+    let raw_addr = d.addr.strip_prefix("tcp:").unwrap().to_string();
+    let mut spec = sweep(&["database"], &["none"]);
+    spec.cores = vec![2];
+    let request = request_submit(spec.to_value()).to_json();
+    for end in 1..request.len() {
+        let mut sock = std::net::TcpStream::connect(&raw_addr).unwrap();
+        sock.write_all(format!("{}\n", &request[..end]).as_bytes())
+            .unwrap();
+        let mut reply = String::new();
+        BufReader::new(sock).read_line(&mut reply).unwrap();
+        let v = ebcp_harness::json::parse(&reply)
+            .unwrap_or_else(|e| panic!("prefix {:?}: reply {reply:?}: {e}", &request[..end]));
+        assert_eq!(
+            v.get("event").and_then(Value::as_str),
+            Some("error"),
+            "prefix {:?}",
+            &request[..end]
+        );
+    }
+    // The daemon survived every one and still serves the whole line.
+    let mut client = Client::connect(&d.addr).unwrap();
+    let outcome = client.submit(&spec, |_| {}).unwrap();
+    assert!(matches!(outcome, SweepOutcome::Done { failed: 0, .. }));
+    client.shutdown().unwrap();
+    d.runner.join().unwrap().unwrap();
+}
