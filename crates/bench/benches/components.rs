@@ -1,13 +1,18 @@
 //! Component microbenchmarks: cache, prefetch buffer, correlation
-//! table, trace generation, raw engine throughput and job hashing.
+//! table, trace generation, raw engine throughput, job hashing and
+//! warm reads from the result store.
+
+use std::path::{Path, PathBuf};
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use ebcp_bench::service::serve_grid;
+use ebcp_bench::throughput::sweep_roster;
 use ebcp_core::CorrelationTable;
-use ebcp_harness::{CmpJob, Job, Scale};
+use ebcp_harness::{results_doc, CmpJob, Harness, HarnessConfig, Job, ResultStore, Scale};
 use ebcp_mem::{CacheGeometry, PrefetchBuffer, SetAssocCache};
 use ebcp_prefetch::NullPrefetcher;
-use ebcp_sim::{Engine, SimConfig};
+use ebcp_serve::SweepSpec;
+use ebcp_sim::{Engine, PrefetcherSpec, SimConfig};
 use ebcp_trace::{TraceGenerator, WorkloadSpec};
 use ebcp_types::LineAddr;
 
@@ -126,10 +131,94 @@ fn bench_job_ids(c: &mut Criterion) {
     g.finish();
 }
 
+/// A two-worker harness over the store at `dir`.
+fn store_harness(dir: &Path) -> Harness {
+    Harness::new(HarnessConfig {
+        jobs: 2,
+        store_dir: Some(dir.to_path_buf()),
+        ..HarnessConfig::default()
+    })
+}
+
+/// A scratch store directory holding every result of `jobs` and `cmp`,
+/// simulated once.
+fn warm_store(tag: &str, jobs: &[Job], cmp: &[CmpJob]) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("ebcp-bench-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let h = store_harness(&dir);
+    h.run(jobs);
+    h.run_cmp(cmp);
+    dir
+}
+
+/// Warm answers from the result store. On the serve grid (75 jobs, 75
+/// two-core CMP cells): one integrity-checked load per cell, against a
+/// fresh harness resolving the whole grid from the store (store open,
+/// classify, probe, fold). On the 30-cell grid of perfbench's
+/// `long-trace-cached` (database and graph at 3x quick length, seed
+/// 11): a fresh harness's warm re-sweep, and the pretty `results.json`
+/// document of its rows.
+fn bench_store_reads(c: &mut Criterion) {
+    let grid = serve_grid(Scale::quick());
+    let jobs = grid.jobs().expect("the serve grid expands");
+    let cmp = grid.cmp_jobs().expect("the serve grid expands");
+    let serve_dir = warm_store("serve", &jobs, &cmp);
+    let q = Scale::quick();
+    let long = SweepSpec {
+        workloads: vec!["database".into(), "graph".into()],
+        prefetchers: sweep_roster(q).iter().map(PrefetcherSpec::name).collect(),
+        cores: Vec::new(),
+        scale: Scale {
+            warm_tenths: q.warm_tenths * 3,
+            measure_tenths: q.measure_tenths * 3,
+            seed: 11,
+            ..q
+        },
+    }
+    .jobs()
+    .expect("the roster names resolve");
+    let long_dir = warm_store("long", &long, &[]);
+
+    let mut g = c.benchmark_group("store_reads");
+    g.sample_size(30);
+    g.bench_function("per_cell_load_checked_serve_grid", |b| {
+        let store = ResultStore::open(&serve_dir).expect("the store opens");
+        b.iter(|| {
+            let hits = jobs
+                .iter()
+                .filter_map(|j| store.load_checked(j).into_hit())
+                .count();
+            hits + cmp
+                .iter()
+                .filter_map(|j| store.load_checked_cmp(j).into_hit())
+                .count()
+        });
+    });
+    g.bench_function("batch_resolve_serve_grid", |b| {
+        b.iter(|| {
+            let h = store_harness(&serve_dir);
+            (h.run_outcomes(&jobs), h.run_cmp_outcomes(&cmp))
+        });
+    });
+    g.bench_function("batch_resolve_long_grid", |b| {
+        b.iter(|| store_harness(&long_dir).run_outcomes(&long));
+    });
+    let h = store_harness(&long_dir);
+    h.run_outcomes(&long);
+    assert_eq!(h.summary().executed, 0, "the long grid reads warm");
+    let rows = h.result_rows();
+    g.bench_function("results_doc_pretty_long_grid", |b| {
+        b.iter(|| results_doc(long.len(), &rows).to_json_pretty());
+    });
+    g.finish();
+    let _ = std::fs::remove_dir_all(&serve_dir);
+    let _ = std::fs::remove_dir_all(&long_dir);
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_cache, bench_prefetch_buffer, bench_correlation_table, bench_generator, bench_engine,
-        bench_job_ids
+        bench_job_ids, bench_store_reads
 }
 criterion_main!(benches);

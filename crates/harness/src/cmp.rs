@@ -211,12 +211,13 @@ impl ResultStore {
     /// [`ResultStore::load_checked`]: valid hit, plain miss (absent /
     /// stale schema / hash collision), or quarantined corruption.
     pub fn load_checked_cmp(&self, job: &CmpJob) -> CacheRead<CmpResult> {
-        self.load_checked_cmp_id(job, job.id())
+        self.load_checked_cmp_id(job.id(), &job.canonical())
     }
 
     /// [`ResultStore::load_checked_cmp`] for a caller that already holds
-    /// the job's id (`id == job.id()`).
-    pub(crate) fn load_checked_cmp_id(&self, job: &CmpJob, id: JobId) -> CacheRead<CmpResult> {
+    /// the job's id and canonical string (`id == job.id()`,
+    /// `canonical == job.canonical()`).
+    pub(crate) fn load_checked_cmp_id(&self, id: JobId, canonical: &str) -> CacheRead<CmpResult> {
         let path = self.cmp_entry_path_of(id);
         let Ok(text) = fs::read_to_string(&path) else {
             return CacheRead::Miss;
@@ -225,7 +226,7 @@ impl ResultStore {
             path,
             &text,
             CMP_SCHEMA,
-            &job.canonical(),
+            canonical,
             read_cmp_result,
             cmp_checksum,
         )

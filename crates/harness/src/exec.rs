@@ -11,19 +11,21 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 use ebcp_sim::frontend::{PreBlock, PreResolved};
 use ebcp_sim::{resolve_blocks, run_preresolved_blocks, run_preresolved_blocks_many};
-use ebcp_sim::{CmpResult, PrefetcherSpec, SimResult};
+use ebcp_sim::{CmpResult, CmpSpec, PrefetcherSpec, RunSpec, SimResult};
 use ebcp_trace::{Backing, ChunkSource, TraceGenerator};
 
+use crate::job::{CanonText, IdHasher, CANON_VERSION};
 use crate::{
-    lock, panic_reason, preres, source, traces, CacheRead, CmpJob, Event, Harness, Job, JobId,
-    JobRecord, Outcome, Progress, ResultSource, ResultStore,
+    cmp::CMP_CANON_VERSION, lock, panic_reason, preres, source, traces, CacheRead, CmpJob, Event,
+    Harness, Job, JobId, JobRecord, Outcome, Progress, ResultSource, ResultStore,
 };
 
 /// What the executor needs to know about one shape of cell.
@@ -31,14 +33,34 @@ pub(crate) trait Cell: fmt::Debug + PartialEq + Sync + Sized {
     /// The simulation result.
     type Output: Clone + Send;
 
+    /// The spec part of the canonical string, shared by a sweep row.
+    type Spec: fmt::Debug + PartialEq + Sync;
+
     /// The cell noun in messages: "job" or "CMP job".
     const NOUN: &'static str;
 
-    /// The schema tag a content-hash collision asks to bump.
+    /// The schema tag every canonical string starts with.
+    const TAG: &'static str;
+
+    /// The name of the constant holding [`Cell::TAG`], which a
+    /// content-hash collision asks to bump.
     const CANON: &'static str;
 
+    /// The cell's spec and prefetcher, the two parts of its canonical
+    /// string.
+    fn parts(&self) -> (&Self::Spec, &PrefetcherSpec);
+
     /// Every cell's content hash, in order (`Job::ids`/`CmpJob::ids`).
-    fn ids(cells: &[Self]) -> Vec<JobId>;
+    fn ids(cells: &[Self]) -> Vec<JobId> {
+        let mut h = IdHasher::new(Self::TAG);
+        cells
+            .iter()
+            .map(|cell| {
+                let (spec, pf) = cell.parts();
+                h.id(spec, pf)
+            })
+            .collect()
+    }
 
     /// Short human label for events and failure summaries.
     fn label(&self) -> String;
@@ -49,9 +71,10 @@ pub(crate) trait Cell: fmt::Debug + PartialEq + Sync + Sized {
     /// The harness memo this shape's outcomes live in.
     fn memo(h: &Harness) -> &Mutex<HashMap<JobId, Outcome<Self::Output>>>;
 
-    /// Integrity-checked load of the cell's store entry; `id` is the
-    /// cell's content hash, which names the entry's file.
-    fn load(&self, store: &ResultStore, id: JobId) -> CacheRead<Self::Output>;
+    /// Integrity-checked load of a cell's store entry: `id` is its
+    /// content hash, which names the entry's file, and `canonical` its
+    /// canonical string, which the collision guard compares.
+    fn load(store: &ResultStore, id: JobId, canonical: &str) -> CacheRead<Self::Output>;
 
     /// Persists a successful result under the cell's id `id`.
     fn save(&self, store: &ResultStore, id: JobId, result: &Self::Output) -> io::Result<()>;
@@ -93,6 +116,28 @@ pub(crate) struct Ctx<'a> {
     tx: &'a mpsc::Sender<Event>,
 }
 
+/// What [`Harness::resolve`] knows of a unique cell before its fold.
+enum Found<R> {
+    /// The memo held the cell's outcome when the batch was classified.
+    Memo,
+    /// The cell cannot run at all ([`Cell::reject`]).
+    Rejected(String),
+    /// The cell's store entry is still to be read.
+    Probe,
+    /// What the store entry read as.
+    Store(CacheRead<R>),
+}
+
+/// Store probes per thread before [`Harness::resolve`] reads a batch's
+/// entries on more than one thread. Measured on a 2-core shared host
+/// (DESIGN.md §2.8): a helper thread pays for its spawn and join, and
+/// for waking the idle core, which took ~0.1 ms when the host was quiet
+/// and up to several ms when it was busy. The 75 two-core CMP entries
+/// of the serve grid read a third to a half faster on two threads in
+/// both states; a 30-entry single-core re-sweep gained when the host
+/// was quiet and lost when it was busy, so it reads inline.
+const PROBES_PER_THREAD: usize = 32;
+
 /// A unique cell the memo and the store could not answer.
 struct Pending<'a, C> {
     id: JobId,
@@ -115,11 +160,13 @@ type Slot<R> = (Outcome<R>, u64, f64);
 
 impl Cell for Job {
     type Output = SimResult;
+    type Spec = RunSpec;
     const NOUN: &'static str = "job";
+    const TAG: &'static str = CANON_VERSION;
     const CANON: &'static str = "CANON_VERSION";
 
-    fn ids(cells: &[Job]) -> Vec<JobId> {
-        Job::ids(cells)
+    fn parts(&self) -> (&RunSpec, &PrefetcherSpec) {
+        (&self.spec, &self.pf)
     }
 
     fn label(&self) -> String {
@@ -134,8 +181,8 @@ impl Cell for Job {
         &h.memo
     }
 
-    fn load(&self, store: &ResultStore, id: JobId) -> CacheRead<SimResult> {
-        store.load_checked_id(self, id)
+    fn load(store: &ResultStore, id: JobId, canonical: &str) -> CacheRead<SimResult> {
+        store.load_checked_id(id, canonical)
     }
 
     fn save(&self, store: &ResultStore, id: JobId, result: &SimResult) -> io::Result<()> {
@@ -226,11 +273,13 @@ impl Cell for Job {
 
 impl Cell for CmpJob {
     type Output = CmpResult;
+    type Spec = CmpSpec;
     const NOUN: &'static str = "CMP job";
+    const TAG: &'static str = CMP_CANON_VERSION;
     const CANON: &'static str = "CMP_CANON_VERSION";
 
-    fn ids(cells: &[CmpJob]) -> Vec<JobId> {
-        CmpJob::ids(cells)
+    fn parts(&self) -> (&CmpSpec, &PrefetcherSpec) {
+        (&self.spec, &self.pf)
     }
 
     fn label(&self) -> String {
@@ -245,8 +294,8 @@ impl Cell for CmpJob {
         &h.cmp_memo
     }
 
-    fn load(&self, store: &ResultStore, id: JobId) -> CacheRead<CmpResult> {
-        store.load_checked_cmp_id(self, id)
+    fn load(store: &ResultStore, id: JobId, canonical: &str) -> CacheRead<CmpResult> {
+        store.load_checked_cmp_id(id, canonical)
     }
 
     fn save(&self, store: &ResultStore, id: JobId, result: &CmpResult) -> io::Result<()> {
@@ -302,9 +351,29 @@ impl Harness {
             }
         }
 
-        // Serve what the memo and the disk store already know; queue
-        // the rest. Each pending cell remembers its pre-created record
-        // so worker timing lands in submission order.
+        // Classify under the memo lock alone; the store is read with no
+        // harness lock held, so concurrent batches (the daemon's queue
+        // workers and its handler's CMP batch) read entries in parallel.
+        let mut found: Vec<Found<C::Output>> = {
+            let memo = lock(C::memo(self));
+            uniques
+                .iter()
+                .map(|&(id, cell)| {
+                    if memo.contains_key(&id) {
+                        Found::Memo
+                    } else {
+                        cell.reject().map_or(Found::Probe, Found::Rejected)
+                    }
+                })
+                .collect()
+        };
+        if let Some(store) = &self.store {
+            self.probe(store, &uniques, &mut found);
+        }
+
+        // Fold in submission order under the locks. Each pending cell
+        // remembers its pre-created record so worker timing lands in
+        // submission order.
         let mut pending: Vec<Pending<'_, C>> = Vec::new();
         {
             let mut memo = lock(C::memo(self));
@@ -312,56 +381,55 @@ impl Harness {
             let mut c = lock(&self.counters);
             c.submitted += jobs.len();
             c.unique += uniques.len();
-            for &(id, cell) in &uniques {
+            for (&(id, cell), found) in uniques.iter().zip(found) {
+                // A quarantine is reported even when another batch has
+                // filled the memo slot since: the entry was moved away.
+                let found = match found {
+                    Found::Store(CacheRead::Quarantined { path, reason }) => {
+                        c.quarantined += 1;
+                        let path = path.display().to_string();
+                        if self.cfg.progress {
+                            eprintln!(
+                                "warning: quarantined corrupt cache entry {path} \
+                                 ({reason}); re-running"
+                            );
+                        }
+                        self.bus.publish(&Event::CacheQuarantined { path, reason });
+                        Found::Store(CacheRead::Miss)
+                    }
+                    other => other,
+                };
                 let mut error = None;
                 let mut run = false;
-                let source = match memo.entry(id) {
-                    Entry::Occupied(_) => {
+                let source = match (memo.entry(id), found) {
+                    // Known at classification, or filled by another
+                    // batch between the phases.
+                    (Entry::Occupied(_), _) => {
                         c.memo_hits += 1;
                         ResultSource::Memory
                     }
-                    Entry::Vacant(slot) => match cell.reject() {
-                        Some(reason) => {
-                            self.bus.publish(&Event::JobFailed {
-                                label: cell.label(),
-                                reason: reason.clone(),
-                            });
-                            c.failed += 1;
-                            slot.insert(Outcome::Failed {
-                                reason: reason.clone(),
-                            });
-                            error = Some(reason);
-                            ResultSource::Executed
-                        }
-                        None => match self
-                            .store
-                            .as_ref()
-                            .map_or(CacheRead::Miss, |s| cell.load(s, id))
-                        {
-                            CacheRead::Hit(r) => {
-                                c.disk_hits += 1;
-                                slot.insert(Outcome::Ok(r));
-                                ResultSource::Disk
-                            }
-                            CacheRead::Miss => {
-                                run = true;
-                                ResultSource::Executed
-                            }
-                            CacheRead::Quarantined { path, reason } => {
-                                c.quarantined += 1;
-                                let path = path.display().to_string();
-                                if self.cfg.progress {
-                                    eprintln!(
-                                        "warning: quarantined corrupt cache entry {path} \
-                                         ({reason}); re-running"
-                                    );
-                                }
-                                self.bus.publish(&Event::CacheQuarantined { path, reason });
-                                run = true;
-                                ResultSource::Executed
-                            }
-                        },
-                    },
+                    (Entry::Vacant(slot), Found::Rejected(reason)) => {
+                        self.bus.publish(&Event::JobFailed {
+                            label: cell.label(),
+                            reason: reason.clone(),
+                        });
+                        c.failed += 1;
+                        slot.insert(Outcome::Failed {
+                            reason: reason.clone(),
+                        });
+                        error = Some(reason);
+                        ResultSource::Executed
+                    }
+                    (Entry::Vacant(slot), Found::Store(CacheRead::Hit(r))) => {
+                        c.disk_hits += 1;
+                        slot.insert(Outcome::Ok(r));
+                        ResultSource::Disk
+                    }
+                    // A miss, no store, or a healed quarantine.
+                    (Entry::Vacant(_), _) => {
+                        run = true;
+                        ResultSource::Executed
+                    }
                 };
                 let rec = cell.record(id, source).map(|mut rec| {
                     rec.error = error;
@@ -381,6 +449,53 @@ impl Harness {
         lock(&self.counters).wall += t0.elapsed();
         let memo = lock(C::memo(self));
         ids.iter().map(|id| memo[id].clone()).collect()
+    }
+
+    /// Reads the store entry of every cell `found` marks
+    /// [`Found::Probe`], holding no harness lock. A batch with at least
+    /// [`PROBES_PER_THREAD`] probes per thread is read by up to
+    /// `workers` scoped threads, the calling thread among them; a
+    /// smaller one (a daemon worker's single cell) reads inline.
+    fn probe<C: Cell>(
+        &self,
+        store: &ResultStore,
+        uniques: &[(JobId, &C)],
+        found: &mut [Found<C::Output>],
+    ) {
+        let todo: Vec<usize> = (0..found.len())
+            .filter(|&i| matches!(found[i], Found::Probe))
+            .collect();
+        let next = AtomicUsize::new(0);
+        // Each thread claims the next unread cell until none is left:
+        // the calling thread starts at once and a helper that wakes late
+        // takes a smaller share. Each thread's cells are an ascending
+        // subsequence of the batch, so runs of equal specs stay runs and
+        // `CanonText` formats a spec's canonical prefix once per run,
+        // the way `IdHasher` hashes it.
+        let read = || {
+            let mut canon = CanonText::new(C::TAG);
+            let mut reads = Vec::new();
+            while let Some(&i) = todo.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let (id, cell) = uniques[i];
+                let (spec, pf) = cell.parts();
+                reads.push((i, C::load(store, id, canon.text(spec, pf))));
+            }
+            reads
+        };
+        let threads = self.workers.min(todo.len() / PROBES_PER_THREAD).max(1);
+        let reads = std::thread::scope(|s| {
+            let helpers: Vec<_> = (1..threads).map(|_| s.spawn(read)).collect();
+            let mut reads = read();
+            for helper in helpers {
+                // A panic in a helper's load reaches the caller, as one
+                // in an inline load does.
+                reads.extend(helper.join().unwrap_or_else(|p| resume_unwind(p)));
+            }
+            reads
+        });
+        for (i, read) in reads {
+            found[i] = Found::Store(read);
+        }
     }
 
     /// [`Harness::resolve`] with every cell required to succeed.

@@ -148,6 +148,49 @@ impl<'a, S: fmt::Debug + PartialEq> IdHasher<'a, S> {
     }
 }
 
+/// Builds a sequence of cells' canonical strings the way [`IdHasher`]
+/// hashes them: the `"{tag}|{spec:?}|"` prefix is formatted once per run
+/// of consecutive cells whose specs compare `==`, and each cell only
+/// replaces the prefetcher's part after it. Same precondition as
+/// [`IdHasher`]; a debug build checks every text against
+/// [`canonical`].
+pub(crate) struct CanonText<'a, S> {
+    tag: &'static str,
+    /// The last spec formatted and the length of its prefix in `buf`.
+    prefix: Option<(&'a S, usize)>,
+    buf: String,
+}
+
+impl<'a, S: fmt::Debug + PartialEq> CanonText<'a, S> {
+    /// A builder for cells under schema `tag`.
+    pub(crate) fn new(tag: &'static str) -> Self {
+        CanonText {
+            tag,
+            prefix: None,
+            buf: String::new(),
+        }
+    }
+
+    /// The canonical string of the cell `(spec, pf)`.
+    pub(crate) fn text(&mut self, spec: &'a S, pf: &PrefetcherSpec) -> &str {
+        match self.prefix {
+            Some((last, len)) if last == spec => self.buf.truncate(len),
+            _ => {
+                self.buf.clear();
+                write_spec_prefix(&mut self.buf, self.tag, spec);
+                self.prefix = Some((spec, self.buf.len()));
+            }
+        }
+        write_pf(&mut self.buf, pf);
+        debug_assert_eq!(
+            self.buf,
+            canonical(self.tag, spec, pf),
+            "specs that compare equal formatted differently"
+        );
+        &self.buf
+    }
+}
+
 /// A job's stable identity: the FNV-1a hash of its canonical string.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobId(pub u64);

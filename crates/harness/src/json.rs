@@ -102,9 +102,12 @@ impl Value {
     }
 
     fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        let (nl, pad, pad_in) = match indent {
-            Some(w) => ("\n", " ".repeat(w * depth), " ".repeat(w * (depth + 1))),
-            None => ("", String::new(), String::new()),
+        // A line break and the indentation of `depth`; nothing compact.
+        let newline = |out: &mut String, depth: usize| {
+            if let Some(w) = indent {
+                out.push('\n');
+                pad(out, w * depth);
+            }
         };
         match self {
             Value::Null => out.push_str("null"),
@@ -128,12 +131,10 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(nl);
-                    out.push_str(&pad_in);
+                    newline(out, depth + 1);
                     v.write(out, indent, depth + 1);
                 }
-                out.push_str(nl);
-                out.push_str(&pad);
+                newline(out, depth);
                 out.push(']');
             }
             Value::Obj(fields) => {
@@ -146,19 +147,28 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(nl);
-                    out.push_str(&pad_in);
+                    newline(out, depth + 1);
                     write_key(out, k);
                     if indent.is_some() {
                         out.push(' ');
                     }
                     v.write(out, indent, depth + 1);
                 }
-                out.push_str(nl);
-                out.push_str(&pad);
+                newline(out, depth);
                 out.push('}');
             }
         }
+    }
+}
+
+/// Appends `n` spaces, a slice of a fixed run at a time, so any depth
+/// pads without allocating.
+fn pad(out: &mut String, mut n: usize) {
+    const SPACES: &str = "                                ";
+    while n > 0 {
+        let k = n.min(SPACES.len());
+        out.push_str(&SPACES[..k]);
+        n -= k;
     }
 }
 
@@ -655,6 +665,62 @@ mod tests {
         for text in [v.to_json(), v.to_json_pretty()] {
             assert_eq!(parse(&text).unwrap(), v);
         }
+    }
+
+    /// The indentation `Value::write` used to build as a fresh `String`
+    /// per value, rendered the old way as the reference.
+    fn reference_pretty(v: &Value, depth: usize, out: &mut String) {
+        let (pad, pad_in) = (" ".repeat(2 * depth), " ".repeat(2 * (depth + 1)));
+        match v {
+            Value::Arr(items) if !items.is_empty() => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    out.push_str(if i > 0 { ",\n" } else { "\n" });
+                    out.push_str(&pad_in);
+                    reference_pretty(item, depth + 1, out);
+                }
+                out.push('\n');
+                out.push_str(&pad);
+                out.push(']');
+            }
+            Value::Obj(fields) if !fields.is_empty() => {
+                out.push('{');
+                for (i, (k, item)) in fields.iter().enumerate() {
+                    out.push_str(if i > 0 { ",\n" } else { "\n" });
+                    out.push_str(&pad_in);
+                    write_key(out, k);
+                    out.push(' ');
+                    reference_pretty(item, depth + 1, out);
+                }
+                out.push('\n');
+                out.push_str(&pad);
+                out.push('}');
+            }
+            leaf => out.push_str(&leaf.to_json()),
+        }
+    }
+
+    /// Pretty output pads correctly far past the fixed run of spaces
+    /// `pad` slices from, at every depth on the way down.
+    #[test]
+    fn pretty_padding_matches_the_reference_at_any_depth() {
+        let mut v = Value::Arr(vec![Value::Int(7), Value::Arr(Vec::new())]);
+        for depth in 0..100 {
+            v = if depth % 2 == 0 {
+                Value::Obj(vec![
+                    ("k".into(), v),
+                    ("e".into(), Value::Obj(Vec::new())),
+                    ("s".into(), Value::Str("x".into())),
+                ])
+            } else {
+                Value::Arr(vec![Value::Null, v, Value::Bool(true)])
+            };
+            let mut want = String::new();
+            reference_pretty(&v, 0, &mut want);
+            want.push('\n');
+            assert_eq!(v.to_json_pretty(), want, "nesting {}", depth + 2);
+        }
+        assert_eq!(parse(&v.to_json_pretty()).unwrap(), v);
     }
 
     #[test]

@@ -106,11 +106,12 @@ pub(crate) fn migrate_flat_streams(store_dir: &Path) {
         return;
     };
     for entry in entries.flatten() {
-        let path = entry.path();
-        if !path.is_file() {
+        // `DirEntry::file_type`, not a `stat` per shard directory.
+        if !entry.file_type().is_ok_and(|t| t.is_file()) {
             continue;
         }
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
+        let name = entry.file_name();
+        let Some(name) = name.to_str() else {
             continue;
         };
         let stem = name.strip_suffix(".corrupt").unwrap_or(name);
@@ -121,7 +122,7 @@ pub(crate) fn migrate_flat_streams(store_dir: &Path) {
         }
         let shard = store_dir.join("preres").join(&name[..2]);
         if std::fs::create_dir_all(&shard).is_ok() {
-            let _ = std::fs::rename(&path, shard.join(name));
+            let _ = std::fs::rename(entry.path(), shard.join(name));
         }
     }
 }

@@ -124,11 +124,13 @@ pub(crate) fn migrate_flat_entries(dir: &Path) {
         return;
     };
     for entry in entries.flatten() {
-        let path = entry.path();
-        if !path.is_file() {
+        // The entry's own type, not a `stat` of its path: the root holds
+        // up to 256 shard directories and this runs on every open.
+        if !entry.file_type().is_ok_and(|t| t.is_file()) {
             continue;
         }
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
+        let name = entry.file_name();
+        let Some(name) = name.to_str() else {
             continue;
         };
         if !is_store_entry_name(name) {
@@ -136,7 +138,7 @@ pub(crate) fn migrate_flat_entries(dir: &Path) {
         }
         let shard = dir.join(shard_of(name));
         if fs::create_dir_all(&shard).is_ok() {
-            let _ = fs::rename(&path, shard.join(name));
+            let _ = fs::rename(entry.path(), shard.join(name));
         }
     }
 }
@@ -194,13 +196,15 @@ impl ResultStore {
     /// entry, which is quarantined (renamed to `<id>.json.corrupt`) so
     /// the caller can log it and transparently re-run the job.
     pub fn load_checked(&self, job: &Job) -> CacheRead<SimResult> {
-        self.load_checked_id(job, job.id())
+        self.load_checked_id(job.id(), &job.canonical())
     }
 
     /// [`ResultStore::load_checked`] for a caller that already holds
-    /// the job's id (`id == job.id()`): the executor, which hashed the
-    /// whole batch up front.
-    pub(crate) fn load_checked_id(&self, job: &Job, id: JobId) -> CacheRead<SimResult> {
+    /// the job's id and canonical string (`id == job.id()`,
+    /// `canonical == job.canonical()`): the executor, which hashed the
+    /// whole batch up front and formats each spec's canonical prefix
+    /// once per run of equal specs.
+    pub(crate) fn load_checked_id(&self, id: JobId, canonical: &str) -> CacheRead<SimResult> {
         let sharded = self.entry_path_of(id);
         let (path, text) = match fs::read_to_string(&sharded) {
             Ok(text) => (sharded, text),
@@ -222,14 +226,7 @@ impl ResultStore {
                 }
             }
         };
-        check_entry(
-            path,
-            &text,
-            SCHEMA,
-            &job.canonical(),
-            read_result,
-            result_checksum,
-        )
+        check_entry(path, &text, SCHEMA, canonical, read_result, result_checksum)
     }
 
     /// Persists `result` for `job` (atomically: write temp, rename).

@@ -37,6 +37,10 @@ use crate::proto::{
 };
 use crate::sweep::SweepSpec;
 
+/// The longest a submit's drain loop waits for a completion before it
+/// forwards the telemetry that arrived meanwhile.
+const DRAIN_WAIT: Duration = Duration::from_millis(2);
+
 /// Where to listen and how to queue.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -368,16 +372,16 @@ impl Server {
         let mut line = String::new();
         let mut outcomes: HashMap<JobId, JobOutcome> = HashMap::new();
         while outcomes.len() < unique.len() {
-            let mut idle = true;
             while let Ok(ev) = telemetry.try_recv() {
-                idle = false;
                 if event_is_for(&ev, &labels) {
                     conn.send(&resp_telemetry(&ev))?;
                 }
             }
-            match completions.try_recv() {
+            // Wait on the completions themselves, so a cell that lands
+            // mid-wait is sent at once; telemetry is drained again
+            // after each wait.
+            match completions.recv_timeout(DRAIN_WAIT) {
                 Ok((id, outcome)) => {
-                    idle = false;
                     // A completion for a job this sweep never submitted
                     // would be a service routing bug; drop it rather
                     // than panicking the handler thread (which would
@@ -394,13 +398,10 @@ impl Server {
                     send_written(conn, &mut line, |out| write_cell(out, &row))?;
                     outcomes.insert(id, row.outcome);
                 }
-                Err(mpsc::TryRecvError::Empty) => {}
+                Err(mpsc::RecvTimeoutError::Timeout) => {}
                 // All senders gone with cells missing: workers died
                 // (shutdown mid-sweep). Close out with what we have.
-                Err(mpsc::TryRecvError::Disconnected) => break,
-            }
-            if idle {
-                std::thread::sleep(Duration::from_millis(2));
+                Err(mpsc::RecvTimeoutError::Disconnected) => break,
             }
         }
         // Late stragglers from the final cell's execution.

@@ -38,8 +38,14 @@ struct Daemon {
 }
 
 fn daemon(workers: usize, depth: usize) -> Daemon {
+    daemon_over(None, 1, workers, depth)
+}
+
+/// A daemon whose harness has `jobs` workers and caches in `store`.
+fn daemon_over(store: Option<PathBuf>, jobs: usize, workers: usize, depth: usize) -> Daemon {
     let harness = Arc::new(Harness::new(HarnessConfig {
-        jobs: 1,
+        jobs,
+        store_dir: store,
         ..HarnessConfig::default()
     }));
     let server = Server::bind(
@@ -629,4 +635,106 @@ fn every_truncated_submit_line_gets_an_error_line() {
     assert!(matches!(outcome, SweepOutcome::Done { failed: 0, .. }));
     client.shutdown().unwrap();
     d.runner.join().unwrap().unwrap();
+}
+
+/// Telemetry lines of kind `kind`.
+fn telemetry_kind(msg: &Message, kind: &str) -> bool {
+    msg.event().is_some_and(|v| {
+        v.get("event").and_then(Value::as_str) == Some("telemetry")
+            && v.get("kind").and_then(Value::as_str) == Some(kind)
+    })
+}
+
+/// A daemon with two queue workers, restarted over the store an earlier
+/// daemon filled, answers single-core and CMP cells from disk: its
+/// queue workers and its handler's CMP batch read entries at once. The
+/// document matches a local run byte for byte. The first restart finds
+/// one corrupt entry, quarantines it once and re-runs only its cell;
+/// the next restart simulates nothing.
+#[test]
+fn a_restarted_daemon_answers_from_disk_and_heals_one_corrupt_entry() {
+    use ebcp_harness::{results_doc_cmp, CmpResultRow, ResultStore};
+
+    let store = std::env::temp_dir().join(format!("ebcp-serve-restart-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    let mut spec = sweep(&["database", "tpcw"], &["none", "ebcp", "stream"]);
+    spec.cores = vec![2];
+    let jobs = spec.jobs().unwrap();
+    let cmp_jobs = spec.cmp_jobs().unwrap();
+
+    // The local reference, assembled through the renderer `repro sweep`
+    // uses.
+    let local = Harness::serial();
+    local.run_outcomes(&jobs);
+    let cmp_rows: Vec<CmpResultRow> = cmp_jobs
+        .iter()
+        .zip(local.run_cmp_outcomes(&cmp_jobs))
+        .map(|(job, outcome)| CmpResultRow {
+            id: job.id(),
+            cell: job.spec.name.clone(),
+            prefetcher: job.pf.name().to_string(),
+            cores: job.cores() as u64,
+            outcome,
+        })
+        .collect();
+    let want = results_doc_cmp(jobs.len() + cmp_jobs.len(), &local.result_rows(), &cmp_rows)
+        .to_json_pretty();
+
+    // Submits `spec` to a fresh two-worker daemon over the store; returns
+    // its document, the job_started and cache_quarantined line counts
+    // and its harness summary.
+    let submit = || {
+        let d = daemon_over(Some(store.clone()), 2, 2, 64);
+        let mut client = Client::connect(&d.addr).unwrap();
+        let (started, quarantined) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let outcome = client
+            .submit(&spec, |msg| {
+                if telemetry_kind(msg, "job_started") {
+                    started.fetch_add(1, Ordering::Relaxed);
+                }
+                if telemetry_kind(msg, "cache_quarantined") {
+                    quarantined.fetch_add(1, Ordering::Relaxed);
+                }
+            })
+            .unwrap();
+        let SweepOutcome::Done { results, failed } = outcome else {
+            panic!("submit refused: {outcome:?}");
+        };
+        assert_eq!(failed, 0);
+        let summary = d.server.service().harness().summary();
+        client.shutdown().unwrap();
+        d.runner.join().unwrap().unwrap();
+        (
+            results.to_json_pretty(),
+            started.into_inner(),
+            quarantined.into_inner(),
+            summary,
+        )
+    };
+
+    let cells = jobs.len() + cmp_jobs.len();
+    let (cold, started, _, _) = submit();
+    assert_eq!(cold, want, "the cold daemon matches the local run");
+    assert_eq!(started, cells);
+
+    let entry = ResultStore::open(&store).unwrap().entry_path(&jobs[4]);
+    let bytes = std::fs::read(&entry).unwrap();
+    std::fs::write(&entry, &bytes[..bytes.len() / 3]).unwrap();
+    let (healed, started, quarantined, summary) = submit();
+    assert_eq!(healed, want, "the restarted daemon matches the local run");
+    assert_eq!(
+        (started, quarantined),
+        (1, 1),
+        "only the corrupt cell re-ran"
+    );
+    assert_eq!(summary.quarantined, 1, "{summary:?}");
+    assert_eq!(summary.executed, 1, "{summary:?}");
+    assert_eq!(summary.disk_hits, cells - 1, "{summary:?}");
+
+    let (warm, started, quarantined, summary) = submit();
+    assert_eq!(warm, want, "the next restart matches the local run");
+    assert_eq!((started, quarantined), (0, 0));
+    assert_eq!(summary.executed, 0, "{summary:?}");
+    assert_eq!(summary.disk_hits, cells, "{summary:?}");
+    let _ = std::fs::remove_dir_all(&store);
 }
