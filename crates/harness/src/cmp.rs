@@ -19,6 +19,7 @@ use std::path::PathBuf;
 
 use ebcp_sim::{CmpResult, CmpSpec, PrefetcherSpec, SimResult};
 
+use crate::exec::Cell;
 use crate::job::{canonical, Fnv64, IdHasher, Job, JobId};
 use crate::json::{self, JsonSink, ParseError, Reader, Value};
 use crate::store::{
@@ -72,8 +73,7 @@ impl CmpJob {
     /// consecutive cells with equal specs once, as [`Job::ids`] does.
     #[must_use]
     pub fn ids(jobs: &[CmpJob]) -> Vec<JobId> {
-        let mut h = IdHasher::new(CMP_CANON_VERSION);
-        jobs.iter().map(|j| h.id(&j.spec, &j.pf)).collect()
+        <CmpJob as Cell>::ids(jobs)
     }
 
     /// The single-core job whose pre-resolved stream core `k` consumes.

@@ -11,9 +11,8 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
@@ -34,7 +33,7 @@ pub(crate) trait Cell: fmt::Debug + PartialEq + Sync + Sized {
     type Output: Clone + Send;
 
     /// The spec part of the canonical string, shared by a sweep row.
-    type Spec: fmt::Debug + PartialEq + Sync;
+    type Spec: fmt::Debug + PartialEq;
 
     /// The cell noun in messages: "job" or "CMP job".
     const NOUN: &'static str;
@@ -50,7 +49,8 @@ pub(crate) trait Cell: fmt::Debug + PartialEq + Sync + Sized {
     /// string.
     fn parts(&self) -> (&Self::Spec, &PrefetcherSpec);
 
-    /// Every cell's content hash, in order (`Job::ids`/`CmpJob::ids`).
+    /// Every cell's content hash, in order; `Job::ids` and
+    /// `CmpJob::ids` are this.
     fn ids(cells: &[Self]) -> Vec<JobId> {
         let mut h = IdHasher::new(Self::TAG);
         cells
@@ -127,16 +127,6 @@ enum Found<R> {
     /// What the store entry read as.
     Store(CacheRead<R>),
 }
-
-/// Store probes per thread before [`Harness::resolve`] reads a batch's
-/// entries on more than one thread. Measured on a 2-core shared host
-/// (DESIGN.md §2.8): a helper thread pays for its spawn and join, and
-/// for waking the idle core, which took ~0.1 ms when the host was quiet
-/// and up to several ms when it was busy. The 75 two-core CMP entries
-/// of the serve grid read a third to a half faster on two threads in
-/// both states; a 30-entry single-core re-sweep gained when the host
-/// was quiet and lost when it was busy, so it reads inline.
-const PROBES_PER_THREAD: usize = 32;
 
 /// A unique cell the memo and the store could not answer.
 struct Pending<'a, C> {
@@ -368,7 +358,15 @@ impl Harness {
                 .collect()
         };
         if let Some(store) = &self.store {
-            self.probe(store, &uniques, &mut found);
+            // Runs of equal specs format their canonical prefix once, the
+            // way `IdHasher` hashes it.
+            let mut canon = CanonText::new(C::TAG);
+            for (&(id, cell), found) in uniques.iter().zip(&mut found) {
+                if matches!(found, Found::Probe) {
+                    let (spec, pf) = cell.parts();
+                    *found = Found::Store(C::load(store, id, canon.text(spec, pf)));
+                }
+            }
         }
 
         // Fold in submission order under the locks. Each pending cell
@@ -449,53 +447,6 @@ impl Harness {
         lock(&self.counters).wall += t0.elapsed();
         let memo = lock(C::memo(self));
         ids.iter().map(|id| memo[id].clone()).collect()
-    }
-
-    /// Reads the store entry of every cell `found` marks
-    /// [`Found::Probe`], holding no harness lock. A batch with at least
-    /// [`PROBES_PER_THREAD`] probes per thread is read by up to
-    /// `workers` scoped threads, the calling thread among them; a
-    /// smaller one (a daemon worker's single cell) reads inline.
-    fn probe<C: Cell>(
-        &self,
-        store: &ResultStore,
-        uniques: &[(JobId, &C)],
-        found: &mut [Found<C::Output>],
-    ) {
-        let todo: Vec<usize> = (0..found.len())
-            .filter(|&i| matches!(found[i], Found::Probe))
-            .collect();
-        let next = AtomicUsize::new(0);
-        // Each thread claims the next unread cell until none is left:
-        // the calling thread starts at once and a helper that wakes late
-        // takes a smaller share. Each thread's cells are an ascending
-        // subsequence of the batch, so runs of equal specs stay runs and
-        // `CanonText` formats a spec's canonical prefix once per run,
-        // the way `IdHasher` hashes it.
-        let read = || {
-            let mut canon = CanonText::new(C::TAG);
-            let mut reads = Vec::new();
-            while let Some(&i) = todo.get(next.fetch_add(1, Ordering::Relaxed)) {
-                let (id, cell) = uniques[i];
-                let (spec, pf) = cell.parts();
-                reads.push((i, C::load(store, id, canon.text(spec, pf))));
-            }
-            reads
-        };
-        let threads = self.workers.min(todo.len() / PROBES_PER_THREAD).max(1);
-        let reads = std::thread::scope(|s| {
-            let helpers: Vec<_> = (1..threads).map(|_| s.spawn(read)).collect();
-            let mut reads = read();
-            for helper in helpers {
-                // A panic in a helper's load reaches the caller, as one
-                // in an inline load does.
-                reads.extend(helper.join().unwrap_or_else(|p| resume_unwind(p)));
-            }
-            reads
-        });
-        for (i, read) in reads {
-            found[i] = Found::Store(read);
-        }
     }
 
     /// [`Harness::resolve`] with every cell required to succeed.

@@ -10,6 +10,8 @@ use std::fmt;
 
 use ebcp_sim::{PrefetcherSpec, RunSpec};
 
+use crate::exec::Cell;
+
 /// Schema tag mixed into every canonical string. Bump when the meaning
 /// of a spec field changes without its `Debug` shape changing, to
 /// invalidate stale on-disk results.
@@ -243,8 +245,7 @@ impl Job {
     /// once per workload instead of once per cell.
     #[must_use]
     pub fn ids(jobs: &[Job]) -> Vec<JobId> {
-        let mut h = IdHasher::new(CANON_VERSION);
-        jobs.iter().map(|j| h.id(&j.spec, &j.pf)).collect()
+        <Job as Cell>::ids(jobs)
     }
 
     /// Hash identifying the *trace* this job replays: workload, seed and

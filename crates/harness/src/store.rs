@@ -87,15 +87,20 @@ impl<T> CacheRead<T> {
 
 /// Moves a corrupt cache file out of the way (`<file>.corrupt`,
 /// overwriting any previous quarantine of the same path) and returns
-/// the quarantine record.
+/// the quarantine record. A file already gone was quarantined by a
+/// concurrent reader of the same entry, which reports it; this read is
+/// a plain miss.
 pub(crate) fn quarantine<T>(path: PathBuf, reason: String) -> CacheRead<T> {
     let mut corrupt = path.clone().into_os_string();
     corrupt.push(".corrupt");
     let corrupt = PathBuf::from(corrupt);
-    let moved = fs::rename(&path, &corrupt).is_ok();
-    CacheRead::Quarantined {
-        path: if moved { corrupt } else { path },
-        reason,
+    match fs::rename(&path, &corrupt) {
+        Ok(()) => CacheRead::Quarantined {
+            path: corrupt,
+            reason,
+        },
+        Err(e) if e.kind() == io::ErrorKind::NotFound => CacheRead::Miss,
+        Err(_) => CacheRead::Quarantined { path, reason },
     }
 }
 

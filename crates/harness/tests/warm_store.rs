@@ -2,32 +2,39 @@
 //!
 //! A harness serves cells it has not run from the store: it classifies
 //! the batch against its memo, reads the entries with no harness lock
-//! held (on several threads once a batch is large enough) and folds the
-//! reads in submission order. These tests pin that the fold makes the
-//! worker count invisible, that the collision guard compares the whole
-//! stored canonical string, and that two harnesses may share one store
-//! directory at once.
+//! held and folds the reads in submission order. These tests pin that
+//! the fold makes the worker count invisible, that the collision guard
+//! compares the whole stored canonical string, that two overlapping
+//! batches on one harness quarantine a corrupt entry once, and that two
+//! harnesses may share one store directory at once.
 
 use std::path::{Path, PathBuf};
+use std::sync::Barrier;
 
 use ebcp_core::EbcpConfig;
 use ebcp_harness::json::{self, Value};
-use ebcp_harness::{CacheRead, Event, Harness, HarnessConfig, Job, ResultStore, RunSummary};
-use ebcp_sim::{PrefetcherSpec, RunSpec, SimConfig};
+use ebcp_harness::{
+    CacheRead, CmpJob, Event, Harness, HarnessConfig, Job, ResultStore, RunSummary,
+};
+use ebcp_sim::{CmpSpec, PrefetcherSpec, RunSpec, SimConfig};
 use ebcp_trace::WorkloadSpec;
 
 /// Prefetchers per workload row: `none` and fourteen EBCP table sizes.
 const ROW: usize = 15;
 
-/// Five workloads × [`ROW`] prefetchers, workload-major: 75 cells, enough
-/// for a two-worker harness to read the store on two threads.
-fn grid() -> Vec<Job> {
+/// `none` and fourteen EBCP table sizes: one workload row.
+fn prefetchers() -> Vec<PrefetcherSpec> {
     let pfs: Vec<PrefetcherSpec> = std::iter::once(PrefetcherSpec::None)
         .chain(
             (8..22).map(|k| PrefetcherSpec::Ebcp(EbcpConfig::tuned().with_table_entries(1 << k))),
         )
         .collect();
     assert_eq!(pfs.len(), ROW);
+    pfs
+}
+
+/// The five commercial workloads at a sixteenth of their footprint.
+fn workloads() -> Vec<WorkloadSpec> {
     [
         WorkloadSpec::database(),
         WorkloadSpec::tpcw(),
@@ -36,19 +43,42 @@ fn grid() -> Vec<Job> {
         WorkloadSpec::graph_analytics(),
     ]
     .into_iter()
-    .flat_map(|w| {
-        let spec = RunSpec {
-            workload: w.scaled(1, 16),
-            seed: 3,
-            warmup_insts: 4_000,
-            measure_insts: 4_000,
-            sim: SimConfig::scaled_down(16),
-        };
-        pfs.iter()
-            .map(move |pf| Job::new(spec.clone(), pf.clone()))
-            .collect::<Vec<_>>()
-    })
+    .map(|w| w.scaled(1, 16))
     .collect()
+}
+
+/// Five workloads × [`ROW`] prefetchers, workload-major: 75 cells.
+fn grid() -> Vec<Job> {
+    let pfs = prefetchers();
+    workloads()
+        .into_iter()
+        .flat_map(|workload| {
+            let spec = RunSpec {
+                workload,
+                seed: 3,
+                warmup_insts: 4_000,
+                measure_insts: 4_000,
+                sim: SimConfig::scaled_down(16),
+            };
+            pfs.iter()
+                .map(move |pf| Job::new(spec.clone(), pf.clone()))
+                .collect::<Vec<_>>()
+        })
+        .collect()
+}
+
+/// [`grid`]'s 75 cells as two-core CMP cells.
+fn cmp_grid() -> Vec<CmpJob> {
+    let pfs = prefetchers();
+    workloads()
+        .into_iter()
+        .flat_map(|workload| {
+            let spec = CmpSpec::homogeneous(workload, 2, 2_000, 2_000, SimConfig::scaled_down(16));
+            pfs.iter()
+                .map(move |pf| CmpJob::new(spec.clone(), pf.clone()))
+                .collect::<Vec<_>>()
+        })
+        .collect()
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -150,6 +180,55 @@ fn one_and_two_workers_agree_over_a_warm_store_with_corrupt_entries() {
     assert_eq!(runs[1].3, *events);
     for job in &jobs {
         assert!(matches!(store.load_checked(job), CacheRead::Hit(_)));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two batches over the same cells on one harness read the store at
+/// once, the shape of two clients submitting one CMP grid to a restarted
+/// daemon. Both may read a corrupt entry before either moves it away;
+/// the reader whose rename finds the file gone takes it as a plain miss,
+/// so the entry is quarantined, counted and reported once. Several
+/// rounds, each over a fresh harness, give the two batches many chances
+/// to overlap on the entry.
+#[test]
+fn overlapping_batches_on_one_harness_quarantine_a_corrupt_entry_once() {
+    let dir = temp_dir("overlap");
+    let jobs = cmp_grid();
+    let reference = store_harness(&dir, 2).run_cmp(&jobs);
+    let store = ResultStore::open(&dir).unwrap();
+    let bad = &jobs[2];
+    let path = store.cmp_entry_path(bad);
+    for round in 0..12 {
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+        let h = store_harness(&dir, 2);
+        let events = h.bus().subscribe();
+        let start = Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    let outcomes = h.run_cmp_outcomes(&jobs);
+                    for (outcome, want) in outcomes.iter().zip(&reference) {
+                        assert_eq!(outcome.result(), Some(want));
+                    }
+                });
+            }
+        });
+        let summary = h.summary();
+        assert_eq!(summary.quarantined, 1, "round {round}: {summary:?}");
+        let quarantines: Vec<String> = events
+            .try_iter()
+            .map(|ev| shape(&ev))
+            .filter(|e| e.starts_with("quarantined"))
+            .collect();
+        assert_eq!(quarantines.len(), 1, "round {round}: {quarantines:?}");
+        assert!(quarantines[0].contains(".corrupt"), "{quarantines:?}");
+        assert_eq!(
+            store.load_checked_cmp(bad),
+            CacheRead::Hit(reference[2].clone())
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
