@@ -7,10 +7,12 @@
 //! *approximate* scatter mode's tolerance is pinned separately
 //! (`ebcp_sim::segment` tests and the `tracescale` module tests).
 
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use ebcp_bench::throughput::sweep_roster;
 use ebcp_bench::{Harness, HarnessConfig, Job, Scale};
+use ebcp_harness::ResultStore;
 use ebcp_sim::frontend::segment_events;
 use ebcp_sim::{resolve_blocks, run_preresolved_blocks};
 use ebcp_trace::template::WorkloadProgram;
@@ -160,25 +162,89 @@ fn forced_streaming_harness_matches_materialized_execution() {
 
     let dir = std::env::temp_dir().join(format!("ebcp-segscale-e2e-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let streamed_harness = Harness::new(HarnessConfig {
-        jobs: 2,
-        mem_budget_bytes: 1,
-        store_dir: Some(dir.clone()),
-        trace_store: true,
-        ..HarnessConfig::default()
-    });
-    let streamed = streamed_harness.run(&jobs);
-    assert_eq!(streamed, reference, "streamed execution diverged");
-
-    // The budget really forced the streamed stores into existence.
-    let count = |class: &str| {
-        walk(&dir.join(class))
+    // Runs the batch on a fresh streamed harness over `dir` with no
+    // result cached, returning its results and how many files it
+    // quarantined.
+    let run_streamed = || {
+        let results = ResultStore::open(&dir).unwrap();
+        for job in &jobs {
+            let _ = std::fs::remove_file(results.entry_path(job));
+        }
+        let h = Harness::new(HarnessConfig {
+            jobs: 2,
+            mem_budget_bytes: 1,
+            store_dir: Some(dir.clone()),
+            trace_store: true,
+            ..HarnessConfig::default()
+        });
+        let out = h.run(&jobs);
+        (out, h.summary().quarantined)
+    };
+    let files = |class: &str| -> Vec<PathBuf> {
+        let mut files: Vec<PathBuf> = walk(&dir.join(class))
             .into_iter()
             .filter(|p| p.is_file())
-            .count()
+            .collect();
+        files.sort();
+        files
     };
-    assert!(count("preres") > 0, "no pre-resolved streams were written");
-    assert!(count("traces") > 0, "no segmented traces were written");
+    let inodes = |class: &str| -> Vec<u64> {
+        files(class)
+            .iter()
+            .map(|p| std::os::unix::fs::MetadataExt::ino(&std::fs::metadata(p).unwrap()))
+            .collect()
+    };
+
+    // Cold: each trace is generated once, teed into the trace store.
+    assert_eq!(
+        run_streamed(),
+        (reference.clone(), 0),
+        "streamed execution diverged"
+    );
+    // The budget really forced the streamed stores into existence.
+    assert!(
+        !files("preres").is_empty(),
+        "no pre-resolved streams were written"
+    );
+    assert!(
+        !files("traces").is_empty(),
+        "no segmented traces were written"
+    );
+
+    // Streams rebuilt from the tee-written traces: each trace verifies
+    // at this open and is replayed, not rewritten.
+    let traces = inodes("traces");
+    std::fs::remove_dir_all(dir.join("preres")).unwrap();
+    assert_eq!(
+        run_streamed(),
+        (reference.clone(), 0),
+        "rebuilt from stored traces"
+    );
+    assert_eq!(inodes("traces"), traces, "a stored trace was regenerated");
+
+    // Files of the previous format revisions are stale: plain misses,
+    // rebuilt in place, nothing quarantined or left beside them.
+    let contents = || -> Vec<Vec<u8>> {
+        [files("traces"), files("preres")]
+            .concat()
+            .iter()
+            .map(|p| std::fs::read(p).unwrap())
+            .collect()
+    };
+    let current = contents();
+    for (class, old) in [("traces", b"EBCPSEG1"), ("preres", b"EBCPPRE3")] {
+        for p in files(class) {
+            let mut bytes = std::fs::read(&p).unwrap();
+            bytes[..8].copy_from_slice(old);
+            std::fs::write(&p, bytes).unwrap();
+        }
+    }
+    assert_eq!(run_streamed(), (reference, 0), "rebuilt over old formats");
+    assert_eq!(
+        contents(),
+        current,
+        "old-format files are rewritten in place"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -660,11 +660,13 @@ impl Harness {
 
     /// Opens `job`'s per-segment pre-resolved block stream from the
     /// store, building it first when cold: trace records come from the
-    /// segmented trace store (mmap'd windows) when enabled, else from
-    /// chunked generation, and finished blocks go straight to disk — so
-    /// even building the stream never materializes it. Corrupt cached
-    /// files (stream or trace) are quarantined, reported over `tx`, and
-    /// rebuilt.
+    /// segmented trace store (mmap'd windows, verified at open) when it
+    /// holds the trace, else from chunked generation — teed into the
+    /// trace store when enabled, so a cold build is one generator pass
+    /// that reads nothing back — and finished blocks go straight to
+    /// disk, so even building the stream never materializes it. Corrupt
+    /// cached files (stream or trace) are quarantined, reported over
+    /// `tx`, and rebuilt.
     ///
     /// # Panics
     ///
@@ -679,36 +681,30 @@ impl Harness {
         seg_records: u64,
         tx: &mpsc::Sender<Event>,
     ) -> preres::PreresStream {
-        match preres::open_stream_checked(dir, job) {
-            CacheRead::Hit(stream) => return stream,
-            CacheRead::Miss => {}
-            CacheRead::Quarantined { path, reason } => {
-                let _ = tx.send(Event::CacheQuarantined {
-                    path: path.display().to_string(),
-                    reason,
-                });
-            }
+        if let Some(stream) = hit_or_report(preres::open_stream_checked(dir, job), tx) {
+            return stream;
         }
         let spec = &job.spec;
         let mut writer =
             preres::PreresWriter::create(dir, job, seg_records).expect("preres stream writer");
-        let src: Box<dyn ChunkSource> = if self.cfg.trace_store {
-            let trace =
-                traces::open_or_generate(dir, spec, seg_records, Backing::Mmap, |path, reason| {
-                    let _ = tx.send(Event::CacheQuarantined {
-                        path: path.display().to_string(),
-                        reason,
-                    });
-                })
-                .expect("segmented trace store");
-            Box::new(trace)
+        let stored = if self.cfg.trace_store {
+            hit_or_report(traces::open_checked(dir, spec, Backing::Mmap), tx)
         } else {
-            Box::new(TraceGenerator::new(&spec.workload, spec.seed))
+            None
         };
-        for b in resolve_blocks(spec, src, seg_records) {
-            writer
-                .push_block(&b.events, b.records)
-                .expect("preres block write");
+        match stored {
+            Some(trace) => write_blocks(&mut writer, spec, trace, seg_records),
+            None if self.cfg.trace_store => {
+                let mut tee = traces::TraceTee::new(dir, spec, seg_records);
+                write_blocks(&mut writer, spec, &mut tee, seg_records);
+                // The front end already has every record; a failed trace
+                // write loses only the next run's reuse.
+                let _ = tee.finish();
+            }
+            None => {
+                let gen = TraceGenerator::new(&spec.workload, spec.seed);
+                write_blocks(&mut writer, spec, gen, seg_records);
+            }
         }
         writer.finish().expect("preres stream publish");
         preres::open_written(dir, job)
@@ -721,15 +717,8 @@ impl Harness {
     /// replacement overwriting the original path.
     fn prepare_pre(&self, job: &Job, tx: &mpsc::Sender<Event>) -> PreResolved {
         if let Some(dir) = self.store_dir() {
-            match preres::load_checked(dir, job) {
-                CacheRead::Hit(pre) => return pre,
-                CacheRead::Miss => {}
-                CacheRead::Quarantined { path, reason } => {
-                    let _ = tx.send(Event::CacheQuarantined {
-                        path: path.display().to_string(),
-                        reason,
-                    });
-                }
+            if let Some(pre) = hit_or_report(preres::load_checked(dir, job), tx) {
+                return pre;
             }
         }
         let pre = job.spec.pre_resolve();
@@ -738,5 +727,39 @@ impl Harness {
             let _ = preres::save(dir, job, &pre);
         }
         pre
+    }
+}
+
+/// The hit in `read`, if any; a quarantine is reported over `tx`.
+fn hit_or_report<T>(read: CacheRead<T>, tx: &mpsc::Sender<Event>) -> Option<T> {
+    match read {
+        CacheRead::Hit(value) => Some(value),
+        CacheRead::Miss => None,
+        CacheRead::Quarantined { path, reason } => {
+            let _ = tx.send(Event::CacheQuarantined {
+                path: path.display().to_string(),
+                reason,
+            });
+            None
+        }
+    }
+}
+
+/// Resolves `spec`'s trace from `src` into blocks of `seg_records`
+/// records and streams them into `writer`.
+///
+/// # Panics
+///
+/// On a failed block write (see [`Harness::prepare_stream`]).
+fn write_blocks(
+    writer: &mut preres::PreresWriter,
+    spec: &RunSpec,
+    src: impl ChunkSource,
+    seg_records: u64,
+) {
+    for b in resolve_blocks(spec, src, seg_records) {
+        writer
+            .push_block(&b.events, b.records)
+            .expect("preres block write");
     }
 }

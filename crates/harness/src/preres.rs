@@ -9,26 +9,30 @@
 //! flat pre-sharding files migrate transparently (swept on store open,
 //! or read-through on first load).
 //!
-//! Format v3 ("EBCPPRE3"), all integers little-endian. The event
+//! Format v4 ("EBCPPRE4"), all integers little-endian. The event
 //! payload is cut into **segments** (each standing for a whole number
 //! of trace records) with a per-segment index, so the large tier can
 //! replay a stream block at a time — O(segment) peak memory — while
 //! the quick tier keeps writing one segment covering the whole stream:
 //!
 //! ```text
-//! magic     8 B   "EBCPPRE3"
+//! magic     8 B   "EBCPPRE4"
 //! canon_len u32   length of the canonical key string
 //! canon     ...   the exact string `pre_key` hashed (collision guard)
 //! payload   per-segment runs of events
 //!               { pc u64, dline u64, gap u32, flags u32 }  (24 B each)
 //! index     n_segs x { n_events u64, records u64, checksum u64 }
-//!               (checksum = FNV-1a over that segment's payload bytes)
+//!               (checksum = word FNV-1a over that segment's payload)
 //! footer   48 B   records u64 | seg_records u64 | n_segs u64
-//!               | index_checksum u64      (FNV-1a over the index)
-//!               | head_checksum u64       (FNV-1a over magic..canon)
-//!               | footer_checksum u64     (FNV-1a over the 40
-//!                                          preceding footer bytes)
+//!               | index_checksum u64      (over the index)
+//!               | head_checksum u64       (over magic..canon)
+//!               | footer_checksum u64     (over the 40 preceding
+//!                                          footer bytes)
 //! ```
+//!
+//! Every checksum is [`word_fnv64`]: FNV-1a over little-endian `u64`
+//! words (an event is exactly three), shared with the segmented trace
+//! format. v3 ("EBCPPRE3") was the same layout with byte-wise FNV-1a.
 //!
 //! The index and totals live in a footer so [`PreresWriter`] can
 //! stream blocks out in one pass without knowing the totals up front
@@ -37,9 +41,9 @@
 //! record counts from the index).
 //!
 //! Loads are **integrity-checked**. A wrong magic (an older format
-//! revision, e.g. the single-blob "EBCPPRE2") or a canonical-string
-//! mismatch (hash collision) is *staleness*: a plain miss, overwritten
-//! in place by the next save. A checksum mismatch, truncation, or
+//! revision, e.g. "EBCPPRE3" or the single-blob "EBCPPRE2") or a
+//! canonical-string mismatch (hash collision) is *staleness*: a plain
+//! miss, overwritten in place by the next save. A checksum mismatch, truncation, or
 //! length that disagrees with the index is *corruption*: the file is
 //! quarantined (renamed to `*.corrupt`) and the front-end pass
 //! transparently re-runs, overwriting the original path (self-heal).
@@ -55,12 +59,14 @@ use std::path::{Path, PathBuf};
 
 use ebcp_sim::frontend::{PreBlock, PreEvent, PreResolved};
 use ebcp_sim::RunSpec;
+use ebcp_trace::checksum::{word_fnv64, WordFnv};
 
-use crate::job::{fnv1a64, Fnv64, Job, CANON_VERSION};
+use crate::job::{Job, CANON_VERSION};
 use crate::store::{quarantine, unique_tmp, CacheRead};
 
-/// v3 ("EBCPPRE3"): segmented payload with per-segment index/checksums.
-const MAGIC: &[u8; 8] = b"EBCPPRE3";
+/// v4 ("EBCPPRE4"): segmented payload with per-segment index and word
+/// checksums.
+const MAGIC: &[u8; 8] = b"EBCPPRE4";
 
 /// Bytes per packed event (`pc u64, dline u64, gap u32, flags u32`).
 pub const EVENT_BYTES: u64 = 24;
@@ -70,6 +76,10 @@ const INDEX_ENTRY_BYTES: u64 = 24;
 
 /// Bytes of the trailing footer.
 const FOOTER_BYTES: u64 = 48;
+
+/// Write buffer of a [`PreresWriter`]: streams run to tens of MiB, and
+/// the default 8 KiB buffer costs one `write` call per 8 KiB.
+const WRITE_BUFFER_BYTES: usize = 1 << 18;
 
 /// The canonical string [`Job::pre_key`] hashes — regenerated here so
 /// the stored collision guard and the key can never drift apart.
@@ -131,10 +141,11 @@ pub(crate) fn migrate_flat_streams(store_dir: &Path) {
 // Writing
 
 /// Streaming writer for a job's cached stream: push blocks as the
-/// front-end pass produces them; nothing but the index is buffered.
-/// Written to a pid- and sequence-unique temp file and renamed on
-/// [`PreresWriter::finish`] so concurrent writers never interleave and
-/// readers never observe a partial file.
+/// front-end pass produces them; nothing but the index and a small
+/// encode batch is buffered. Written to a pid- and sequence-unique temp
+/// file and renamed on [`PreresWriter::finish`] so concurrent writers
+/// never interleave and readers never observe a partial file. A writer
+/// dropped before a successful `finish` removes its temp file.
 pub struct PreresWriter {
     w: BufWriter<File>,
     tmp: PathBuf,
@@ -143,6 +154,8 @@ pub struct PreresWriter {
     seg_records: u64,
     records: u64,
     index: Vec<(u64, u64, u64)>,
+    /// Set once the rename has put the file in place.
+    published: bool,
 }
 
 impl PreresWriter {
@@ -157,40 +170,51 @@ impl PreresWriter {
         let path = path_for(store_dir, job);
         let dir = path.parent().expect("path_for always has a parent");
         std::fs::create_dir_all(dir)?;
-        let canon = pre_canonical(&job.spec);
+        PreresWriter::create_at(path, pre_canonical(&job.spec).as_bytes(), seg_records)
+    }
+
+    /// [`PreresWriter::create`] for a stream published at `path` with
+    /// collision guard `canon`.
+    fn create_at(path: PathBuf, canon: &[u8], seg_records: u64) -> io::Result<PreresWriter> {
         let mut head = Vec::with_capacity(12 + canon.len());
         head.extend_from_slice(MAGIC);
         head.extend_from_slice(&(canon.len() as u32).to_le_bytes());
-        head.extend_from_slice(canon.as_bytes());
+        head.extend_from_slice(canon);
         let tmp = unique_tmp(&path, "bin");
-        let mut w = BufWriter::new(File::create(&tmp)?);
-        w.write_all(&head)?;
-        Ok(PreresWriter {
-            w,
+        let mut writer = PreresWriter {
+            w: BufWriter::with_capacity(WRITE_BUFFER_BYTES, File::create(&tmp)?),
             tmp,
             path,
-            head_checksum: fnv1a64(&head),
+            head_checksum: word_fnv64(&head),
             seg_records,
             records: 0,
             index: Vec::new(),
-        })
+            published: false,
+        };
+        writer.w.write_all(&head)?;
+        Ok(writer)
     }
 
-    /// Appends one segment: `events` covering `records` trace records.
+    /// Appends one segment: `events` covering `records` trace records,
+    /// encoded and hashed a bounded batch at a time.
     ///
     /// # Errors
     ///
     /// Propagates file-system failures.
     pub fn push_block(&mut self, events: &[PreEvent], records: u64) -> io::Result<()> {
-        let mut hash = Fnv64::new();
-        let mut buf = [0u8; EVENT_BYTES as usize];
-        for ev in events {
-            buf[0..8].copy_from_slice(&ev.pc.to_le_bytes());
-            buf[8..16].copy_from_slice(&ev.dline.to_le_bytes());
-            buf[16..20].copy_from_slice(&ev.gap.to_le_bytes());
-            buf[20..24].copy_from_slice(&ev.flags.to_le_bytes());
-            hash.update(&buf);
-            self.w.write_all(&buf)?;
+        const BATCH: usize = 256;
+        let mut hash = WordFnv::new();
+        let mut buf = [0u8; BATCH * EVENT_BYTES as usize];
+        for batch in events.chunks(BATCH) {
+            let bytes = &mut buf[..batch.len() * EVENT_BYTES as usize];
+            for (out, ev) in bytes.chunks_exact_mut(EVENT_BYTES as usize).zip(batch) {
+                out[0..8].copy_from_slice(&ev.pc.to_le_bytes());
+                out[8..16].copy_from_slice(&ev.dline.to_le_bytes());
+                out[16..20].copy_from_slice(&ev.gap.to_le_bytes());
+                out[20..24].copy_from_slice(&ev.flags.to_le_bytes());
+            }
+            hash.update(bytes);
+            self.w.write_all(bytes)?;
         }
         self.index
             .push((events.len() as u64, records, hash.finish()));
@@ -215,19 +239,24 @@ impl PreresWriter {
         footer.extend_from_slice(&self.records.to_le_bytes());
         footer.extend_from_slice(&self.seg_records.to_le_bytes());
         footer.extend_from_slice(&(self.index.len() as u64).to_le_bytes());
-        footer.extend_from_slice(&fnv1a64(&index_bytes).to_le_bytes());
+        footer.extend_from_slice(&word_fnv64(&index_bytes).to_le_bytes());
         footer.extend_from_slice(&self.head_checksum.to_le_bytes());
-        footer.extend_from_slice(&fnv1a64(&footer).to_le_bytes());
-        let publish = (|| -> io::Result<()> {
-            self.w.write_all(&index_bytes)?;
-            self.w.write_all(&footer)?;
-            self.w.flush()?;
-            std::fs::rename(&self.tmp, &self.path)
-        })();
-        if publish.is_err() {
+        footer.extend_from_slice(&word_fnv64(&footer).to_le_bytes());
+        self.w.write_all(&index_bytes)?;
+        self.w.write_all(&footer)?;
+        self.w.flush()?;
+        std::fs::rename(&self.tmp, &self.path)?;
+        self.published = true;
+        Ok(())
+    }
+}
+
+impl Drop for PreresWriter {
+    fn drop(&mut self) {
+        if !self.published {
+            // Best effort: a leftover temp name is never read as a stream.
             let _ = std::fs::remove_file(&self.tmp);
         }
-        publish
     }
 }
 
@@ -353,9 +382,9 @@ impl PreresStream {
     }
 }
 
-fn read_exact_at(file: &mut File, pos: u64, buf: &mut [u8]) -> io::Result<()> {
-    file.seek(SeekFrom::Start(pos))?;
-    file.read_exact(buf)
+fn read_exact_at(r: &mut (impl Read + Seek), pos: u64, buf: &mut [u8]) -> io::Result<()> {
+    r.seek(SeekFrom::Start(pos))?;
+    r.read_exact(buf)
 }
 
 fn le_u64(buf: &[u8], at: usize) -> u64 {
@@ -400,54 +429,98 @@ pub fn open_stream_checked(store_dir: &Path, job: &Job) -> CacheRead<PreresStrea
             let _ = std::fs::rename(&flat, &path);
         }
     }
+    open_at(path, pre_canonical(&job.spec).as_bytes())
+}
+
+/// [`open_stream_checked`] of the stream at `path`, whose collision
+/// guard must read `canon`.
+fn open_at(path: PathBuf, canon: &[u8]) -> CacheRead<PreresStream> {
     let Ok(mut file) = File::open(&path) else {
         return CacheRead::Miss;
     };
     let Ok(file_len) = file.metadata().map(|m| m.len()) else {
         return CacheRead::Miss;
     };
+    match verify(&mut file, file_len, canon) {
+        Ok(Layout {
+            payload_base,
+            records,
+            seg_records,
+            index,
+        }) => CacheRead::Hit(PreresStream {
+            file,
+            path,
+            payload_base,
+            records,
+            seg_records,
+            index,
+        }),
+        Err(None) => CacheRead::Miss,
+        Err(Some(reason)) => quarantine(path, reason),
+    }
+}
 
+/// What [`verify`] found in a stream file that checks out.
+struct Layout {
+    payload_base: u64,
+    records: u64,
+    seg_records: u64,
+    index: Vec<SegEntry>,
+}
+
+/// Why a stream file was refused: `None` is a plain miss (another
+/// format revision, another spec, a failed read), `Some(reason)` is
+/// corruption.
+type Refusal = Option<String>;
+
+fn corrupt<T>(reason: impl Into<String>) -> Result<T, Refusal> {
+    Err(Some(reason.into()))
+}
+
+/// Reads `buf` at `pos`; a failed read is a miss, not damage.
+fn read_at(r: &mut (impl Read + Seek), pos: u64, buf: &mut [u8]) -> Result<(), Refusal> {
+    read_exact_at(r, pos, buf).map_err(|_| None)
+}
+
+/// Verifies the `file_len`-byte stream in `r` whose collision guard must
+/// read `canon`: header, footer, index and every segment checksum, in
+/// one sequential O(segment)-memory pass, so block reads during replay
+/// can skip re-hashing.
+fn verify(r: &mut (impl Read + Seek), file_len: u64, canon: &[u8]) -> Result<Layout, Refusal> {
     let min_len = 12 + FOOTER_BYTES;
     if file_len < min_len {
         // Too short to carry a header: ours-but-cut is corruption, a
         // foreign prefix is staleness.
         let mut prefix = vec![0u8; file_len.min(8) as usize];
-        if read_exact_at(&mut file, 0, &mut prefix).is_err() {
-            return CacheRead::Miss;
-        }
+        read_at(r, 0, &mut prefix)?;
         return if !prefix.is_empty() && prefix.starts_with(&MAGIC[..prefix.len().min(8)]) {
-            quarantine(path, "truncated header".into())
+            corrupt("truncated header")
         } else {
-            CacheRead::Miss
+            Err(None)
         };
     }
 
     let mut head_fixed = [0u8; 12];
-    if read_exact_at(&mut file, 0, &mut head_fixed).is_err() {
-        return CacheRead::Miss;
-    }
+    read_at(r, 0, &mut head_fixed)?;
     if &head_fixed[0..8] != MAGIC {
-        // An older format revision (e.g. the single-blob "EBCPPRE2")
-        // is staleness, not corruption: plain miss, overwritten on save.
-        return CacheRead::Miss;
+        // An older format revision (e.g. "EBCPPRE3") is staleness, not
+        // corruption: plain miss, overwritten on save.
+        return Err(None);
     }
     let canon_len = u64::from(u32::from_le_bytes(
         head_fixed[8..12].try_into().expect("4-byte window"),
     ));
     let payload_base = 12 + canon_len;
     if payload_base + FOOTER_BYTES > file_len {
-        return quarantine(
-            path,
-            format!("canon length {canon_len} overruns the {file_len}-byte file"),
-        );
+        return corrupt(format!(
+            "canon length {canon_len} overruns the {file_len}-byte file"
+        ));
     }
 
     let mut footer = [0u8; FOOTER_BYTES as usize];
-    if read_exact_at(&mut file, file_len - FOOTER_BYTES, &mut footer).is_err() {
-        return CacheRead::Miss;
-    }
-    if fnv1a64(&footer[0..40]) != le_u64(&footer, 40) {
-        return quarantine(path, "footer checksum mismatch".into());
+    read_at(r, file_len - FOOTER_BYTES, &mut footer)?;
+    if word_fnv64(&footer[0..40]) != le_u64(&footer, 40) {
+        return corrupt("footer checksum mismatch");
     }
     let records = le_u64(&footer, 0);
     let seg_records = le_u64(&footer, 8);
@@ -456,31 +529,27 @@ pub fn open_stream_checked(store_dir: &Path, job: &Job) -> CacheRead<PreresStrea
     let head_checksum = le_u64(&footer, 32);
 
     let mut head = vec![0u8; payload_base as usize];
-    if read_exact_at(&mut file, 0, &mut head).is_err() {
-        return CacheRead::Miss;
+    read_at(r, 0, &mut head)?;
+    if word_fnv64(&head) != head_checksum {
+        return corrupt("header checksum mismatch");
     }
-    if fnv1a64(&head) != head_checksum {
-        return quarantine(path, "header checksum mismatch".into());
-    }
-    if head[12..] != *pre_canonical(&job.spec).as_bytes() {
+    if head[12..] != *canon {
         // Collision guard: a valid stream for a *different* spec.
-        return CacheRead::Miss;
+        return Err(None);
     }
 
     if n_segs > file_len / INDEX_ENTRY_BYTES {
-        return quarantine(path, format!("implausible segment count {n_segs}"));
+        return corrupt(format!("implausible segment count {n_segs}"));
     }
     let index_len = n_segs * INDEX_ENTRY_BYTES;
     if payload_base + index_len + FOOTER_BYTES > file_len {
-        return quarantine(path, "index overruns the file".into());
+        return corrupt("index overruns the file");
     }
     let index_base = file_len - FOOTER_BYTES - index_len;
     let mut index_bytes = vec![0u8; index_len as usize];
-    if read_exact_at(&mut file, index_base, &mut index_bytes).is_err() {
-        return CacheRead::Miss;
-    }
-    if fnv1a64(&index_bytes) != index_checksum {
-        return quarantine(path, "index checksum mismatch".into());
+    read_at(r, index_base, &mut index_bytes)?;
+    if word_fnv64(&index_bytes) != index_checksum {
+        return corrupt("index checksum mismatch");
     }
     let mut index = Vec::with_capacity(n_segs as usize);
     let mut byte_off = 0u64;
@@ -493,29 +562,31 @@ pub fn open_stream_checked(store_dir: &Path, job: &Job) -> CacheRead<PreresStrea
             records,
             byte_off,
         });
-        byte_off += n_events * EVENT_BYTES;
-        rec_sum += records;
+        // Checked: the checksums guard against damage, not crafting.
+        let (Some(off), Some(sum)) = (
+            n_events
+                .checked_mul(EVENT_BYTES)
+                .and_then(|n| byte_off.checked_add(n)),
+            rec_sum.checked_add(records),
+        ) else {
+            return corrupt("index counts overflow");
+        };
+        byte_off = off;
+        rec_sum = sum;
     }
-    if payload_base + byte_off != index_base {
-        return quarantine(
-            path,
-            format!(
-                "payload length {} disagrees with header event count {}",
-                index_base - payload_base,
-                byte_off / EVENT_BYTES
-            ),
-        );
+    if payload_base.checked_add(byte_off) != Some(index_base) {
+        return corrupt(format!(
+            "payload length {} disagrees with header event count {}",
+            index_base - payload_base,
+            byte_off / EVENT_BYTES
+        ));
     }
     if rec_sum != records {
-        return quarantine(
-            path,
-            format!("index sums to {rec_sum} records, footer claims {records}"),
-        );
+        return corrupt(format!(
+            "index sums to {rec_sum} records, footer claims {records}"
+        ));
     }
 
-    // Eager integrity pass: verify every segment checksum now with one
-    // reusable O(segment) buffer, so block reads during replay can
-    // skip re-hashing.
     let mut buf = Vec::new();
     for (k, (seg, entry)) in index
         .iter()
@@ -523,17 +594,13 @@ pub fn open_stream_checked(store_dir: &Path, job: &Job) -> CacheRead<PreresStrea
         .enumerate()
     {
         buf.resize((seg.n_events * EVENT_BYTES) as usize, 0);
-        if read_exact_at(&mut file, payload_base + seg.byte_off, &mut buf).is_err() {
-            return CacheRead::Miss;
-        }
-        if fnv1a64(&buf) != le_u64(entry, 16) {
-            return quarantine(path, format!("segment {k} checksum mismatch"));
+        read_at(r, payload_base + seg.byte_off, &mut buf)?;
+        if word_fnv64(&buf) != le_u64(entry, 16) {
+            return corrupt(format!("segment {k} checksum mismatch"));
         }
     }
 
-    CacheRead::Hit(PreresStream {
-        file,
-        path,
+    Ok(Layout {
         payload_base,
         records,
         seg_records,
@@ -693,13 +760,92 @@ mod tests {
     fn old_magic_is_a_plain_miss_not_corruption() {
         let dir = tmpdir("oldmagic");
         let j = job();
-        save(&dir, &j, &j.spec.pre_resolve()).unwrap();
+        let pre = j.spec.pre_resolve();
+        save(&dir, &j, &pre).unwrap();
         let p = path_for(&dir, &j);
-        let mut bytes = std::fs::read(&p).unwrap();
-        bytes[..8].copy_from_slice(b"EBCPPRE2");
-        std::fs::write(&p, &bytes).unwrap();
-        assert!(load_checked(&dir, &j).into_hit().is_none());
-        assert!(p.exists(), "stale formats are overwritten, not quarantined");
+        let fresh = std::fs::read(&p).unwrap();
+        for old in [b"EBCPPRE2", b"EBCPPRE3"] {
+            let mut bytes = fresh.clone();
+            bytes[..8].copy_from_slice(old);
+            std::fs::write(&p, &bytes).unwrap();
+            assert!(matches!(load_checked(&dir, &j), CacheRead::Miss));
+            assert!(p.exists(), "stale formats are overwritten, not quarantined");
+            save(&dir, &j, &pre).unwrap();
+            assert_eq!(std::fs::read(&p).unwrap(), fresh, "rebuilt in place");
+            assert_eq!(
+                std::fs::read_dir(p.parent().unwrap()).unwrap().count(),
+                1,
+                "no *.corrupt or temp file beside the stream"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dropped_writer_leaves_no_temp_file() {
+        let dir = tmpdir("drop");
+        let j = job();
+        let pre = j.spec.pre_resolve();
+        let mut w = PreresWriter::create(&dir, &j, 3_000).unwrap();
+        w.push_block(&pre.events[..10], 100).unwrap();
+        drop(w);
+        let shard = path_for(&dir, &j).parent().unwrap().to_path_buf();
+        assert_eq!(std::fs::read_dir(&shard).unwrap().count(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Three blocks of hand-picked events, the last one empty.
+    fn golden_blocks() -> Vec<PreBlock> {
+        let ev = |pc, dline, gap, flags| PreEvent {
+            pc,
+            dline,
+            gap,
+            flags,
+        };
+        vec![
+            PreBlock {
+                events: vec![ev(0x100, 0x8000, 3, 1), ev(0x104, 0, 0, 0x2a)],
+                records: 3,
+            },
+            PreBlock {
+                events: vec![ev(u64::MAX, 1 << 40, u32::MAX, 7)],
+                records: 2,
+            },
+            PreBlock {
+                events: Vec::new(),
+                records: 1,
+            },
+        ]
+    }
+
+    #[test]
+    fn golden_file_pins_format() {
+        // `EBCP_BLESS_GOLDEN=1` regenerates the pinned file after an
+        // *intentional* format revision.
+        let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/preres_v4.bin");
+        let dir = tmpdir("golden");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("s.bin");
+        let mut w = PreresWriter::create_at(path.clone(), b"golden-v4", 3).unwrap();
+        for b in golden_blocks() {
+            w.push_block(&b.events, b.records).unwrap();
+        }
+        w.finish().unwrap();
+        let fresh = std::fs::read(&path).unwrap();
+        if std::env::var_os("EBCP_BLESS_GOLDEN").is_some() {
+            std::fs::create_dir_all(golden.parent().unwrap()).unwrap();
+            std::fs::write(&golden, &fresh).unwrap();
+        }
+        let pinned = std::fs::read(&golden).expect("golden file missing");
+        assert_eq!(
+            fresh, pinned,
+            "stream format drifted from the pinned golden file"
+        );
+        let stream = open_at(golden, b"golden-v4")
+            .into_hit()
+            .expect("pinned bytes verify");
+        assert_eq!(stream.records(), 6);
+        assert_eq!(stream.blocks().collect::<Vec<_>>(), golden_blocks());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -818,5 +964,126 @@ mod tests {
         std::fs::write(&p, &crafted).unwrap();
         expect_quarantined(load_checked(&dir, &j), "disagrees with header event count");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn arb_blocks() -> impl Strategy<Value = Vec<PreBlock>> {
+            let event = (any::<u64>(), any::<u64>(), any::<u32>(), any::<u32>()).prop_map(
+                |(pc, dline, gap, flags)| PreEvent {
+                    pc,
+                    dline,
+                    gap,
+                    flags,
+                },
+            );
+            let block = (proptest::collection::vec(event, 0..6), 1u64..50)
+                .prop_map(|(events, records)| PreBlock { events, records });
+            proptest::collection::vec(block, 1..4)
+        }
+
+        /// Writes `blocks` as a stream at `path` and returns its bytes.
+        fn write(path: &Path, blocks: &[PreBlock]) -> Vec<u8> {
+            let mut w = PreresWriter::create_at(path.to_path_buf(), b"prop", 8).unwrap();
+            for b in blocks {
+                w.push_block(&b.events, b.records).unwrap();
+            }
+            w.finish().unwrap();
+            std::fs::read(path).unwrap()
+        }
+
+        /// How `bytes` verify as a stream file guarded by "prop".
+        fn check(bytes: &[u8]) -> Result<Layout, Refusal> {
+            verify(&mut io::Cursor::new(bytes), bytes.len() as u64, b"prop")
+        }
+
+        fn opens(bytes: &[u8]) -> bool {
+            check(bytes).is_ok()
+        }
+
+        fn temp_stream(tag: &str) -> PathBuf {
+            let dir = tmpdir(tag);
+            std::fs::create_dir_all(&dir).unwrap();
+            dir.join("s.bin")
+        }
+
+        proptest! {
+            /// Every proper prefix of a valid stream reads as a miss or
+            /// a quarantine, never a hit.
+            #[test]
+            fn every_truncated_prefix_is_refused(blocks in arb_blocks()) {
+                let path = temp_stream("prefix");
+                let bytes = write(&path, &blocks);
+                prop_assert!(opens(&bytes), "the whole file verifies");
+                for cut in 0..bytes.len() {
+                    prop_assert!(!opens(&bytes[..cut]), "a {cut}-byte prefix opened");
+                }
+            }
+
+            /// Arbitrary bytes, foreign or behind this format's magic,
+            /// never open as a stream.
+            #[test]
+            fn arbitrary_bytes_never_open(
+                body in proptest::collection::vec(any::<u8>(), 0..400),
+                ours in any::<bool>(),
+            ) {
+                let mut bytes = if ours { MAGIC.to_vec() } else { Vec::new() };
+                bytes.extend_from_slice(&body);
+                prop_assert!(!opens(&bytes));
+            }
+
+            /// Arbitrary byte edits at distinct offsets of a valid stream
+            /// never open.
+            #[test]
+            fn edited_stream_never_opens(
+                blocks in arb_blocks(),
+                edits in proptest::collection::vec((any::<usize>(), 1u8..255), 1..4),
+            ) {
+                let path = temp_stream("edit");
+                let mut bytes = write(&path, &blocks);
+                let mut at: Vec<(usize, u8)> =
+                    edits.iter().map(|&(p, d)| (p % bytes.len(), d)).collect();
+                at.sort_unstable();
+                at.dedup_by_key(|e| e.0);
+                for (p, d) in at {
+                    bytes[p] ^= d;
+                }
+                prop_assert!(!opens(&bytes));
+            }
+
+            /// A change confined to one 8-byte word of a block's payload
+            /// is always quarantined, naming that block.
+            #[test]
+            fn a_one_word_payload_change_is_always_caught(
+                blocks in arb_blocks(),
+                pick in any::<usize>(),
+                mask in 1u64..u64::MAX,
+            ) {
+                let path = temp_stream("word");
+                let mut bytes = write(&path, &blocks);
+                // Only blocks with events have payload words to change.
+                let full: Vec<usize> =
+                    (0..blocks.len()).filter(|&k| !blocks[k].events.is_empty()).collect();
+                if let Some(&k) = full.get(pick % full.len().max(1)) {
+                    let base: usize = 12 + 4 + blocks[..k]
+                        .iter()
+                        .map(|b| b.events.len() * EVENT_BYTES as usize)
+                        .sum::<usize>();
+                    let words = blocks[k].events.len() * EVENT_BYTES as usize / 8;
+                    let at = base + pick / full.len() % words * 8;
+                    let word = le_u64(&bytes, at) ^ mask;
+                    bytes[at..at + 8].copy_from_slice(&word.to_le_bytes());
+                    match check(&bytes) {
+                        Err(Some(reason)) => {
+                            let want = format!("segment {k} checksum");
+                            prop_assert!(reason.contains(&want), "{reason}");
+                        }
+                        _ => panic!("a one-word change at byte {at} was not called corrupt"),
+                    }
+                }
+            }
+        }
     }
 }

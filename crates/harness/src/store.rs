@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use ebcp_mem::{BusStats, MemStats};
 use ebcp_sim::SimResult;
 
-use crate::job::{fnv1a64, Fnv64, Job, JobId};
+use crate::job::{Fnv64, Job, JobId};
 use crate::json::{self, JsonSink, ParseError, Reader, Value};
 
 /// On-disk schema version; bump on incompatible result layout changes.
@@ -353,7 +353,7 @@ fn footer_segments(path: &Path) -> Option<u64> {
     f.seek(SeekFrom::Start(len - 48)).ok()?;
     f.read_exact(&mut footer).ok()?;
     let stored = u64::from_le_bytes(footer[40..48].try_into().ok()?);
-    if fnv1a64(&footer[0..40]) != stored {
+    if ebcp_trace::checksum::word_fnv64(&footer[0..40]) != stored {
         return None;
     }
     Some(u64::from_le_bytes(footer[16..24].try_into().ok()?))

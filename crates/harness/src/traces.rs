@@ -4,10 +4,12 @@
 //! cache, not a correctness one: a trace depends only on
 //! `(workload, seed, record count)`, and with the store enabled
 //! ([`crate::HarnessConfig::trace_store`]) each workload is generated
-//! **once**, written through [`TraceSink`] in one streaming pass, and
-//! every later front-end pass replays the file zero-copy through an
-//! mmap'd [`SegmentedTrace`] window (O(segment) resident) instead of
-//! re-running the generator.
+//! **once**. The run that generates it feeds its front end through a
+//! [`TraceTee`], which writes every chunk to a [`TraceSink`] as it hands
+//! it on, so that run reads nothing back; every later front-end pass
+//! replays the file zero-copy through an mmap'd [`SegmentedTrace`]
+//! window (O(segment) resident) instead of re-running the generator,
+//! after verifying every segment at open.
 //!
 //! Files live under `<store_dir>/traces/<2-hex>/<trace_key>.seg`,
 //! sharded like result entries. The cache discipline matches the rest
@@ -21,7 +23,8 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use ebcp_sim::{Engine, RunSpec};
-use ebcp_trace::{Backing, SegfileError, SegmentedTrace, TraceGenerator, TraceSink};
+use ebcp_trace::{Backing, ChunkSource, SegfileError, SegmentedTrace, TraceGenerator};
+use ebcp_trace::{TraceRecord, TraceSink};
 
 use crate::job::{fnv1a64, CANON_VERSION};
 use crate::store::{quarantine, CacheRead};
@@ -50,6 +53,77 @@ pub fn path_for(store_dir: &Path, spec: &RunSpec) -> PathBuf {
     store_dir.join("traces").join(&name[..2]).join(name)
 }
 
+/// `spec`'s generator bounded to its trace length, writing every chunk
+/// it delivers into the store: the one pass that both feeds a cold
+/// front end and stores the trace for later runs.
+///
+/// Writing is best effort and never changes what the tee delivers: the
+/// first failed write drops the sink, which removes its temp file, and
+/// [`TraceTee::finish`] reports the failure. The file is published only
+/// by `finish`, after the last record has been pulled; a tee dropped
+/// before that leaves nothing in the store.
+pub struct TraceTee {
+    gen: TraceGenerator,
+    /// The file being written, or why writing stopped.
+    sink: io::Result<TraceSink>,
+    /// Records still to deliver.
+    left: u64,
+}
+
+impl TraceTee {
+    /// Starts generating `spec`'s trace into the store, in segments of
+    /// `seg_records` records.
+    pub fn new(store_dir: &Path, spec: &RunSpec, seg_records: u64) -> TraceTee {
+        let path = path_for(store_dir, spec);
+        let sink = path
+            .parent()
+            .map_or(Ok(()), std::fs::create_dir_all)
+            .and_then(|()| TraceSink::create(&path, trace_canonical(spec).as_bytes(), seg_records));
+        TraceTee {
+            gen: TraceGenerator::new(&spec.workload, spec.seed),
+            sink,
+            left: spec.warmup_insts + spec.measure_insts,
+        }
+    }
+
+    /// Publishes the trace file (temp file + rename) and returns its
+    /// record count.
+    ///
+    /// # Errors
+    ///
+    /// The first write failure, or a tee finished before its last
+    /// record was pulled: a short file would pass for the whole trace.
+    /// Either way nothing is published and no temp file remains.
+    pub fn finish(self) -> io::Result<u64> {
+        let sink = self.sink?;
+        if self.left > 0 {
+            return Err(io::Error::other(format!(
+                "trace tee finished with {} records not yet pulled",
+                self.left
+            )));
+        }
+        sink.finish()
+    }
+}
+
+impl ChunkSource for TraceTee {
+    fn next_chunk(&mut self, out: &mut Vec<TraceRecord>, max: usize) -> usize {
+        let want = (max as u64).min(self.left) as usize;
+        if want == 0 {
+            out.clear();
+            return 0;
+        }
+        let got = self.gen.next_chunk(out, want);
+        self.left -= got as u64;
+        if let Ok(sink) = &mut self.sink {
+            if let Err(e) = sink.push_chunk(out) {
+                self.sink = Err(e);
+            }
+        }
+        got
+    }
+}
+
 /// Generates `spec`'s trace into the store in one streaming pass
 /// (chunked generation feeding [`TraceSink`]; nothing materialized) and
 /// returns the record count written. Publication is atomic — temp file
@@ -59,25 +133,32 @@ pub fn path_for(store_dir: &Path, spec: &RunSpec) -> PathBuf {
 ///
 /// Propagates file-system failures.
 pub fn generate(store_dir: &Path, spec: &RunSpec, seg_records: u64) -> io::Result<u64> {
-    let path = path_for(store_dir, spec);
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let meta = trace_canonical(spec);
-    let mut sink = TraceSink::create(&path, meta.as_bytes(), seg_records)?;
-    let mut gen = TraceGenerator::new(&spec.workload, spec.seed);
+    let mut tee = TraceTee::new(store_dir, spec, seg_records);
     let mut chunk = Vec::with_capacity(Engine::CHUNK_RECORDS);
-    let mut left = spec.warmup_insts + spec.measure_insts;
-    while left > 0 {
-        let want = (Engine::CHUNK_RECORDS as u64).min(left) as usize;
-        let got = gen.next_chunk(&mut chunk, want);
-        if got == 0 {
-            break;
-        }
-        sink.push_chunk(&chunk)?;
-        left -= got as u64;
+    while tee.next_chunk(&mut chunk, Engine::CHUNK_RECORDS) > 0 {}
+    tee.finish()
+}
+
+/// Opens and fully verifies `spec`'s stored trace. A missing, stale or
+/// foreign file is a plain miss; a corrupt one, or one that does not
+/// hold exactly the spec's record count, is quarantined.
+pub fn open_checked(
+    store_dir: &Path,
+    spec: &RunSpec,
+    backing: Backing,
+) -> CacheRead<SegmentedTrace> {
+    let path = path_for(store_dir, spec);
+    let want = spec.warmup_insts + spec.measure_insts;
+    match SegmentedTrace::open(&path, trace_canonical(spec).as_bytes(), backing) {
+        // A short trace would run its front end dry and change results.
+        Ok(trace) if trace.records() != want => quarantine(
+            path,
+            format!("holds {} records, its spec needs {want}", trace.records()),
+        ),
+        Ok(trace) => CacheRead::Hit(trace),
+        Err(SegfileError::Corrupt(reason)) => quarantine(path, reason),
+        Err(SegfileError::Stale | SegfileError::Io(_)) => CacheRead::Miss,
     }
-    sink.finish()
 }
 
 /// Opens `spec`'s stored trace for zero-copy replay, generating (or
@@ -99,40 +180,26 @@ pub fn open_or_generate(
     backing: Backing,
     mut on_quarantine: impl FnMut(PathBuf, String),
 ) -> io::Result<SegmentedTrace> {
-    let path = path_for(store_dir, spec);
-    let meta = trace_canonical(spec);
-    let mut regenerated = false;
-    loop {
-        match SegmentedTrace::open(&path, meta.as_bytes(), backing) {
-            Ok(t) => return Ok(t),
-            Err(e) => {
-                if regenerated {
-                    return Err(io::Error::other(format!(
-                        "freshly generated trace {} failed to verify: {e}",
-                        path.display()
-                    )));
-                }
-                if let SegfileError::Corrupt(reason) = &e {
-                    if let CacheRead::Quarantined { path, reason } =
-                        quarantine::<()>(path.clone(), reason.clone())
-                    {
-                        on_quarantine(path, reason);
-                    }
-                }
-                // Stale, corrupt (now moved aside), missing, or
-                // unreadable: regenerate over the top.
-                generate(store_dir, spec, seg_records)?;
-                regenerated = true;
-            }
-        }
+    match open_checked(store_dir, spec, backing) {
+        CacheRead::Hit(trace) => return Ok(trace),
+        CacheRead::Miss => {}
+        CacheRead::Quarantined { path, reason } => on_quarantine(path, reason),
     }
+    generate(store_dir, spec, seg_records)?;
+    let path = path_for(store_dir, spec);
+    SegmentedTrace::open(&path, trace_canonical(spec).as_bytes(), backing).map_err(|e| {
+        io::Error::other(format!(
+            "freshly generated trace {} failed to verify: {e}",
+            path.display()
+        ))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ebcp_sim::SimConfig;
-    use ebcp_trace::{ChunkSource, TraceRecord, WorkloadSpec};
+    use ebcp_trace::WorkloadSpec;
 
     fn spec() -> RunSpec {
         RunSpec {
@@ -150,15 +217,6 @@ mod tests {
         d
     }
 
-    fn collect_all(src: &mut dyn ChunkSource) -> Vec<TraceRecord> {
-        let mut all = Vec::new();
-        let mut chunk = Vec::new();
-        while src.next_chunk(&mut chunk, 4096) > 0 {
-            all.extend_from_slice(&chunk);
-        }
-        all
-    }
-
     #[test]
     fn stored_trace_replays_identically_to_the_generator() {
         let dir = tmpdir("identical");
@@ -169,7 +227,7 @@ mod tests {
         .unwrap();
         assert_eq!(seg.records(), 12_000);
         assert_eq!(seg.n_segments(), 12);
-        let from_store = collect_all(&mut seg);
+        let from_store = drain(&mut seg, 4096);
         let direct = TraceGenerator::new(&s.workload, s.seed).collect_n(from_store.len());
         assert_eq!(from_store, direct);
         let _ = std::fs::remove_dir_all(&dir);
@@ -224,14 +282,128 @@ mod tests {
         let s = spec();
         let _ = open_or_generate(&dir, &s, 2_000, Backing::Buffered, |_, _| {}).unwrap();
         let p = path_for(&dir, &s);
-        let mut bytes = std::fs::read(&p).unwrap();
-        bytes[..8].copy_from_slice(b"EBCPSEG0"); // an older format revision
-        std::fs::write(&p, &bytes).unwrap();
-        let seg = open_or_generate(&dir, &s, 2_000, Backing::Buffered, |_, reason| {
-            panic!("stale is not corruption: {reason}")
-        })
-        .unwrap();
-        assert_eq!(seg.records(), 12_000);
+        let fresh = std::fs::read(&p).unwrap();
+        for old in [b"EBCPSEG0", b"EBCPSEG1"] {
+            let mut bytes = fresh.clone();
+            bytes[..8].copy_from_slice(old); // an older format revision
+            std::fs::write(&p, &bytes).unwrap();
+            assert!(matches!(
+                open_checked(&dir, &s, Backing::Buffered),
+                CacheRead::Miss
+            ));
+            let seg = open_or_generate(&dir, &s, 2_000, Backing::Buffered, |_, reason| {
+                panic!("stale is not corruption: {reason}")
+            })
+            .unwrap();
+            assert_eq!(seg.records(), 12_000);
+            assert_eq!(std::fs::read(&p).unwrap(), fresh, "rebuilt in place");
+            assert_eq!(
+                std::fs::read_dir(p.parent().unwrap()).unwrap().count(),
+                1,
+                "no *.corrupt or temp file beside the trace"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Pulls every record out of `src`, `chunk` at a time.
+    fn drain(src: &mut impl ChunkSource, chunk: usize) -> Vec<TraceRecord> {
+        let mut all = Vec::new();
+        let mut buf = Vec::new();
+        while src.next_chunk(&mut buf, chunk) > 0 {
+            all.extend_from_slice(&buf);
+        }
+        all
+    }
+
+    #[test]
+    fn tee_written_trace_verifies_and_replays_like_the_generator() {
+        let dir = tmpdir("tee");
+        let s = spec();
+        let mut tee = TraceTee::new(&dir, &s, 1_000);
+        let delivered = drain(&mut tee, 777);
+        assert_eq!(tee.finish().unwrap(), 12_000);
+        let direct = TraceGenerator::new(&s.workload, s.seed).collect_n(12_000);
+        assert_eq!(
+            delivered, direct,
+            "the tee hands on the generator's records"
+        );
+
+        // The next open verifies every segment and replays the same trace.
+        let mut seg = open_checked(&dir, &s, Backing::Mmap)
+            .into_hit()
+            .expect("a tee-written trace verifies");
+        assert_eq!(drain(&mut seg, 4096), direct);
+
+        // Byte for byte what a plain `generate` writes.
+        let teed = std::fs::read(path_for(&dir, &s)).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        generate(&dir, &s, 1_000).unwrap();
+        assert_eq!(std::fs::read(path_for(&dir, &s)).unwrap(), teed);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn abandoned_tee_publishes_nothing() {
+        let dir = tmpdir("tee-drop");
+        let s = spec();
+        let shard = path_for(&dir, &s).parent().unwrap().to_path_buf();
+
+        // Dropped after half its records, as when its consumer panics.
+        let mut tee = TraceTee::new(&dir, &s, 1_000);
+        let mut buf = Vec::new();
+        while tee.left > 6_000 {
+            tee.next_chunk(&mut buf, 1_500);
+        }
+        assert_eq!(
+            std::fs::read_dir(&shard).unwrap().count(),
+            1,
+            "writing a temp file"
+        );
+        drop(tee);
+        assert_eq!(
+            std::fs::read_dir(&shard).unwrap().count(),
+            0,
+            "temp file left behind"
+        );
+
+        // Finished early: a short file would pass for the whole trace.
+        let mut tee = TraceTee::new(&dir, &s, 1_000);
+        tee.next_chunk(&mut buf, 1_500);
+        assert!(tee.finish().is_err());
+        assert_eq!(std::fs::read_dir(&shard).unwrap().count(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn tee_that_cannot_write_still_delivers_the_trace() {
+        let dir = tmpdir("tee-unwritable");
+        std::fs::create_dir_all(dir.parent().unwrap()).unwrap();
+        std::fs::write(&dir, b"a file where the store directory should be").unwrap();
+        let s = spec();
+        let mut tee = TraceTee::new(&dir, &s, 1_000);
+        let delivered = drain(&mut tee, 4096);
+        assert!(tee.finish().is_err());
+        assert_eq!(
+            delivered,
+            TraceGenerator::new(&s.workload, s.seed).collect_n(12_000)
+        );
+        let _ = std::fs::remove_file(&dir);
+    }
+
+    #[test]
+    fn trace_of_the_wrong_length_is_quarantined() {
+        let dir = tmpdir("length");
+        let s = spec();
+        let path = path_for(&dir, &s);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        let short = TraceGenerator::new(&s.workload, s.seed).collect_n(11_999);
+        ebcp_trace::segfile::write_segmented(&path, trace_canonical(&s).as_bytes(), 1_000, &short)
+            .unwrap();
+        match open_checked(&dir, &s, Backing::Buffered) {
+            CacheRead::Quarantined { reason, .. } => assert!(reason.contains("11999"), "{reason}"),
+            _ => panic!("a short trace must not be replayed"),
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -45,6 +45,7 @@
 //! assert_eq!(trace, again);
 //! ```
 
+pub mod checksum;
 pub mod gen;
 pub mod io;
 pub mod record;
@@ -81,7 +82,9 @@ impl ChunkSource for TraceGenerator {
     }
 }
 
-impl<S: ChunkSource + ?Sized> ChunkSource for Box<S> {
+/// Lends a source to a consumer that takes it by value, so the caller
+/// keeps it afterwards (the harness finishes its trace tee this way).
+impl<S: ChunkSource + ?Sized> ChunkSource for &mut S {
     fn next_chunk(&mut self, out: &mut Vec<TraceRecord>, max: usize) -> usize {
         (**self).next_chunk(out, max)
     }

@@ -9,7 +9,7 @@
 //! DESIGN.md §3f) instead of the whole trace.
 //!
 //! ```text
-//! magic "EBCPSEG1"   (8 bytes)
+//! magic "EBCPSEG2"   (8 bytes)
 //! meta_len           (u32 LE)
 //! meta               (meta_len bytes; caller-defined collision guard,
 //!                     e.g. the canonical workload/seed string)
@@ -19,17 +19,22 @@
 //!     pc    (u64)
 //!     addr  (u64; 0 for ops without a data address)
 //! index              n_segs x { records u64, checksum u64 }
-//!                    (checksum = FNV-1a 64 over that segment's payload)
+//!                    (checksum = word FNV-1a over that segment's payload)
 //! footer (48 bytes): records u64 | seg_records u64 | n_segs u64
-//!                  | index_checksum u64        (FNV-1a over the index)
-//!                  | head_checksum u64         (FNV-1a over magic..meta)
-//!                  | footer_checksum u64       (FNV-1a over the 40
-//!                                               preceding footer bytes)
+//!                  | index_checksum u64        (over the index)
+//!                  | head_checksum u64         (over magic..meta)
+//!                  | footer_checksum u64       (over the 40 preceding
+//!                                               footer bytes)
 //! ```
+//!
+//! Every checksum is [`word_fnv64`](crate::checksum::word_fnv64): FNV-1a
+//! over little-endian `u64` words, a trailing partial word folded byte
+//! by byte. Version 1 (`EBCPSEG1`) was the same layout with byte-wise
+//! FNV-1a; its files now read as stale.
 //!
 //! The index and totals live in a *footer* so [`TraceSink`] can stream
 //! the payload in a single pass without knowing the record count up
-//! front. Failure semantics follow the PR 5 cache discipline:
+//! front. Failure semantics follow the result store's cache discipline:
 //!
 //! * wrong magic, or a verified header whose meta differs from the
 //!   caller's expectation → [`SegfileError::Stale`] (a plain cache miss:
@@ -52,53 +57,20 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use ebcp_types::{Addr, Pc};
 
+use crate::checksum::{word_fnv64, WordFnv};
 use crate::record::{Op, TraceRecord};
 
-/// Magic prefix of the segmented trace format, version 1.
-pub const SEG_MAGIC: &[u8; 8] = b"EBCPSEG1";
+/// Magic prefix of the segmented trace format, version 2.
+pub const SEG_MAGIC: &[u8; 8] = b"EBCPSEG2";
 /// Fixed width of one encoded record.
 pub const RECORD_BYTES: usize = 17;
 /// Width of one index entry (`records u64 | checksum u64`).
 pub const INDEX_ENTRY_BYTES: usize = 16;
 /// Width of the trailing footer.
 pub const FOOTER_BYTES: usize = 48;
-
-// ---------------------------------------------------------------------------
-// FNV-1a 64 (local copy: this crate sits below the harness, which owns the
-// canonical implementation; the constants are part of the on-disk format).
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-/// Incremental FNV-1a 64 state, so the writer can hash a segment while
-/// streaming it out and the reader can hash windows as they are walked.
-#[derive(Clone, Copy, Debug)]
-struct Fnv64(u64);
-
-impl Fnv64 {
-    fn new() -> Self {
-        Fnv64(FNV_OFFSET)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        self.0 = h;
-    }
-
-    fn finish(self) -> u64 {
-        self.0
-    }
-}
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.update(bytes);
-    h.finish()
-}
+/// Write buffer of a [`TraceSink`]: a trace runs to hundreds of MiB,
+/// and the default 8 KiB buffer costs one `write` call per 8 KiB.
+const WRITE_BUFFER_BYTES: usize = 1 << 18;
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -144,7 +116,7 @@ impl From<io::Error> for SegfileError {
 // ---------------------------------------------------------------------------
 // Record codec (fixed width)
 
-fn encode_record_fixed(out: &mut [u8; RECORD_BYTES], r: &TraceRecord) {
+fn encode_record_fixed(out: &mut [u8], r: &TraceRecord) {
     let (tag, addr) = match r.op {
         Op::Alu => (0u8, 0u64),
         Op::Load {
@@ -189,7 +161,7 @@ fn decode_record_fixed(buf: &[u8]) -> TraceRecord {
 // ---------------------------------------------------------------------------
 // Unique tmp names (pid + sequence, so concurrent writers never collide;
 // the final rename makes the publish atomic). Local copy of the harness
-// store discipline for the same reason as the hash above.
+// store discipline: this crate sits below the harness.
 
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -211,9 +183,13 @@ fn unique_tmp(path: &Path) -> PathBuf {
 /// through this sink; every later replay comes from the file.
 ///
 /// Records stream through a buffered writer with a running per-segment
-/// FNV-1a state; [`TraceSink::finish`] closes the partial tail segment,
-/// appends the index and footer, and atomically renames the tmp file
-/// into place.
+/// checksum state, which carries at most 7 bytes between records, so
+/// nothing larger than a small encode batch is ever buffered.
+/// [`TraceSink::finish`] closes the partial tail segment, appends the
+/// index and footer, and atomically renames the tmp file into place. A
+/// sink dropped before a successful `finish` removes its tmp file, so an
+/// abandoned write (a panicking consumer, a failed publish) leaves
+/// nothing behind.
 pub struct TraceSink {
     w: BufWriter<File>,
     tmp: PathBuf,
@@ -222,8 +198,10 @@ pub struct TraceSink {
     seg_records: u64,
     records: u64,
     seg_fill: u64,
-    seg_hash: Fnv64,
+    seg_hash: WordFnv,
     index: Vec<(u64, u64)>,
+    /// Set once the rename has put the file in place.
+    published: bool,
 }
 
 impl TraceSink {
@@ -244,23 +222,24 @@ impl TraceSink {
         let meta_len = u32::try_from(meta.len()).expect("meta fits u32");
         let tmp = unique_tmp(path);
         let file = File::create(&tmp)?;
-        let mut w = BufWriter::new(file);
         let mut head = Vec::with_capacity(12 + meta.len());
         head.extend_from_slice(SEG_MAGIC);
         head.extend_from_slice(&meta_len.to_le_bytes());
         head.extend_from_slice(meta);
-        w.write_all(&head)?;
-        Ok(TraceSink {
-            w,
+        let mut sink = TraceSink {
+            w: BufWriter::with_capacity(WRITE_BUFFER_BYTES, file),
             tmp,
             path: path.to_path_buf(),
-            head_checksum: fnv1a64(&head),
+            head_checksum: word_fnv64(&head),
             seg_records,
             records: 0,
             seg_fill: 0,
-            seg_hash: Fnv64::new(),
+            seg_hash: WordFnv::new(),
             index: Vec::new(),
-        })
+            published: false,
+        };
+        sink.w.write_all(&head)?;
+        Ok(sink)
     }
 
     /// Appends one record.
@@ -269,26 +248,33 @@ impl TraceSink {
     ///
     /// Returns any underlying I/O failure.
     pub fn push(&mut self, r: &TraceRecord) -> io::Result<()> {
-        let mut buf = [0u8; RECORD_BYTES];
-        encode_record_fixed(&mut buf, r);
-        self.seg_hash.update(&buf);
-        self.w.write_all(&buf)?;
-        self.records += 1;
-        self.seg_fill += 1;
-        if self.seg_fill == self.seg_records {
-            self.close_segment();
-        }
-        Ok(())
+        self.push_chunk(std::slice::from_ref(r))
     }
 
-    /// Appends a batch of records (e.g. one generator chunk).
+    /// Appends a batch of records (e.g. one generator chunk), encoding
+    /// them a bounded batch at a time, never across a segment boundary.
     ///
     /// # Errors
     ///
     /// Returns any underlying I/O failure.
-    pub fn push_chunk(&mut self, rs: &[TraceRecord]) -> io::Result<()> {
-        for r in rs {
-            self.push(r)?;
+    pub fn push_chunk(&mut self, mut rs: &[TraceRecord]) -> io::Result<()> {
+        const BATCH: usize = 256;
+        let mut buf = [0u8; BATCH * RECORD_BYTES];
+        while !rs.is_empty() {
+            let room = (self.seg_records - self.seg_fill).min(BATCH as u64) as usize;
+            let (batch, rest) = rs.split_at(room.min(rs.len()));
+            let bytes = &mut buf[..batch.len() * RECORD_BYTES];
+            for (out, r) in bytes.chunks_exact_mut(RECORD_BYTES).zip(batch) {
+                encode_record_fixed(out, r);
+            }
+            self.seg_hash.update(bytes);
+            self.w.write_all(bytes)?;
+            self.records += batch.len() as u64;
+            self.seg_fill += batch.len() as u64;
+            if self.seg_fill == self.seg_records {
+                self.close_segment();
+            }
+            rs = rest;
         }
         Ok(())
     }
@@ -296,7 +282,7 @@ impl TraceSink {
     fn close_segment(&mut self) {
         self.index.push((self.seg_fill, self.seg_hash.finish()));
         self.seg_fill = 0;
-        self.seg_hash = Fnv64::new();
+        self.seg_hash = WordFnv::new();
     }
 
     /// Records written so far.
@@ -324,20 +310,25 @@ impl TraceSink {
         footer.extend_from_slice(&self.records.to_le_bytes());
         footer.extend_from_slice(&self.seg_records.to_le_bytes());
         footer.extend_from_slice(&(self.index.len() as u64).to_le_bytes());
-        footer.extend_from_slice(&fnv1a64(&index_bytes).to_le_bytes());
+        footer.extend_from_slice(&word_fnv64(&index_bytes).to_le_bytes());
         footer.extend_from_slice(&self.head_checksum.to_le_bytes());
-        footer.extend_from_slice(&fnv1a64(&footer).to_le_bytes());
-        let publish = (|| -> io::Result<()> {
-            self.w.write_all(&index_bytes)?;
-            self.w.write_all(&footer)?;
-            self.w.flush()?;
-            self.w.get_ref().sync_all()?;
-            std::fs::rename(&self.tmp, &self.path)
-        })();
-        if publish.is_err() {
+        footer.extend_from_slice(&word_fnv64(&footer).to_le_bytes());
+        self.w.write_all(&index_bytes)?;
+        self.w.write_all(&footer)?;
+        self.w.flush()?;
+        self.w.get_ref().sync_all()?;
+        std::fs::rename(&self.tmp, &self.path)?;
+        self.published = true;
+        Ok(self.records)
+    }
+}
+
+impl Drop for TraceSink {
+    fn drop(&mut self) {
+        if !self.published {
+            // Best effort: a leftover tmp name is never read as a trace.
             let _ = std::fs::remove_file(&self.tmp);
         }
-        publish.map(|()| self.records)
     }
 }
 
@@ -535,7 +526,7 @@ impl SegmentedTrace {
 
         let mut footer = [0u8; FOOTER_BYTES];
         read_exact_at(&mut file, file_len - FOOTER_BYTES as u64, &mut footer)?;
-        if fnv1a64(&footer[0..40]) != le_u64(&footer, 40) {
+        if word_fnv64(&footer[0..40]) != le_u64(&footer, 40) {
             return Err(SegfileError::Corrupt("footer checksum mismatch".into()));
         }
         let records = le_u64(&footer, 0);
@@ -546,7 +537,7 @@ impl SegmentedTrace {
 
         let mut head = vec![0u8; payload_base as usize];
         read_exact_at(&mut file, 0, &mut head)?;
-        if fnv1a64(&head) != head_checksum {
+        if word_fnv64(&head) != head_checksum {
             return Err(SegfileError::Corrupt("header checksum mismatch".into()));
         }
         if &head[12..] != expected_meta {
@@ -555,9 +546,12 @@ impl SegmentedTrace {
             return Err(SegfileError::Stale);
         }
 
+        // Bounding both counts by the file length keeps the layout
+        // arithmetic below from overflowing on a crafted footer.
         if seg_records == 0
             || n_segs != records.div_ceil(seg_records)
             || n_segs > (file_len / INDEX_ENTRY_BYTES as u64)
+            || records > (file_len / RECORD_BYTES as u64)
         {
             return Err(SegfileError::Corrupt(format!(
                 "footer geometry inconsistent: {records} records / {seg_records} per segment \
@@ -577,7 +571,7 @@ impl SegmentedTrace {
         let index_base = payload_base + records * RECORD_BYTES as u64;
         let mut index_bytes = vec![0u8; (n_segs * INDEX_ENTRY_BYTES as u64) as usize];
         read_exact_at(&mut file, index_base, &mut index_bytes)?;
-        if fnv1a64(&index_bytes) != index_checksum {
+        if word_fnv64(&index_bytes) != index_checksum {
             return Err(SegfileError::Corrupt("index checksum mismatch".into()));
         }
         let mut index = Vec::with_capacity(n_segs as usize);
@@ -618,7 +612,7 @@ impl SegmentedTrace {
                 payload_base + seg.first_record * RECORD_BYTES as u64,
                 &mut buf,
             )?;
-            if fnv1a64(&buf) != seg.checksum {
+            if word_fnv64(&buf) != seg.checksum {
                 return Err(SegfileError::Corrupt(format!(
                     "segment {k} checksum mismatch"
                 )));
@@ -921,6 +915,33 @@ mod tests {
     }
 
     #[test]
+    fn version_1_file_is_stale() {
+        // `golden/trace_v1.seg` is the last pinned `EBCPSEG1` file (the
+        // same sample, byte-wise checksums): a plain miss, never damage.
+        let v1 = Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/trace_v1.seg");
+        assert_eq!(&std::fs::read(&v1).unwrap()[..8], b"EBCPSEG1");
+        assert!(matches!(
+            SegmentedTrace::open(&v1, b"golden-v1", Backing::Buffered),
+            Err(SegfileError::Stale)
+        ));
+    }
+
+    #[test]
+    fn dropped_sink_leaves_no_tmp_file() {
+        let dir = tmpdir("drop");
+        let path = dir.join("t.seg");
+        let mut sink = TraceSink::create(&path, b"m", 2).unwrap();
+        sink.push_chunk(&sample()[..3]).unwrap();
+        drop(sink);
+        assert!(!path.exists(), "an unfinished sink publishes nothing");
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            0,
+            "tmp file left behind"
+        );
+    }
+
+    #[test]
     fn meta_mismatch_is_stale() {
         let dir = tmpdir("meta");
         let path = dir.join("t.seg");
@@ -1041,7 +1062,7 @@ mod tests {
         // seg_records=3 and meta "golden-v1". Any byte drift in the
         // encoder shows up as a mismatch here; `EBCP_BLESS_GOLDEN=1`
         // regenerates it after an *intentional* format revision.
-        let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/trace_v1.seg");
+        let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/trace_v2.seg");
         let dir = tmpdir("golden");
         let path = dir.join("t.seg");
         write_segmented(&path, b"golden-v1", 3, &sample()).unwrap();
@@ -1117,6 +1138,97 @@ mod tests {
                     );
                     let back = read_all(&mut st, chunk);
                     prop_assert_eq!(&back, &recs);
+                }
+                std::fs::remove_dir_all(&dir).ok();
+            }
+
+            /// Every proper prefix of a valid file (a torn write, a cut
+            /// copy) reads as stale or corrupt, never as a trace.
+            #[test]
+            fn every_truncated_prefix_is_refused(
+                recs in proptest::collection::vec(arb_record(), 0..8),
+                seg_records in 1u64..4,
+            ) {
+                let dir = tmpdir("prefix");
+                let path = dir.join("t.seg");
+                write_segmented(&path, b"p", seg_records, &recs).unwrap();
+                let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+                for cut in (0..file.metadata().unwrap().len()).rev() {
+                    file.set_len(cut).unwrap();
+                    let read = SegmentedTrace::open(&path, b"p", Backing::Buffered);
+                    prop_assert!(read.is_err(), "a {cut}-byte prefix opened");
+                }
+                std::fs::remove_dir_all(&dir).ok();
+            }
+
+            /// Arbitrary bytes, foreign or behind this format's magic,
+            /// never open as a trace.
+            #[test]
+            fn arbitrary_bytes_never_open(
+                body in proptest::collection::vec(any::<u8>(), 0..400),
+                ours in any::<bool>(),
+            ) {
+                let dir = tmpdir("arb");
+                let path = dir.join("t.seg");
+                let mut bytes = if ours { SEG_MAGIC.to_vec() } else { Vec::new() };
+                bytes.extend_from_slice(&body);
+                std::fs::write(&path, &bytes).unwrap();
+                prop_assert!(SegmentedTrace::open(&path, b"", Backing::Buffered).is_err());
+                std::fs::remove_dir_all(&dir).ok();
+            }
+
+            /// Arbitrary byte edits at distinct offsets of a valid file
+            /// read as stale or corrupt.
+            #[test]
+            fn edited_file_never_opens(
+                recs in proptest::collection::vec(arb_record(), 1..40),
+                seg_records in 1u64..8,
+                edits in proptest::collection::vec((any::<usize>(), 1u8..255), 1..4),
+            ) {
+                let dir = tmpdir("edit");
+                let path = dir.join("t.seg");
+                write_segmented(&path, b"edit", seg_records, &recs).unwrap();
+                let mut bytes = std::fs::read(&path).unwrap();
+                let mut at: Vec<(usize, u8)> =
+                    edits.iter().map(|&(p, d)| (p % bytes.len(), d)).collect();
+                at.sort_unstable();
+                at.dedup_by_key(|e| e.0);
+                for (p, d) in at {
+                    bytes[p] ^= d;
+                }
+                std::fs::write(&path, &bytes).unwrap();
+                prop_assert!(SegmentedTrace::open(&path, b"edit", Backing::Buffered).is_err());
+                std::fs::remove_dir_all(&dir).ok();
+            }
+
+            /// A change confined to one aligned 8-byte word of a
+            /// segment's payload is always caught, by that segment's
+            /// checksum.
+            #[test]
+            fn a_one_word_payload_change_is_always_caught(
+                recs in proptest::collection::vec(arb_record(), 1..60),
+                seg_records in 1u64..10,
+                pick in any::<usize>(),
+                mask in 1u64..u64::MAX,
+            ) {
+                let dir = tmpdir("word");
+                let path = dir.join("t.seg");
+                write_segmented(&path, b"w", seg_records, &recs).unwrap();
+                let mut bytes = std::fs::read(&path).unwrap();
+                let n_segs = recs.len().div_ceil(seg_records as usize);
+                let k = pick % n_segs;
+                let first = k * seg_records as usize;
+                let seg_bytes = (recs.len() - first).min(seg_records as usize) * RECORD_BYTES;
+                let at = 13 + first * RECORD_BYTES + pick / n_segs % (seg_bytes / 8) * 8;
+                let word = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) ^ mask;
+                bytes[at..at + 8].copy_from_slice(&word.to_le_bytes());
+                std::fs::write(&path, &bytes).unwrap();
+                match SegmentedTrace::open(&path, b"w", Backing::Buffered) {
+                    Err(SegfileError::Corrupt(why)) => {
+                        prop_assert!(why.contains(&format!("segment {k} checksum")), "{why}");
+                    }
+                    Err(other) => panic!("expected Corrupt, got {other:?}"),
+                    Ok(_) => panic!("a one-word change at byte {at} went unnoticed"),
                 }
                 std::fs::remove_dir_all(&dir).ok();
             }
