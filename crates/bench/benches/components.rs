@@ -12,7 +12,7 @@ use ebcp_harness::{results_doc, CmpJob, Harness, HarnessConfig, Job, ResultStore
 use ebcp_mem::{CacheGeometry, PrefetchBuffer, SetAssocCache};
 use ebcp_prefetch::NullPrefetcher;
 use ebcp_serve::SweepSpec;
-use ebcp_sim::{Engine, PrefetcherSpec, SimConfig};
+use ebcp_sim::{Engine, PreResolved, PrefetcherSpec, ReplayCursor, SimConfig};
 use ebcp_trace::{TraceGenerator, WorkloadSpec};
 use ebcp_types::LineAddr;
 
@@ -91,17 +91,19 @@ fn bench_generator(c: &mut Criterion) {
     g.finish();
 }
 
+/// The back end alone: one engine replaying a stream pre-resolved
+/// outside the timed region.
 fn bench_engine(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine");
     let spec = WorkloadSpec::database().scaled(1, 16);
+    let cfg = SimConfig::scaled_down(16);
     let trace: Vec<_> = TraceGenerator::new(&spec, 1).take(200_000).collect();
-    g.throughput(Throughput::Elements(trace.len() as u64));
+    let pre = PreResolved::from_records(&cfg, &trace);
+    g.throughput(Throughput::Elements(pre.records));
     g.bench_function("database_200k_insts_null_prefetcher", |b| {
         b.iter(|| {
-            let mut engine = Engine::new(SimConfig::scaled_down(16), Box::new(NullPrefetcher));
-            for rec in &trace {
-                engine.step(rec);
-            }
+            let mut engine = Engine::new(cfg, Box::new(NullPrefetcher));
+            engine.replay_events(&pre.events, &mut ReplayCursor::default(), pre.records);
             engine.cycle()
         });
     });

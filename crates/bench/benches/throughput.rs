@@ -11,10 +11,10 @@ fn main() {
     let scale = Scale::quick();
     let rows = throughput::measure(scale);
     print!("{}", throughput::render(&rows));
-    let sweep = throughput::measure_sweep(scale);
+    let lockstep = throughput::measure_lockstep(scale);
+    let sweep = throughput::sweep_rows(&lockstep);
     println!();
     print!("{}", throughput::render_sweep(&sweep));
-    let lockstep = throughput::measure_lockstep(scale);
     println!();
     print!("{}", throughput::render_lockstep(&lockstep));
     let cmp = throughput::measure_cmp(scale);

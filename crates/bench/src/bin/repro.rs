@@ -228,7 +228,8 @@ fn main() {
 
     // Trace-scale cells are timing-sensitive too: same contract as
     // bench-throughput below. `--scale large` selects the ~100× tier
-    // (streamed modes only); any other scale times all three modes.
+    // (streamed modes only); any other scale times monolithic and
+    // segmented.
     if what == "bench-trace-scale" {
         bench_trace_scale(scale, &out_dir, check_baseline.as_deref());
         eprintln!("# done in {:.1}s", t0.elapsed().as_secs_f64());
@@ -439,10 +440,9 @@ fn main() {
 
 /// Runs the trace-scale cells, writes `<out-dir>/BENCH_trace_scale.json`
 /// (with the process RSS high-water mark — the large tier's bounded-
-/// memory evidence), and applies the gates: at the large tier the
-/// scatter cell at ≥2 workers must beat the single-worker replay of
-/// the same stream; with `--check-baseline` the segmented geomean
-/// must stay within 25% of the committed baseline.
+/// memory evidence), and with `--check-baseline` fails the process if
+/// the segmented geomean dropped more than 25% below the committed
+/// baseline.
 fn bench_trace_scale(scale: Scale, out_dir: &Path, baseline: Option<&Path>) {
     let large = scale == Scale::large();
     let rows = if large {
@@ -466,15 +466,6 @@ fn bench_trace_scale(scale: Scale, out_dir: &Path, baseline: Option<&Path>) {
     match std::fs::write(&path, doc.to_json_pretty()) {
         Ok(()) => eprintln!("# wrote {}", path.display()),
         Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
-    if large {
-        match tracescale::check_speedup(&rows) {
-            Ok(s) => eprintln!("# parallel gate passed: scatter speedup {s:.2}x over one worker"),
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
     }
     let Some(baseline) = baseline else { return };
     let parsed = std::fs::read_to_string(baseline)
@@ -505,10 +496,10 @@ fn bench_trace_scale(scale: Scale, out_dir: &Path, baseline: Option<&Path>) {
 fn bench_throughput(scale: Scale, out_dir: &Path, baseline: Option<&Path>) {
     let rows = throughput::measure(scale);
     print!("{}", throughput::render(&rows));
-    let sweep = throughput::measure_sweep(scale);
+    let lockstep = throughput::measure_lockstep(scale);
+    let sweep = throughput::sweep_rows(&lockstep);
     println!();
     print!("{}", throughput::render_sweep(&sweep));
-    let lockstep = throughput::measure_lockstep(scale);
     println!();
     print!("{}", throughput::render_lockstep(&lockstep));
     let cmp = throughput::measure_cmp(scale);

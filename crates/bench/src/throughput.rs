@@ -3,9 +3,10 @@
 //!
 //! Unlike the figure drivers, throughput runs never flow through the
 //! caching [`Harness`](ebcp_harness::Harness) — a memoized result has no
-//! wall time. Each cell materializes the trace once (generation excluded
-//! from the timed region), replays it through a fresh engine, and
-//! reports simulated millions of instructions per wall-clock second.
+//! wall time. Each workload's trace is pre-resolved once (generation and
+//! the front-end pass excluded from the timed region); each cell replays
+//! that stream through a fresh engine and reports simulated millions of
+//! instructions per wall-clock second.
 //! The committed baseline under `crates/bench/baselines/` turns the
 //! numbers into a CI gate: a geometric-mean regression beyond the
 //! tolerance fails the run.
@@ -28,7 +29,7 @@ pub struct ThroughputRow {
     pub prefetcher: String,
     /// Trace records replayed (one record = one instruction).
     pub records: u64,
-    /// Wall-clock milliseconds for the engine replay.
+    /// Wall-clock milliseconds for the back-end replay.
     pub wall_ms: f64,
     /// Simulated millions of instructions per second.
     pub mips: f64,
@@ -90,33 +91,39 @@ pub fn sweep_roster(scale: Scale) -> Vec<PrefetcherSpec> {
 
 /// Times every workload × roster cell at `scale` (sequential, so cells
 /// do not contend for cores and the numbers are comparable run to run).
+/// Each workload is pre-resolved once, untimed; a cell times exactly
+/// [`RunSpec::run_preresolved`](ebcp_sim::RunSpec::run_preresolved),
+/// min-of-2 like every other cell: a replay-only cell runs tens of ms,
+/// where one scheduler hiccup on a shared host is a large share.
 pub fn measure(scale: Scale) -> Vec<ThroughputRow> {
     let mut rows = Vec::new();
     for w in scale.workloads_all() {
         let spec = scale.run_spec(&w, scale.machine());
-        let trace = spec.materialize();
+        let pre = spec.pre_resolve();
         for pf in roster(scale) {
-            let t0 = Instant::now();
-            let result = spec.run_on(&trace, &pf);
-            let wall = t0.elapsed().as_secs_f64();
-            std::hint::black_box(&result);
+            let mut wall = f64::INFINITY;
+            for _ in 0..2 {
+                let t0 = Instant::now();
+                std::hint::black_box(spec.run_preresolved(&pre, &pf));
+                wall = wall.min(t0.elapsed().as_secs_f64());
+            }
             rows.push(ThroughputRow {
                 workload: w.name.clone(),
                 prefetcher: pf.name(),
-                records: trace.len() as u64,
+                records: pre.records,
                 wall_ms: wall * 1e3,
-                mips: trace.len() as f64 / wall / 1e6,
+                mips: pre.records as f64 / wall / 1e6,
             });
         }
     }
     rows
 }
 
-/// One sweep-mode cell: a whole workload × roster column, run the way
-/// the harness actually runs figure sweeps — one front-end
-/// pre-resolution pass, then back-end-only replays for every
-/// prefetcher. This is where the two-phase pipeline's amortized win
-/// shows up, so it gets its own gate.
+/// One sweep-mode cell: a whole workload × roster column, one
+/// prefetcher at a time — one front-end pre-resolution pass, then
+/// back-end-only replays for every prefetcher. The front end is inside
+/// the timed region: it is exactly what the replays amortize. This is
+/// the serial half of the lockstep cell (see [`sweep_rows`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepRow {
     /// Workload name.
@@ -125,73 +132,11 @@ pub struct SweepRow {
     pub prefetchers: u64,
     /// Trace records per cell (one record = one instruction).
     pub records: u64,
-    /// Wall-clock ms to step every cell over the materialized trace.
-    pub stepped_ms: f64,
     /// Wall-clock ms to pre-resolve once + replay every cell.
     pub sweep_ms: f64,
-    /// `stepped_ms / sweep_ms`.
-    pub speedup: f64,
     /// Amortized sweep throughput: `records × prefetchers / sweep_ms`,
     /// in Minst/s.
     pub mips: f64,
-}
-
-/// Times one sweep per workload at `scale`: the full-stepping cost of
-/// the roster against the pre-resolve-once + replay-each cost.
-/// Sequential for run-to-run comparability, like [`measure`].
-pub fn measure_sweep(scale: Scale) -> Vec<SweepRow> {
-    use ebcp_sim::frontend::PreResolved;
-    let mut rows = Vec::new();
-    for w in scale.workloads_all() {
-        let spec = scale.run_spec(&w, scale.machine());
-        let trace = spec.materialize();
-        let roster = sweep_roster(scale);
-
-        // Allocator warm-up: the first multi-MB event buffer built in a
-        // fresh region pays first-touch page faults (hundreds of ms on
-        // the largest workloads) that neither a steady-state process
-        // nor the harness's disk-cached stream path pays again; one
-        // untimed pass keeps that out of the measurement.
-        std::hint::black_box(PreResolved::from_records(&spec.sim, &trace));
-
-        // Two timed repetitions per mode, keeping the minimum: a cell
-        // runs hundreds of ms, where a single scheduler hiccup on a
-        // shared host smears one shot by 20-30%, and the minimum is
-        // the robust estimator of the true cost. Both modes get the
-        // identical treatment so the speedup ratio stays fair.
-        let mut stepped = f64::INFINITY;
-        for _ in 0..2 {
-            let t0 = Instant::now();
-            for pf in &roster {
-                std::hint::black_box(spec.run_on(&trace, pf));
-            }
-            stepped = stepped.min(t0.elapsed().as_secs_f64());
-        }
-
-        // The front-end pass is part of the sweep cost — it is exactly
-        // what the replays amortize.
-        let mut sweep = f64::INFINITY;
-        for _ in 0..2 {
-            let t1 = Instant::now();
-            let pre = PreResolved::from_records(&spec.sim, &trace);
-            for pf in &roster {
-                std::hint::black_box(spec.run_preresolved(&pre, pf));
-            }
-            sweep = sweep.min(t1.elapsed().as_secs_f64());
-        }
-
-        let total = trace.len() as u64 * roster.len() as u64;
-        rows.push(SweepRow {
-            workload: w.name.clone(),
-            prefetchers: roster.len() as u64,
-            records: trace.len() as u64,
-            stepped_ms: stepped * 1e3,
-            sweep_ms: sweep * 1e3,
-            speedup: stepped / sweep.max(1e-12),
-            mips: total as f64 / sweep.max(1e-12) / 1e6,
-        });
-    }
-    rows
 }
 
 /// One lockstep-mode cell: the whole sweep roster driven by a single
@@ -231,12 +176,19 @@ pub fn measure_lockstep(scale: Scale) -> Vec<LockstepRow> {
         let trace = spec.materialize();
         let roster = sweep_roster(scale);
 
-        // Allocator warm-up, as in `measure_sweep`.
+        // Allocator warm-up: the first multi-MB event buffer built in a
+        // fresh region pays first-touch page faults (hundreds of ms on
+        // the largest workloads) that neither a steady-state process
+        // nor the harness's disk-cached stream path pays again; one
+        // untimed pass keeps that out of the measurement.
         std::hint::black_box(PreResolved::from_records(&spec.sim, &trace));
 
-        // Min-of-2 per mode, identical treatment for a fair ratio. Both
-        // modes include the front-end pass: it is part of what a sweep
-        // costs, and both amortize it the same way.
+        // Min-of-2 per mode, identical treatment for a fair ratio: a
+        // cell runs hundreds of ms, where a single scheduler hiccup on
+        // a shared host smears one shot by 20-30%, and the minimum is
+        // the robust estimator of the true cost. Both modes include
+        // the front-end pass: it is part of what a sweep costs, and
+        // both amortize it the same way.
         let mut serial = f64::INFINITY;
         for _ in 0..2 {
             let t0 = Instant::now();
@@ -267,6 +219,22 @@ pub fn measure_lockstep(scale: Scale) -> Vec<LockstepRow> {
         });
     }
     rows
+}
+
+/// The sweep cells, read off the lockstep cells' serial halves: a
+/// serial replay-each pass over the shared stream *is* the
+/// one-prefetcher-at-a-time sweep, so it is timed once.
+pub fn sweep_rows(lockstep: &[LockstepRow]) -> Vec<SweepRow> {
+    lockstep
+        .iter()
+        .map(|r| SweepRow {
+            workload: r.workload.clone(),
+            prefetchers: r.prefetchers,
+            records: r.records,
+            sweep_ms: r.serial_ms,
+            mips: (r.records * r.prefetchers) as f64 / r.serial_ms.max(1e-9) / 1e3,
+        })
+        .collect()
 }
 
 /// One CMP-mode cell: a whole N-core chip — per-core front ends
@@ -353,11 +321,6 @@ pub fn sweep_geomean_mips(rows: &[SweepRow]) -> f64 {
     geomean(rows.iter().map(|r| r.mips))
 }
 
-/// Geometric mean of the per-workload sweep speedups.
-pub fn sweep_geomean_speedup(rows: &[SweepRow]) -> f64 {
-    geomean(rows.iter().map(|r| r.speedup))
-}
-
 /// Geometric mean of the amortized lockstep Minst/s.
 pub fn lockstep_geomean_mips(rows: &[LockstepRow]) -> f64 {
     geomean(rows.iter().map(|r| r.mips))
@@ -374,10 +337,12 @@ pub fn cmp_geomean_mips(rows: &[CmpThroughputRow]) -> f64 {
 }
 
 /// Encodes the matrix plus the sweep, lockstep and CMP cells as the
-/// `BENCH_throughput.json` document (schema 5; schema 4 predates the
-/// modern competitor roster and the evolving-graph workload, schema 3
-/// had no CMP section, schema 2 no lockstep section, schema 1 no sweep
-/// section).
+/// `BENCH_throughput.json` document (schema 6; schema 5 timed each
+/// matrix cell by record stepping, front end included, and gave each
+/// sweep cell a stepping half — `stepped_ms`, `speedup` and
+/// `sweep_geomean_speedup`; schema 4 predates the modern competitor
+/// roster and the evolving-graph workload, schema 3 had no CMP section,
+/// schema 2 no lockstep section, schema 1 no sweep section).
 pub fn to_json(
     scale: Scale,
     rows: &[ThroughputRow],
@@ -404,9 +369,7 @@ pub fn to_json(
                 ("workload".into(), Value::Str(r.workload.clone())),
                 ("prefetchers".into(), Value::Int(r.prefetchers)),
                 ("records".into(), Value::Int(r.records)),
-                ("stepped_ms".into(), Value::Num(r.stepped_ms)),
                 ("sweep_ms".into(), Value::Num(r.sweep_ms)),
-                ("speedup".into(), Value::Num(r.speedup)),
                 ("mips".into(), Value::Num(r.mips)),
             ])
         })
@@ -438,16 +401,12 @@ pub fn to_json(
         })
         .collect();
     Value::Obj(vec![
-        ("schema".into(), Value::Int(5)),
+        ("schema".into(), Value::Int(6)),
         ("scale_den".into(), Value::Int(scale.den)),
         ("geomean_mips".into(), Value::Num(geomean_mips(rows))),
         (
             "sweep_geomean_mips".into(),
             Value::Num(sweep_geomean_mips(sweep)),
-        ),
-        (
-            "sweep_geomean_speedup".into(),
-            Value::Num(sweep_geomean_speedup(sweep)),
         ),
         (
             "lockstep_geomean_mips".into(),
@@ -612,7 +571,7 @@ pub fn render(rows: &[ThroughputRow]) -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,
-        "Simulated throughput (engine replay, trace generation excluded)"
+        "Simulated throughput (engine replay; generation and front end excluded)"
     );
     let _ = writeln!(
         s,
@@ -640,21 +599,20 @@ pub fn render_sweep(rows: &[SweepRow]) -> String {
     );
     let _ = writeln!(
         s,
-        "{:<22} {:>4} {:>12} {:>11} {:>10} {:>8} {:>10}",
-        "workload", "pf", "records", "stepped ms", "sweep ms", "speedup", "Minst/s"
+        "{:<22} {:>4} {:>12} {:>10} {:>10}",
+        "workload", "pf", "records", "sweep ms", "Minst/s"
     );
     for r in rows {
         let _ = writeln!(
             s,
-            "{:<22} {:>4} {:>12} {:>11.1} {:>10.1} {:>7.2}x {:>10.1}",
-            r.workload, r.prefetchers, r.records, r.stepped_ms, r.sweep_ms, r.speedup, r.mips
+            "{:<22} {:>4} {:>12} {:>10.1} {:>10.1}",
+            r.workload, r.prefetchers, r.records, r.sweep_ms, r.mips
         );
     }
     let _ = writeln!(
         s,
-        "geomean: {:.1} Minst/s amortized, {:.2}x vs stepping",
-        sweep_geomean_mips(rows),
-        sweep_geomean_speedup(rows)
+        "geomean: {:.1} Minst/s amortized",
+        sweep_geomean_mips(rows)
     );
     s
 }
@@ -846,15 +804,12 @@ mod tests {
         }
     }
 
-    fn sweep_row(mips: f64, speedup: f64) -> SweepRow {
-        let sweep_ms = 4.0 * 1_000_000.0 / mips / 1e3;
+    fn sweep_row(mips: f64) -> SweepRow {
         SweepRow {
             workload: "database".into(),
             prefetchers: 4,
             records: 1_000_000,
-            stepped_ms: sweep_ms * speedup,
-            sweep_ms,
-            speedup,
+            sweep_ms: 4.0 * 1_000_000.0 / mips / 1e3,
             mips,
         }
     }
@@ -887,19 +842,30 @@ mod tests {
         let rows = [row(10.0), row(40.0)];
         assert!((geomean_mips(&rows) - 20.0).abs() < 1e-9);
         assert_eq!(geomean_mips(&[]), 0.0);
-        let sweeps = [sweep_row(30.0, 2.0), sweep_row(120.0, 8.0)];
+        let sweeps = [sweep_row(30.0), sweep_row(120.0)];
         assert!((sweep_geomean_mips(&sweeps) - 60.0).abs() < 1e-9);
-        assert!((sweep_geomean_speedup(&sweeps) - 4.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn sweep_rows_are_the_lockstep_serial_halves() {
+        // 4 lanes × 1M records serially in 40 ms: 100 Minst/s.
+        let l = lockstep_row(400.0, 4.0);
+        assert!((l.serial_ms - 40.0).abs() < 1e-9);
+        let sweep = sweep_rows(std::slice::from_ref(&l));
+        assert_eq!(sweep.len(), 1);
+        assert_eq!((sweep[0].prefetchers, sweep[0].records), (4, 1_000_000));
+        assert_eq!(sweep[0].sweep_ms, l.serial_ms);
+        assert!((sweep[0].mips - 100.0).abs() < 1e-9);
     }
 
     #[test]
     fn json_document_shape() {
         let rows = [row(25.0)];
-        let sweeps = [sweep_row(100.0, 4.0)];
+        let sweeps = [sweep_row(100.0)];
         let locksteps = [lockstep_row(400.0, 4.0)];
         let cmps = [cmp_row(800.0)];
         let v = to_json(Scale::quick(), &rows, &sweeps, &locksteps, &cmps);
-        assert_eq!(v.get("schema").unwrap().as_u64(), Some(5));
+        assert_eq!(v.get("schema").unwrap().as_u64(), Some(6));
         assert_eq!(v.get("scale_den").unwrap().as_u64(), Some(16));
         let parsed = ebcp_harness::json::parse(&v.to_json_pretty()).unwrap();
         let back = parsed.get("rows").unwrap().as_arr().unwrap();
@@ -909,7 +875,8 @@ mod tests {
         let sw = parsed.get("sweep").unwrap().as_arr().unwrap();
         assert_eq!(sw.len(), 1);
         assert_eq!(sw[0].get("prefetchers").unwrap().as_u64(), Some(4));
-        assert!((sw[0].get("speedup").unwrap().as_f64().unwrap() - 4.0).abs() < 1e-9);
+        assert!(sw[0].get("stepped_ms").is_none(), "no stepping half");
+        assert!(parsed.get("sweep_geomean_speedup").is_none());
         let g = parsed.get("sweep_geomean_mips").unwrap().as_f64().unwrap();
         assert!((g - 100.0).abs() < 1e-9);
         let ls = parsed.get("lockstep").unwrap().as_arr().unwrap();
@@ -934,7 +901,7 @@ mod tests {
         let baseline = to_json(
             Scale::quick(),
             &[row(40.0)],
-            &[sweep_row(100.0, 4.0)],
+            &[sweep_row(100.0)],
             &[lockstep_row(400.0, 4.0)],
             &[cmp_row(800.0)],
         );
@@ -952,20 +919,18 @@ mod tests {
         let baseline = to_json(
             Scale::quick(),
             &[row(40.0)],
-            &[sweep_row(100.0, 4.0)],
+            &[sweep_row(100.0)],
             &[lockstep_row(400.0, 4.0)],
             &[cmp_row(800.0)],
         );
         // Within tolerance: 80 > 100 * 0.75.
-        assert!(check_sweep_against_baseline(&[sweep_row(80.0, 3.0)], &baseline, 0.25).is_ok());
+        assert!(check_sweep_against_baseline(&[sweep_row(80.0)], &baseline, 0.25).is_ok());
         // Beyond tolerance: 70 < 75.
-        let err =
-            check_sweep_against_baseline(&[sweep_row(70.0, 3.0)], &baseline, 0.25).unwrap_err();
+        let err = check_sweep_against_baseline(&[sweep_row(70.0)], &baseline, 0.25).unwrap_err();
         assert!(err.contains("regressed"), "{err}");
         // Schema-1 baseline without a sweep section passes trivially.
         let old = Value::Obj(vec![("geomean_mips".into(), Value::Num(40.0))]);
-        let (cur, base) =
-            check_sweep_against_baseline(&[sweep_row(70.0, 3.0)], &old, 0.25).unwrap();
+        let (cur, base) = check_sweep_against_baseline(&[sweep_row(70.0)], &old, 0.25).unwrap();
         assert!((cur - 70.0).abs() < 1e-9);
         assert_eq!(base, 0.0);
     }
@@ -975,7 +940,7 @@ mod tests {
         let baseline = to_json(
             Scale::quick(),
             &[row(40.0)],
-            &[sweep_row(100.0, 4.0)],
+            &[sweep_row(100.0)],
             &[lockstep_row(400.0, 4.0)],
             &[cmp_row(800.0)],
         );
@@ -1001,7 +966,7 @@ mod tests {
         let baseline = to_json(
             Scale::quick(),
             &[row(40.0)],
-            &[sweep_row(100.0, 4.0)],
+            &[sweep_row(100.0)],
             &[lockstep_row(400.0, 4.0)],
             &[cmp_row(800.0)],
         );
@@ -1023,9 +988,9 @@ mod tests {
         let s = render(&[row(25.0)]);
         assert!(s.contains("database"));
         assert!(s.contains("geomean"));
-        let sw = render_sweep(&[sweep_row(100.0, 4.0)]);
+        let sw = render_sweep(&[sweep_row(100.0)]);
         assert!(sw.contains("database"));
-        assert!(sw.contains("4.00x"));
+        assert!(sw.contains("100.0"));
         let ls = render_lockstep(&[lockstep_row(400.0, 4.0)]);
         assert!(ls.contains("database"));
         assert!(ls.contains("4.00x"));

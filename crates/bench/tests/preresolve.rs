@@ -1,11 +1,14 @@
 //! Differential gate for the two-phase pipeline: for every registered
 //! prefetcher × workload at quick scale, replaying the pre-resolved
-//! event stream must produce a `SimResult` byte-identical to stepping
-//! the full trace. This is the test that lets the figure drivers run on
-//! the replay path without a correctness asterisk.
+//! event stream must produce a `SimResult` byte-identical to the
+//! stepping oracle (`ebcp_sim::stepping`, compiled for this battery by
+//! the `stepping-oracle` feature) over the full trace. This is the test
+//! that lets every product path run on replay without a correctness
+//! asterisk.
 
 use ebcp_bench::{throughput, Scale};
 use ebcp_sim::frontend::PreResolved;
+use ebcp_sim::stepping::run_stepped;
 
 #[test]
 fn replay_matches_stepping_for_every_prefetcher_and_workload() {
@@ -21,7 +24,7 @@ fn replay_matches_stepping_for_every_prefetcher_and_workload() {
         let trace = spec.materialize();
         let pre = PreResolved::from_records(&spec.sim, &trace);
         for pf in &pfs {
-            let stepped = spec.run_on(&trace, pf);
+            let stepped = run_stepped(&spec, &trace, pf);
             let replayed = spec.run_preresolved(&pre, pf);
             assert_eq!(
                 stepped,

@@ -1,11 +1,10 @@
 //! Equivalence battery for the scale-out trace paths: segment-spliced
 //! replay, of cut streams and of lazily resolved blocks, vs monolithic
-//! replay across the full sweep roster, mmap'd segment-file replay vs the in-memory generator, and
-//! the harness's forced-streaming end-to-end path vs the materialized
-//! reference. These are the checks that let the large trace tier run
-//! on the O(segment) paths without a correctness asterisk; the
-//! *approximate* scatter mode's tolerance is pinned separately
-//! (`ebcp_sim::segment` tests and the `tracescale` module tests).
+//! replay across the full sweep roster, mmap'd segment-file replay vs
+//! the in-memory generator, and the harness's forced-streaming
+//! end-to-end path vs the materialized reference. These are the checks
+//! that let the large trace tier run on the O(segment) paths without a
+//! correctness asterisk.
 
 use std::path::PathBuf;
 use std::sync::Arc;

@@ -719,12 +719,14 @@ mod tests {
     #[test]
     fn harness_replay_matches_direct_stepping() {
         // The harness runs jobs over pre-resolved streams; the results
-        // must be byte-identical to stepping the spec directly.
+        // must be byte-identical to the stepping oracle over the spec's
+        // materialized trace.
         let h = Harness::serial();
         let jobs = small_batch();
         let out = h.run(&jobs);
         for (job, got) in jobs.iter().zip(&out) {
-            let direct = job.spec.run(&job.pf);
+            let direct =
+                ebcp_sim::stepping::run_stepped(&job.spec, &job.spec.materialize(), &job.pf);
             assert_eq!(&direct, got, "job {}", job.label());
         }
     }

@@ -289,7 +289,6 @@ struct SegEntry {
 /// bounded-memory counterpart of a loaded [`PreResolved`].
 pub struct PreresStream {
     file: File,
-    path: PathBuf,
     payload_base: u64,
     records: u64,
     seg_records: u64,
@@ -310,34 +309,6 @@ impl PreresStream {
     /// Number of segments.
     pub fn n_segments(&self) -> usize {
         self.index.len()
-    }
-
-    /// Per-segment record counts, in order. A scatter planner needs
-    /// these to place the warm-up/measure boundary without reading a
-    /// single block — the index already carries them.
-    pub fn block_records(&self) -> Vec<u64> {
-        self.index.iter().map(|s| s.records).collect()
-    }
-
-    /// Reopens the stream on an independent file handle, cloning the
-    /// already-validated index instead of re-running the O(stream)
-    /// verification pass. Segment-parallel workers each need their own
-    /// seek position; paying the full checksum walk once per worker
-    /// would rival the replay itself on a large stream.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-system failures (e.g. the file was removed
-    /// since validation).
-    pub fn reopen(&self) -> io::Result<PreresStream> {
-        Ok(PreresStream {
-            file: File::open(&self.path)?,
-            path: self.path.clone(),
-            payload_base: self.payload_base,
-            records: self.records,
-            seg_records: self.seg_records,
-            index: self.index.clone(),
-        })
     }
 
     /// Reads segment `k` (validated at open; no re-verification).
@@ -449,7 +420,6 @@ fn open_at(path: PathBuf, canon: &[u8]) -> CacheRead<PreresStream> {
             index,
         }) => CacheRead::Hit(PreresStream {
             file,
-            path,
             payload_base,
             records,
             seg_records,

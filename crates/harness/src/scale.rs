@@ -75,7 +75,7 @@ impl Scale {
     /// traces** (the warm-up/measure tenths are 100× quick's). Trace
     /// length, not machine size, is what stresses the scaled-out
     /// pipeline — segmented on-disk traces, block-streamed pre-resolved
-    /// events, segment-parallel replay — so this tier keeps the 1/16
+    /// events, block-at-a-time replay — so this tier keeps the 1/16
     /// machine where every prefetcher is cheap to build and spends its
     /// time on volume. Runs are expected to use the bounded-memory
     /// streamed path (`--mem-budget`): peak RSS stays O(segment)

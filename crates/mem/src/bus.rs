@@ -102,16 +102,6 @@ pub struct BusStats {
 }
 
 impl BusStats {
-    /// Adds `other`'s counters into `self` (all fields are additive
-    /// event counts, so segment-spliced statistics sum exactly).
-    pub fn accumulate(&mut self, other: &BusStats) {
-        for i in 0..self.transfers.len() {
-            self.transfers[i] += other.transfers[i];
-            self.dropped[i] += other.dropped[i];
-            self.busy_cycles[i] += other.busy_cycles[i];
-        }
-    }
-
     fn class_idx(class: MemClass) -> usize {
         MemClass::ALL
             .iter()

@@ -8,10 +8,10 @@
 //!
 //! # Data layout
 //!
-//! This is the single hottest structure in the simulator — `Engine::step`
-//! performs two to three lookups per simulated instruction, and the
-//! replay fast loops one per stream event — so the layout is built
-//! around the cost of one lookup in *host* cache lines:
+//! This is the single hottest structure in the simulator — the L1
+//! front end probes it on every fetch-line change and every load and
+//! store, and replay once per L2-visible stream event — so the layout
+//! is built around the cost of one lookup in *host* cache lines:
 //!
 //! * every modeled machine is 4-way at every level, and for that
 //!   geometry a whole set — tags, LRU stamps, MRU way and dirty bits —

@@ -84,14 +84,6 @@ pub struct MemStats {
     pub write: BusStats,
 }
 
-impl MemStats {
-    /// Adds `other`'s counters into `self` (see [`BusStats::accumulate`]).
-    pub fn accumulate(&mut self, other: &MemStats) {
-        self.read.accumulate(&other.read);
-        self.write.accumulate(&other.write);
-    }
-}
-
 /// The main-memory timing model.
 ///
 /// # Examples

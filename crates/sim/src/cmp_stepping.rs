@@ -837,15 +837,15 @@ mod tests {
         let r = cmp.run(&t, 50_000, 150_000, "w");
 
         let mut engine =
-            crate::engine::Engine::new(SimConfig::scaled_down(16), Box::new(NullPrefetcher));
+            crate::stepping::Stepper::new(SimConfig::scaled_down(16), Box::new(NullPrefetcher));
         for rec in &t[0][..50_000] {
             engine.step(rec);
         }
-        engine.reset_stats();
+        engine.engine.reset_stats();
         for rec in &t[0][50_000..] {
             engine.step(rec);
         }
-        let single = engine.result("w");
+        let single = engine.engine.result("w");
         let a = r.cores[0].cpi();
         let b = single.cpi();
         assert!(

@@ -22,11 +22,12 @@ use ebcp_mem::{
     MemOutcome, MemStats, MemorySystem, MshrFile, MshrOutcome, PrefetchBuffer, SetAssocCache,
 };
 use ebcp_prefetch::{Action, MissInfo, PrefetchHitInfo, Prefetcher};
-use ebcp_trace::TraceRecord;
 use ebcp_types::{AccessKind, Cycle, LineAddr, MemClass, Pc};
 
 use crate::config::SimConfig;
-use crate::frontend::{FrontEnd, PreEvent, ReplayCursor, Resolved, ResolvedOp};
+use crate::frontend::{PreEvent, ReplayCursor};
+#[cfg(any(test, feature = "stepping-oracle"))]
+use crate::frontend::{Resolved, ResolvedOp};
 use crate::metrics::SimResult;
 
 #[derive(Debug, Clone, Copy)]
@@ -97,25 +98,26 @@ struct Counters {
     mispredicts: u64,
 }
 
-/// The simulation engine.
+/// The simulation engine: the prefetcher-dependent back end, replaying
+/// a stream the L1 front end resolved in advance.
 ///
 /// # Examples
 ///
 /// ```
 /// use ebcp_prefetch::NullPrefetcher;
-/// use ebcp_sim::{Engine, SimConfig};
+/// use ebcp_sim::{Engine, PreResolved, ReplayCursor, SimConfig};
 /// use ebcp_trace::{TraceGenerator, WorkloadSpec};
 ///
 /// let spec = WorkloadSpec::database().scaled(1, 32);
-/// let mut engine = Engine::new(SimConfig::scaled_down(16), Box::new(NullPrefetcher));
-/// for rec in TraceGenerator::new(&spec, 1).take(50_000) {
-///     engine.step(&rec);
-/// }
+/// let cfg = SimConfig::scaled_down(16);
+/// let trace: Vec<_> = TraceGenerator::new(&spec, 1).take(50_000).collect();
+/// let pre = PreResolved::from_records(&cfg, &trace);
+/// let mut engine = Engine::new(cfg, Box::new(NullPrefetcher));
+/// engine.replay_events(&pre.events, &mut ReplayCursor::default(), pre.records);
 /// assert!(engine.result("database").cpi() > 0.25);
 /// ```
 pub struct Engine {
     cfg: SimConfig,
-    fe: FrontEnd,
     l2: SetAssocCache,
     pbuf: PrefetchBuffer,
     mshr: MshrFile,
@@ -161,7 +163,6 @@ impl Engine {
     /// Creates an engine over a fresh (cold) machine.
     pub fn new(cfg: SimConfig, pf: Box<dyn Prefetcher>) -> Self {
         Engine {
-            fe: FrontEnd::new(&cfg),
             l2: SetAssocCache::new(cfg.l2),
             pbuf: PrefetchBuffer::new(cfg.pbuf_entries, cfg.pbuf_ways.min(cfg.pbuf_entries)),
             mshr: MshrFile::new(cfg.mshrs),
@@ -226,21 +227,11 @@ impl Engine {
     /// of records.
     pub const CHUNK_RECORDS: usize = 4096;
 
-    /// Simulates one trace record: resolve the L1 front end, then run
-    /// the back end. The two phases share no state (the front end never
-    /// reads the clock, the back end never touches L1), which is what
-    /// lets [`Engine::replay_events`] run the identical back end over a
-    /// stream resolved long in advance.
-    #[inline]
-    pub fn step(&mut self, rec: &TraceRecord) {
-        let r = self.fe.resolve(rec);
-        self.step_resolved(&r);
-    }
-
-    /// Everything [`Engine::step_resolved`] does before the data/control
-    /// op: retire work the clock caught up to, count the instruction,
-    /// run the fetch path and advance issue bandwidth. Shared verbatim
-    /// by the stepping and replay back ends so the two cannot drift.
+    /// Everything a record does before its data/control op: retire
+    /// work the clock caught up to, count the instruction, run the
+    /// fetch path and advance issue bandwidth. Shared verbatim by the
+    /// replay back end ([`Engine::step_event`]) and the stepping
+    /// oracle's (`step_resolved`) so the two cannot drift.
     #[inline]
     fn pre_op(&mut self, ifetch_miss: bool, pc: Pc) {
         if !self.outstanding.is_empty() {
@@ -284,9 +275,13 @@ impl Engine {
         }
     }
 
-    /// The prefetcher-dependent back end for one resolved record.
+    /// The prefetcher-dependent back end for one resolved record — the
+    /// stepping oracle's back end (`crate::stepping`), which feeds it
+    /// straight from a [`crate::frontend::FrontEnd`] one record at a
+    /// time.
+    #[cfg(any(test, feature = "stepping-oracle"))]
     #[inline]
-    fn step_resolved(&mut self, r: &Resolved) {
+    pub(crate) fn step_resolved(&mut self, r: &Resolved) {
         self.pre_op(r.ifetch_miss, r.pc);
 
         match r.op {
@@ -317,12 +312,13 @@ impl Engine {
     }
 
     /// The back end for one packed event, dispatching straight on the
-    /// stream encoding. Op for op this is [`Engine::step_resolved`] over
-    /// `ev.decode().unwrap()` — the prologue and epilogue are the same
-    /// functions — but skipping the intermediate [`Resolved`] removes a
-    /// second data-dependent dispatch from the replay hot path, which is
-    /// worth a measurable slice of sweep throughput. The differential
-    /// replay-vs-stepping tests pin the equivalence.
+    /// stream encoding. Op for op this is the stepping oracle's
+    /// `step_resolved` over `ev.decode().unwrap()` — the prologue and
+    /// epilogue are the same functions — but skipping the intermediate
+    /// [`crate::frontend::Resolved`] removes a second data-dependent
+    /// dispatch from the replay hot path, which is worth a measurable
+    /// slice of sweep throughput. The differential replay-vs-stepping
+    /// tests pin the equivalence.
     #[inline]
     fn step_event(&mut self, ev: &PreEvent) {
         use crate::frontend::{
@@ -360,7 +356,7 @@ impl Engine {
     }
 
     /// An inert record for the back end: no fetch miss, no data op.
-    /// Exactly [`Engine::step_resolved`] with the fetch and op arms
+    /// Exactly [`Engine::step_event`] with the fetch and op arms
     /// skipped — [`Engine::gap_advance`] falls back to this whenever a
     /// gap record is not provably inert.
     fn step_plain(&mut self) {
@@ -392,16 +388,15 @@ impl Engine {
 
     /// Replays up to `budget` instructions from a pre-resolved stream,
     /// resuming at (and updating) `cur`. Produces state byte-identical
-    /// to stepping the underlying records through
-    /// [`Engine::step`] — the stream's events run the same
-    /// [`Engine::step_resolved`], and gaps advance through
+    /// to stepping the underlying records one by one (the test-only
+    /// `stepping` oracle) — the stream's events run the same
+    /// per-record back end, and gaps advance through
     /// [`Engine::gap_advance`], which is an exact algebraic collapse of
     /// consecutive inert records.
     ///
-    /// The engine's own L1 model stays cold and unused on this path;
-    /// callers are responsible for pairing a stream with the matching
-    /// `SimConfig` (see `RunSpec::run_preresolved`, which checks the
-    /// geometries).
+    /// The engine has no L1 model of its own: callers are responsible
+    /// for pairing a stream with the matching `SimConfig` (see
+    /// `RunSpec::run_preresolved`, which checks the geometries).
     pub fn replay_events(&mut self, events: &[PreEvent], cur: &mut ReplayCursor, budget: u64) {
         let pow2 = self.cfg.core.issue_width.is_power_of_two();
         let mut left = budget;
@@ -1239,8 +1234,9 @@ fn diff_mem(now: MemStats, base: MemStats) -> MemStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stepping::Stepper;
     use ebcp_prefetch::NullPrefetcher;
-    use ebcp_trace::Op;
+    use ebcp_trace::{Op, TraceRecord};
     use ebcp_types::Addr;
 
     fn tiny_cfg() -> SimConfig {
@@ -1253,8 +1249,8 @@ mod tests {
             .collect()
     }
 
-    /// Steps every record of `trace` through `e`.
-    fn feed(e: &mut Engine, trace: impl IntoIterator<Item = TraceRecord>) {
+    /// Steps every record of `trace` through the stepping oracle `e`.
+    fn feed(e: &mut Stepper, trace: impl IntoIterator<Item = TraceRecord>) {
         for rec in trace {
             e.step(&rec);
         }
@@ -1262,10 +1258,10 @@ mod tests {
 
     #[test]
     fn pure_alu_cpi_is_quarter() {
-        let mut e = Engine::new(tiny_cfg(), Box::new(NullPrefetcher));
+        let mut e = Stepper::new(tiny_cfg(), Box::new(NullPrefetcher));
         // First fetch of the line misses everything: one epoch.
         feed(&mut e, alu_run(0x1000, 40_000));
-        let r = e.result("t");
+        let r = e.engine.result("t");
         // 40k insts at 4-wide = 10k cycles, plus one cold ifetch miss.
         assert!(r.cpi() > 0.25 && r.cpi() < 0.27, "cpi {}", r.cpi());
         assert_eq!(r.epochs, 1, "single cold instruction-fetch epoch");
@@ -1273,14 +1269,14 @@ mod tests {
 
     #[test]
     fn overlapped_loads_form_one_epoch() {
-        let mut e = Engine::new(tiny_cfg(), Box::new(NullPrefetcher));
+        let mut e = Stepper::new(tiny_cfg(), Box::new(NullPrefetcher));
         // Warm the code line, then two adjacent off-chip loads.
         let mut t = alu_run(0x1000, 16);
         t.push(TraceRecord::load(Pc::new(0x1000), Addr::new(0x80_0000)));
         t.push(TraceRecord::load(Pc::new(0x1004), Addr::new(0x90_0000)));
         t.extend(alu_run(0x1000, 200));
         feed(&mut e, t);
-        let r = e.result("t");
+        let r = e.engine.result("t");
         assert_eq!(r.l2_load_misses, 2);
         // Cold ifetch epoch + one overlapped load epoch.
         assert_eq!(r.epochs, 2, "both loads overlap into one epoch");
@@ -1290,7 +1286,7 @@ mod tests {
     fn rob_limit_terminates_window() {
         let cfg = tiny_cfg();
         let rob = cfg.core.rob_entries as u64;
-        let mut e = Engine::new(cfg, Box::new(NullPrefetcher));
+        let mut e = Stepper::new(cfg, Box::new(NullPrefetcher));
         // Load, then > ROB instructions, then another load: two epochs.
         let mut t = alu_run(0x1000, 16);
         t.push(TraceRecord::load(Pc::new(0x1000), Addr::new(0x80_0000)));
@@ -1298,7 +1294,7 @@ mod tests {
         t.push(TraceRecord::load(Pc::new(0x1004), Addr::new(0x90_0000)));
         t.extend(alu_run(0x1000, 300));
         feed(&mut e, t);
-        let r = e.result("t");
+        let r = e.engine.result("t");
         assert_eq!(r.epochs, 3, "ifetch epoch + two separated load epochs");
         assert!(
             r.stall_cycles > 900,
@@ -1309,20 +1305,20 @@ mod tests {
 
     #[test]
     fn serialize_terminates_window() {
-        let mut e = Engine::new(tiny_cfg(), Box::new(NullPrefetcher));
+        let mut e = Stepper::new(tiny_cfg(), Box::new(NullPrefetcher));
         let mut t = alu_run(0x1000, 16);
         t.push(TraceRecord::load(Pc::new(0x1000), Addr::new(0x80_0000)));
         t.push(TraceRecord::new(Pc::new(0x1004), Op::Serialize));
         t.push(TraceRecord::load(Pc::new(0x1008), Addr::new(0x90_0000)));
         t.extend(alu_run(0x1000, 300));
         feed(&mut e, t);
-        assert_eq!(e.result("t").epochs, 3);
+        assert_eq!(e.engine.result("t").epochs, 3);
     }
 
     #[test]
     fn dependent_mispredict_terminates_window() {
         let cfg = tiny_cfg();
-        let mut e = Engine::new(cfg, Box::new(NullPrefetcher));
+        let mut e = Stepper::new(cfg, Box::new(NullPrefetcher));
         let mut t = alu_run(0x1000, 16);
         t.push(TraceRecord::new(
             Pc::new(0x1000),
@@ -1337,37 +1333,41 @@ mod tests {
         t.push(TraceRecord::load(Pc::new(0x1004), Addr::new(0x90_0000)));
         t.extend(alu_run(0x1000, 300));
         feed(&mut e, t);
-        assert_eq!(e.result("t").epochs, 3, "dep-mispredict split the loads");
+        assert_eq!(
+            e.engine.result("t").epochs,
+            3,
+            "dep-mispredict split the loads"
+        );
     }
 
     #[test]
     fn repeated_lines_hit_after_first_epoch() {
-        let mut e = Engine::new(tiny_cfg(), Box::new(NullPrefetcher));
+        let mut e = Stepper::new(tiny_cfg(), Box::new(NullPrefetcher));
         let mut t = alu_run(0x1000, 16);
         for _ in 0..5 {
             t.push(TraceRecord::load(Pc::new(0x1000), Addr::new(0x80_0000)));
             t.extend(alu_run(0x1000, 200));
         }
         feed(&mut e, t);
-        let r = e.result("t");
+        let r = e.engine.result("t");
         assert_eq!(r.l2_load_misses, 1, "subsequent accesses hit the L2");
     }
 
     #[test]
     fn secondary_miss_does_not_double_count() {
-        let mut e = Engine::new(tiny_cfg(), Box::new(NullPrefetcher));
+        let mut e = Stepper::new(tiny_cfg(), Box::new(NullPrefetcher));
         let mut t = alu_run(0x1000, 16);
         t.push(TraceRecord::load(Pc::new(0x1000), Addr::new(0x80_0000)));
         t.push(TraceRecord::load(Pc::new(0x1004), Addr::new(0x80_0010))); // same line
         t.extend(alu_run(0x1000, 300));
         feed(&mut e, t);
-        let r = e.result("t");
+        let r = e.engine.result("t");
         assert_eq!(r.l2_load_misses, 1);
     }
 
     #[test]
     fn store_misses_do_not_create_epochs() {
-        let mut e = Engine::new(tiny_cfg(), Box::new(NullPrefetcher));
+        let mut e = Stepper::new(tiny_cfg(), Box::new(NullPrefetcher));
         let mut t = alu_run(0x1000, 16);
         for i in 0..8u64 {
             t.push(TraceRecord::store(
@@ -1377,7 +1377,7 @@ mod tests {
         }
         t.extend(alu_run(0x1000, 2000));
         feed(&mut e, t);
-        let r = e.result("t");
+        let r = e.engine.result("t");
         assert_eq!(r.epochs, 1, "only the cold ifetch epoch");
         assert_eq!(r.l2_store_misses, 8);
     }
@@ -1386,7 +1386,7 @@ mod tests {
     fn dirty_evictions_produce_writebacks() {
         let cfg = tiny_cfg();
         let l2_lines = cfg.l2.lines();
-        let mut e = Engine::new(cfg, Box::new(NullPrefetcher));
+        let mut e = Stepper::new(cfg, Box::new(NullPrefetcher));
         let mut t = alu_run(0x1000, 16);
         // Dirty many lines, then stream enough loads through to evict.
         for i in 0..64u64 {
@@ -1404,7 +1404,7 @@ mod tests {
             t.extend(alu_run(0x1000, 200));
         }
         feed(&mut e, t);
-        assert!(e.result("t").writebacks > 0);
+        assert!(e.engine.result("t").writebacks > 0);
     }
 
     #[test]
@@ -1444,7 +1444,7 @@ mod tests {
         let records: Vec<TraceRecord> = TraceGenerator::new(&spec, 11).take(60_000).collect();
         let cfg = tiny_cfg();
 
-        let mut stepped = Engine::new(cfg, Box::new(NullPrefetcher));
+        let mut stepped = Stepper::new(cfg, Box::new(NullPrefetcher));
         for r in &records {
             stepped.step(r);
         }
@@ -1457,21 +1457,21 @@ mod tests {
             replayed.replay_events(&pre.events, &mut cur, budget);
         }
 
-        assert_eq!(stepped.result("t"), replayed.result("t"));
-        assert_eq!(stepped.insts(), replayed.insts());
-        assert_eq!(stepped.cycle(), replayed.cycle());
+        assert_eq!(stepped.engine.result("t"), replayed.result("t"));
+        assert_eq!(stepped.engine.insts(), replayed.insts());
+        assert_eq!(stepped.engine.cycle(), replayed.cycle());
     }
 
     #[test]
     fn warmup_reset_isolates_measurement() {
-        let mut e = Engine::new(tiny_cfg(), Box::new(NullPrefetcher));
+        let mut e = Stepper::new(tiny_cfg(), Box::new(NullPrefetcher));
         let mut t = alu_run(0x1000, 16);
         t.push(TraceRecord::load(Pc::new(0x1000), Addr::new(0x80_0000)));
         t.extend(alu_run(0x1000, 300));
         feed(&mut e, t);
-        e.reset_stats();
+        e.engine.reset_stats();
         feed(&mut e, alu_run(0x1000, 4000));
-        let r = e.result("t");
+        let r = e.engine.result("t");
         assert_eq!(r.l2_load_misses, 0);
         assert_eq!(r.epochs, 0);
         assert!(

@@ -4,10 +4,10 @@
 //! construction**: every L1-missing access installs its line into L1 at
 //! the access record itself, unconditionally, whether the data comes
 //! from the L2, the prefetch buffer or off-chip (see
-//! [`FrontEnd::resolve`]), and nothing else ever writes L1 state. The
-//! L1 hit/miss outcome of every record is therefore a pure function of
-//! the record sequence — which is what makes a *two-phase* simulation
-//! possible:
+//! [`PreResolver::push_chunk`]), and nothing else ever writes L1
+//! state. The L1 hit/miss outcome of every record is therefore a pure
+//! function of the record sequence — which is what makes a *two-phase*
+//! simulation possible:
 //!
 //! 1. a **front-end pass** ([`PreResolver`]) consumes the trace once
 //!    through the L1 model and emits one packed [`PreEvent`] per record
@@ -20,13 +20,13 @@
 //!    tracker, memory system — over the event stream, advancing through
 //!    gaps arithmetically instead of per record.
 //!
-//! Replay produces results byte-identical to full per-record stepping
-//! because both paths execute the *same* back-end state machine
-//! (`Engine::step_resolved`) on the same [`Resolved`] sequence; the only
-//! thing replay elides is the per-record L1 scan whose outcome was
-//! already computed. A fig4–fig9 sweep therefore pays the front-end
-//! cost once per workload instead of once per (workload × prefetcher)
-//! cell.
+//! Replay is the only single-core execution path. Its results are
+//! byte-identical to full per-record stepping (kept as the test-only
+//! `stepping` oracle) because both execute the *same* back-end state
+//! machine on the same [`Resolved`] sequence; the only thing replay
+//! elides is the per-record L1 scan whose outcome was already computed.
+//! A fig4–fig9 sweep therefore pays the front-end cost once per
+//! workload instead of once per (workload × prefetcher) cell.
 //!
 //! Gap records advance the clock uniformly (issue bandwidth only), so a
 //! gap's cycle delta is derivable from its instruction count and the
@@ -85,11 +85,11 @@ pub enum ResolvedOp {
 }
 
 /// The prefetcher-independent L1 front end: both L1 caches plus the
-/// fetch-line filter. Owned by the engine for per-record stepping and
-/// by [`PreResolver`] for the batch pre-resolution pass — the two uses
-/// run the identical transition function.
+/// fetch-line filter. Owned by [`PreResolver`] for the batch
+/// pre-resolution pass, and by the stepping oracle for per-record
+/// stepping — the two uses run the identical transition function.
 #[derive(Debug, Clone)]
-pub struct FrontEnd {
+pub(crate) struct FrontEnd {
     l1i: SetAssocCache,
     l1d: SetAssocCache,
     /// Last instruction line fetched; `LineAddr::from_index(u64::MAX)`
@@ -99,7 +99,7 @@ pub struct FrontEnd {
 
 impl FrontEnd {
     /// A cold front end for `cfg`'s L1 geometries.
-    pub fn new(cfg: &SimConfig) -> Self {
+    pub(crate) fn new(cfg: &SimConfig) -> Self {
         FrontEnd {
             l1i: SetAssocCache::new(cfg.l1i),
             l1d: SetAssocCache::new(cfg.l1d),
@@ -114,8 +114,12 @@ impl FrontEnd {
     /// deliberate modeling choice that keeps L1 state independent of
     /// the prefetcher (a deferred fill would make the hit/miss stream
     /// depend on prefetcher-specific drain timing).
+    ///
+    /// The reference form of [`FrontEnd::resolve_packed`], compiled for
+    /// the stepping oracle only.
+    #[cfg(any(test, feature = "stepping-oracle"))]
     #[inline]
-    pub fn resolve(&mut self, rec: &TraceRecord) -> Resolved {
+    pub(crate) fn resolve(&mut self, rec: &TraceRecord) -> Resolved {
         let iline = rec.pc.line();
         let ifetch_miss = if self.last_fetch_line == iline {
             false

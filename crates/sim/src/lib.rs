@@ -26,7 +26,7 @@
 //! # Examples
 //!
 //! ```
-//! use ebcp_sim::{Engine, PrefetcherSpec, RunSpec, SimConfig};
+//! use ebcp_sim::{PrefetcherSpec, RunSpec, SimConfig};
 //! use ebcp_trace::WorkloadSpec;
 //!
 //! let spec = RunSpec {
@@ -51,6 +51,8 @@ pub mod lockstep;
 pub mod metrics;
 pub mod runner;
 pub mod segment;
+#[cfg(any(test, feature = "stepping-oracle"))]
+pub mod stepping;
 
 pub use cmp::{CmpEngine, CmpResult};
 #[cfg(any(test, feature = "stepping-oracle"))]
@@ -58,12 +60,8 @@ pub use cmp_stepping::SteppingCmpEngine;
 pub use config::{CoreConfig, SimConfig};
 pub use des::{Tick, WakeHeap};
 pub use engine::Engine;
-pub use frontend::{
-    segment_events, FrontEnd, PreBlock, PreEvent, PreResolved, PreResolver, ReplayCursor,
-};
+pub use frontend::{segment_events, PreBlock, PreEvent, PreResolved, PreResolver, ReplayCursor};
 pub use lockstep::Lockstep;
 pub use metrics::SimResult;
 pub use runner::{CmpSpec, PrefetcherSpec, RunSpec};
-pub use segment::{
-    resolve_blocks, run_preresolved_blocks, run_preresolved_blocks_many, run_scatter_spans_with,
-};
+pub use segment::{resolve_blocks, run_preresolved_blocks, run_preresolved_blocks_many};

@@ -69,39 +69,6 @@ pub struct SimResult {
 }
 
 impl SimResult {
-    /// Adds `other`'s counters into `self`, keeping `self`'s names —
-    /// the splice operation of segment-parallel execution. Every
-    /// statistic is an additive event/cycle count (the ratios above are
-    /// all derived on demand), so splicing per-segment deltas
-    /// reconstructs the monolithic result exactly when the per-segment
-    /// runs partition the measured records.
-    pub fn accumulate(&mut self, other: &SimResult) {
-        self.insts += other.insts;
-        self.cycles += other.cycles;
-        self.epochs += other.epochs;
-        self.l2_inst_misses += other.l2_inst_misses;
-        self.l2_load_misses += other.l2_load_misses;
-        self.l2_store_misses += other.l2_store_misses;
-        self.secondary_misses += other.secondary_misses;
-        self.averted_inst += other.averted_inst;
-        self.averted_load += other.averted_load;
-        self.averted_store += other.averted_store;
-        self.partial_hits += other.partial_hits;
-        self.pf_requested += other.pf_requested;
-        self.pf_issued += other.pf_issued;
-        self.pf_dropped_bus += other.pf_dropped_bus;
-        self.pf_dropped_mshr += other.pf_dropped_mshr;
-        self.pf_filtered += other.pf_filtered;
-        self.pf_evicted_unused += other.pf_evicted_unused;
-        self.table_reads += other.table_reads;
-        self.table_read_drops += other.table_read_drops;
-        self.table_writes += other.table_writes;
-        self.writebacks += other.writebacks;
-        self.store_skipped += other.store_skipped;
-        self.stall_cycles += other.stall_cycles;
-        self.mem.accumulate(&other.mem);
-    }
-
     /// Overall cycles per instruction.
     pub fn cpi(&self) -> f64 {
         if self.insts == 0 {

@@ -130,25 +130,23 @@ impl RunSpec {
         Arc::new(gen.collect_n(n))
     }
 
-    /// Runs a prefetcher over this spec (generating the trace on the
-    /// fly).
+    /// Runs a prefetcher over this spec, pre-resolving the trace from
+    /// the generator in chunks (nothing is materialized) and replaying
+    /// it. Sweeps over a roster should pre-resolve once with
+    /// [`RunSpec::pre_resolve`] and call [`RunSpec::run_preresolved`]
+    /// per prefetcher.
     pub fn run(&self, pf: &PrefetcherSpec) -> SimResult {
-        let trace = self.materialize();
-        self.run_on(&trace, pf)
+        self.run_preresolved(&self.pre_resolve(), pf)
     }
 
-    /// Runs a prefetcher over a pre-materialized trace.
+    /// Runs a prefetcher over a pre-materialized trace: the first
+    /// `warmup_insts` records warm the machine, statistics reset (even
+    /// when the trace ends inside the warm-up), and at most the next
+    /// `measure_insts` records are measured; any further records are
+    /// ignored. The trace is pre-resolved and replayed, so each call
+    /// pays the front-end pass once.
     pub fn run_on(&self, trace: &[TraceRecord], pf: &PrefetcherSpec) -> SimResult {
-        let mut engine = Engine::new(self.sim, pf.build());
-        let warm = (self.warmup_insts as usize).min(trace.len());
-        for rec in &trace[..warm] {
-            engine.step(rec);
-        }
-        engine.reset_stats();
-        for rec in &trace[warm..] {
-            engine.step(rec);
-        }
-        engine.result(&self.workload.name)
+        self.run_preresolved(&PreResolved::from_records(&self.sim, trace), pf)
     }
 
     /// Pre-resolves this spec's trace through the L1 front end into a
@@ -178,9 +176,10 @@ impl RunSpec {
         }
     }
 
-    /// Runs a prefetcher by replaying a pre-resolved event stream —
-    /// byte-identical results to [`RunSpec::run_on`] over the stream's
-    /// underlying trace, at back-end-only cost.
+    /// Runs a prefetcher by replaying a pre-resolved event stream — the
+    /// one single-core execution path, at back-end-only cost.
+    /// [`RunSpec::run`] and [`RunSpec::run_on`] build the stream and
+    /// call this.
     ///
     /// # Panics
     ///
@@ -380,6 +379,7 @@ impl CmpSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stepping::run_stepped;
 
     fn quick_spec() -> RunSpec {
         RunSpec {
@@ -453,23 +453,21 @@ mod tests {
     fn chunked_and_stepped_runs_agree() {
         let spec = quick_spec();
         let pf = PrefetcherSpec::Ebcp(EbcpConfig::tuned());
-        let stepped = spec.run_on(&spec.materialize(), &pf);
-        let chunked = spec.run_preresolved(&spec.pre_resolve(), &pf);
-        assert_eq!(stepped, chunked);
+        let stepped = run_stepped(&spec, &spec.materialize(), &pf);
+        assert_eq!(stepped, spec.run_preresolved(&spec.pre_resolve(), &pf));
+        assert_eq!(stepped, spec.run(&pf));
     }
 
-    /// Runs `spec` over a hand-built trace both ways — per-record
-    /// stepping and pre-resolved replay — and asserts byte-identical
-    /// results.
+    /// Runs `spec` over a hand-built trace both ways — the stepping
+    /// oracle and [`RunSpec::run_on`]'s pre-resolved replay — and
+    /// asserts byte-identical results.
     fn assert_replay_identical(
         spec: &RunSpec,
         trace: &[TraceRecord],
         pf: &PrefetcherSpec,
     ) -> SimResult {
-        let stepped = spec.run_on(trace, pf);
-        let pre = crate::frontend::PreResolved::from_records(&spec.sim, trace);
-        let replayed = spec.run_preresolved(&pre, pf);
-        assert_eq!(stepped, replayed);
+        let stepped = run_stepped(spec, trace, pf);
+        assert_eq!(stepped, spec.run_on(trace, pf));
         stepped
     }
 
@@ -492,8 +490,58 @@ mod tests {
             PrefetcherSpec::None,
             PrefetcherSpec::Ebcp(EbcpConfig::tuned()),
         ] {
-            assert_eq!(spec.run_on(&trace, &pf), spec.run_preresolved(&pre, &pf));
+            assert_eq!(
+                run_stepped(&spec, &trace, &pf),
+                spec.run_preresolved(&pre, &pf)
+            );
         }
+    }
+
+    /// `run_on`'s edges: a trace that ends inside the warm-up, an empty
+    /// trace, no warm-up at all, and a trace longer than the spec (its
+    /// tail is ignored) — each byte-identical to the stepping oracle.
+    #[test]
+    fn run_on_edges_match_stepping() {
+        use ebcp_types::{Addr, Pc};
+        let mut t: Vec<TraceRecord> = (0..64)
+            .map(|i| TraceRecord::alu(Pc::new(0x1000 + 4 * (i % 16))))
+            .collect();
+        t.push(TraceRecord::load(Pc::new(0x1000), Addr::new(0x80_0000)));
+        t.extend((0..300).map(|i| TraceRecord::alu(Pc::new(0x1000 + 4 * (i % 16)))));
+        t.push(TraceRecord::load(Pc::new(0x1004), Addr::new(0x90_0000)));
+        t.extend((0..300).map(|i| TraceRecord::alu(Pc::new(0x1000 + 4 * (i % 16)))));
+        let n = t.len() as u64;
+        let pfs = [
+            PrefetcherSpec::None,
+            PrefetcherSpec::Ebcp(EbcpConfig::tuned()),
+        ];
+        let cases = [
+            (
+                edge_spec(n + 500, 1_000),
+                t.as_slice(),
+                "shorter than the warm-up",
+            ),
+            (edge_spec(1_000, 1_000), &t[..0], "empty trace"),
+            (edge_spec(0, n), t.as_slice(), "no warm-up"),
+            (edge_spec(100, 400), t.as_slice(), "longer than the spec"),
+        ];
+        for (spec, trace, what) in &cases {
+            for pf in &pfs {
+                assert_eq!(
+                    run_stepped(spec, trace, pf),
+                    spec.run_on(trace, pf),
+                    "{what} with {}",
+                    pf.name()
+                );
+            }
+        }
+        // The edges really are edges: nothing measured when the trace
+        // ends in the warm-up, everything when there is none, and only
+        // the spec's window when the trace runs long.
+        assert_eq!(cases[0].0.run_on(&t, &pfs[0]).insts, 0);
+        assert_eq!(cases[1].0.run_on(&t[..0], &pfs[0]).insts, 0);
+        assert_eq!(cases[2].0.run_on(&t, &pfs[0]).insts, n);
+        assert_eq!(cases[3].0.run_on(&t, &pfs[0]).insts, 400);
     }
 
     #[test]

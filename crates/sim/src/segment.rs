@@ -1,5 +1,5 @@
-//! The block pipeline: one front-end producer, one warm/measure replay
-//! loop, and segment-parallel scatter.
+//! The block pipeline: one front-end producer and one warm/measure
+//! replay loop.
 //!
 //! The large trace tier cannot afford `run_preresolved`'s contract of
 //! one materialized event stream per job. This module produces and
@@ -14,20 +14,15 @@
 //! * [`run_preresolved_blocks`] / [`run_preresolved_blocks_many`] —
 //!   **serial, exact**: one engine (or one lockstep group) consumes
 //!   blocks back to back through the one warm/measure loop, which
-//!   `RunSpec::run_preresolved(_many)` also run over a whole stream as
-//!   one block. State handoff between blocks is complete by
-//!   construction (it is the same engine), so the result is
-//!   byte-identical to replaying the unsplit stream; peak memory is
-//!   O(block).
-//! * [`run_scatter_spans_with`] — **segment-parallel, documented
-//!   tolerance**: contiguous spans of the measured region replay on
-//!   independent workers, each warming a cold engine on an overlap
-//!   window, and the per-span deltas are spliced. Handoff is
-//!   *incomplete*, so results approximate the monolithic run within a
-//!   tolerance that shrinks as the overlap grows (DESIGN.md §3f). This
-//!   is the ≥2-worker configuration that beats a single worker on
-//!   wall-clock: workers skip the serial warm-up prefix outside their
-//!   overlap windows.
+//!   `RunSpec::run_preresolved(_many)` — and through them
+//!   `RunSpec::run`/`run_on` — also run over a whole stream as one
+//!   block. State handoff between blocks is complete by construction
+//!   (it is the same engine), so the result is byte-identical to
+//!   replaying the unsplit stream; peak memory is O(block).
+//!
+//! Every single-core result the crate produces comes out of
+//! `warm_measure`; the per-record stepping engine survives only as
+//! the test-only `stepping` oracle the loop is checked against.
 //!
 //! Budget arithmetic: `Engine::replay_events` consumes exactly
 //! `min(budget, records remaining in the block)` instructions, so the
@@ -36,8 +31,6 @@
 //! resumes from the exact record).
 
 use std::borrow::Borrow;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use ebcp_trace::ChunkSource;
 
@@ -238,152 +231,6 @@ where
     group.results(&spec.workload.name)
 }
 
-/// Segment-parallel scatter run over blocks fetched on demand.
-///
-/// The blocks intersecting the measured region are partitioned into at
-/// most `spans` contiguous spans, and each span is one worker task: the
-/// worker reconstructs warm state by replaying the `overlap` blocks
-/// before the span (and the unmeasured prefix of its first block) on a
-/// cold engine, then the span's blocks replay continuously on the same
-/// engine (complete handoff inside a span, exactly like the serial
-/// mode). The per-span deltas are spliced in block order. Approximate
-/// — see the module docs — but deterministic for a given
-/// `(blocks, overlap, spans)`: `threads` only changes wall-clock.
-/// `spans = usize::MAX` gives one span per measured block.
-///
-/// `block_records[k]` gives the record count of block `k` (streams
-/// carry this in their index, so no block needs to be read to compute
-/// the task set). `reader()` is called once per worker; the returned
-/// closure must yield block `k` of the same logical stream for any
-/// `k` a worker asks for — each worker holds at most one fetched block
-/// at a time, so the resident set stays O(segment × workers) even when
-/// the block sequence itself would not fit in memory.
-///
-/// The span count is what makes scatter profitable when the measured
-/// region is wide: with one span per block, a region of `m` blocks
-/// costs `m × (overlap + 1)` block replays — more than the serial
-/// replay of the whole trace once `overlap + 1` exceeds the
-/// trace-to-region ratio. A handful of spans costs
-/// `m + spans × overlap` instead, while still skipping the serial
-/// warm-up prefix that dominates a large-tier trace.
-///
-/// Fewer spans also means fewer cold-start seams, so the approximation
-/// error only tightens as `spans` shrinks (at `spans == 1` with enough
-/// overlap to reach the trace start, the run is the exact serial
-/// replay).
-///
-/// # Panics
-///
-/// Panics if `threads` or `spans` is zero or the blocks cover fewer
-/// than `warmup + measure` records.
-pub fn run_scatter_spans_with<G, F, B>(
-    spec: &RunSpec,
-    block_records: &[u64],
-    reader: G,
-    pf: &PrefetcherSpec,
-    overlap: usize,
-    spans: usize,
-    threads: usize,
-) -> SimResult
-where
-    G: Fn() -> F + Sync,
-    F: FnMut(usize) -> B,
-    B: Borrow<PreBlock>,
-{
-    assert!(threads > 0, "at least one worker");
-    assert!(spans > 0, "at least one span");
-    let covered: u64 = block_records.iter().sum();
-    assert!(
-        covered >= spec.warmup_insts + spec.measure_insts,
-        "blocks cover {covered} records, spec needs {}",
-        spec.warmup_insts + spec.measure_insts
-    );
-    // Absolute record offset of each block's first record.
-    let starts: Vec<u64> = block_records
-        .iter()
-        .scan(0u64, |acc, r| {
-            let s = *acc;
-            *acc += r;
-            Some(s)
-        })
-        .collect();
-    let ws = spec.warmup_insts;
-    let we = spec.warmup_insts + spec.measure_insts;
-    // Blocks intersecting the measured region form one contiguous run.
-    let measured: Vec<usize> = (0..block_records.len())
-        .filter(|&k| starts[k] < we && starts[k] + block_records[k] > ws)
-        .collect();
-    let first = *measured.first().expect("at least one measured block");
-    let n = measured.len();
-    let spans_n = spans.min(n);
-    // Near-equal contiguous partition of the measured run.
-    let bounds: Vec<(usize, usize)> = (0..spans_n)
-        .map(|i| (first + i * n / spans_n, first + (i + 1) * n / spans_n - 1))
-        .collect();
-
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<SimResult>>> = Mutex::new(vec![None; bounds.len()]);
-    let workers = threads.min(bounds.len());
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                let mut fetch = reader();
-                loop {
-                    let t = next.fetch_add(1, Ordering::Relaxed);
-                    if t >= bounds.len() {
-                        return;
-                    }
-                    let (a, b) = bounds[t];
-                    let mut engine = Engine::new(spec.sim, pf.build());
-                    for j in a.saturating_sub(overlap)..a {
-                        let block = fetch(j);
-                        let block = block.borrow();
-                        let mut cur = ReplayCursor::default();
-                        engine.replay_events(&block.events, &mut cur, block.records);
-                    }
-                    let mut measuring = starts[a] >= ws;
-                    if measuring {
-                        engine.reset_stats();
-                    }
-                    for k in a..=b {
-                        let block = fetch(k);
-                        let block = block.borrow();
-                        let mut cur = ReplayCursor::default();
-                        let mut off = starts[k];
-                        let mut left = block_records[k];
-                        if !measuring {
-                            // Only the first span can start pre-warm-up,
-                            // and the prefix always ends inside it (the
-                            // block intersects the measured region).
-                            let prefix = ws - off;
-                            engine.replay_events(&block.events, &mut cur, prefix);
-                            off += prefix;
-                            left -= prefix;
-                            engine.reset_stats();
-                            measuring = true;
-                        }
-                        let take = (we - off).min(left);
-                        engine.replay_events(&block.events, &mut cur, take);
-                        if off + take == we {
-                            break;
-                        }
-                    }
-                    slots.lock().expect("scatter slots")[t] =
-                        Some(engine.result(&spec.workload.name));
-                }
-            });
-        }
-    });
-
-    let parts = slots.into_inner().expect("scatter slots");
-    let mut it = parts.into_iter().map(|r| r.expect("worker filled slot"));
-    let mut total = it.next().expect("at least one span");
-    for part in it {
-        total.accumulate(&part);
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,26 +248,6 @@ mod tests {
             measure_insts: 60_000,
             sim: SimConfig::scaled_down(16),
         }
-    }
-
-    /// Per-block scatter (one span per measured block) over a slice.
-    fn scatter(
-        spec: &RunSpec,
-        blocks: &[PreBlock],
-        pf: &PrefetcherSpec,
-        overlap: usize,
-        threads: usize,
-    ) -> SimResult {
-        let records: Vec<u64> = blocks.iter().map(|b| b.records).collect();
-        run_scatter_spans_with(
-            spec,
-            &records,
-            || |k: usize| &blocks[k],
-            pf,
-            overlap,
-            usize::MAX,
-            threads,
-        )
     }
 
     fn roster() -> Vec<PrefetcherSpec> {
@@ -490,7 +317,7 @@ mod tests {
         let pre = PreResolved::from_records(&spec.sim, &spec.materialize());
         let stepped: Vec<SimResult> = roster()
             .iter()
-            .map(|pf| spec.run_on(&spec.materialize(), pf))
+            .map(|pf| crate::stepping::run_stepped(&spec, &spec.materialize(), pf))
             .collect();
         for seg in [4_999, 65_536, u64::MAX] {
             let gen = ebcp_trace::TraceGenerator::new(&spec.workload, spec.seed);
@@ -510,127 +337,5 @@ mod tests {
         let gen = ebcp_trace::TraceGenerator::new(&empty.workload, empty.seed);
         let blocks: Vec<PreBlock> = resolve_blocks(&empty, gen, 4_999).collect();
         assert_eq!(blocks, vec![PreBlock::default()]);
-    }
-
-    #[test]
-    fn scatter_is_deterministic_and_close() {
-        let spec = quick_spec();
-        let pre = spec.pre_resolve();
-        let pf = PrefetcherSpec::Ebcp(EbcpConfig::tuned());
-        let mono = spec.run_preresolved(&pre, &pf);
-        let blocks = segment_events(&pre, 15_000);
-        // Overlap must cover the 60k-record warm-up (4 blocks) for the
-        // reconstruction to be faithful at this tiny scale; measured
-        // error is then ~1.5% (overlap 1 leaves ~22% cold-start error —
-        // the convergence table lives in DESIGN.md §3f).
-        let a = scatter(&spec, &blocks, &pf, 4, 4);
-        let b = scatter(&spec, &blocks, &pf, 4, 1);
-        assert_eq!(a, b, "scatter must not depend on worker count");
-        assert_eq!(a.insts, spec.measure_insts, "splice covers the region");
-        let rel = (a.cpi() - mono.cpi()).abs() / mono.cpi();
-        assert!(
-            rel < 0.05,
-            "scatter CPI {:.4} vs monolithic {:.4} ({:.1}% off)",
-            a.cpi(),
-            mono.cpi(),
-            rel * 100.0
-        );
-    }
-
-    #[test]
-    fn scatter_with_on_demand_reader_matches_slice_scatter() {
-        let spec = quick_spec();
-        let pre = spec.pre_resolve();
-        let pf = PrefetcherSpec::Ebcp(EbcpConfig::tuned());
-        let blocks = segment_events(&pre, 15_000);
-        let records: Vec<u64> = blocks.iter().map(|b| b.records).collect();
-        let by_slice = scatter(&spec, &blocks, &pf, 4, 4);
-        // An owning reader that clones each block on demand stands in
-        // for a disk-backed stream reopened per worker.
-        let by_fetch = run_scatter_spans_with(
-            &spec,
-            &records,
-            || |k: usize| blocks[k].clone(),
-            &pf,
-            4,
-            usize::MAX,
-            2,
-        );
-        assert_eq!(by_slice, by_fetch);
-    }
-
-    #[test]
-    fn span_scatter_specializes_to_per_block_scatter_and_tightens_with_fewer_spans() {
-        let spec = quick_spec();
-        let pre = spec.pre_resolve();
-        let pf = PrefetcherSpec::Ebcp(EbcpConfig::tuned());
-        let mono = spec.run_preresolved(&pre, &pf);
-        let blocks = segment_events(&pre, 15_000);
-        let records: Vec<u64> = blocks.iter().map(|b| b.records).collect();
-        let per_block = scatter(&spec, &blocks, &pf, 4, 4);
-        // As many spans as measured blocks (the 60k-record region is
-        // four 15k blocks) is exactly the per-block mode.
-        let measured_blocks = (spec.measure_insts / 15_000) as usize;
-        let max_spans = run_scatter_spans_with(
-            &spec,
-            &records,
-            || |k: usize| &blocks[k],
-            &pf,
-            4,
-            measured_blocks,
-            4,
-        );
-        assert_eq!(per_block, max_spans);
-        // Fewer spans: deterministic across thread counts, and at
-        // least as close to the monolithic run (fewer cold seams).
-        let spans2_a =
-            run_scatter_spans_with(&spec, &records, || |k: usize| &blocks[k], &pf, 4, 2, 4);
-        let spans2_b =
-            run_scatter_spans_with(&spec, &records, || |k: usize| &blocks[k], &pf, 4, 2, 1);
-        assert_eq!(
-            spans2_a, spans2_b,
-            "span scatter must not depend on worker count"
-        );
-        assert_eq!(
-            spans2_a.insts, spec.measure_insts,
-            "splice covers the region"
-        );
-        let err = |r: &SimResult| (r.cpi() - mono.cpi()).abs() / mono.cpi();
-        assert!(
-            err(&spans2_a) <= err(&per_block) + 1e-9,
-            "fewer seams, no worse: {:.4} vs {:.4}",
-            err(&spans2_a),
-            err(&per_block)
-        );
-        // One span warmed all the way back to the trace start replays
-        // the exact monolithic history.
-        let full = run_scatter_spans_with(
-            &spec,
-            &records,
-            || |k: usize| &blocks[k],
-            &pf,
-            blocks.len(),
-            1,
-            4,
-        );
-        assert_eq!(full, mono, "one fully-overlapped span is exact");
-    }
-
-    #[test]
-    fn scatter_overlap_tightens_the_approximation() {
-        let spec = quick_spec();
-        let pre = spec.pre_resolve();
-        let pf = PrefetcherSpec::None;
-        let mono = spec.run_preresolved(&pre, &pf);
-        let blocks = segment_events(&pre, 10_000);
-        let err = |overlap| {
-            let r = scatter(&spec, &blocks, &pf, overlap, 4);
-            (r.cpi() - mono.cpi()).abs() / mono.cpi()
-        };
-        // With the whole prefix as overlap the handoff is complete:
-        // every worker replays exactly the monolithic history.
-        let full = scatter(&spec, &blocks, &pf, blocks.len(), 4);
-        assert_eq!(full, mono, "full overlap is exact");
-        assert!(err(2) <= err(0) + 1e-9, "more overlap, no worse");
     }
 }

@@ -21,8 +21,8 @@
 
 use ebcp::core::EbcpConfig;
 use ebcp::prefetch::SolihinConfig;
-use ebcp::sim::{Engine, PrefetcherSpec, SimConfig};
-use ebcp::trace::{Op, TraceRecord};
+use ebcp::sim::{PrefetcherSpec, RunSpec, SimConfig};
+use ebcp::trace::{Op, TraceRecord, WorkloadSpec};
 use ebcp::types::{Addr, LineAddr, Pc};
 
 /// The miss lines A..I, far apart so they never share cache sets
@@ -73,17 +73,19 @@ fn evict_all(t: &mut Vec<TraceRecord>, round: u64, l2_lines: u64) {
     }
 }
 
+/// Runs `pf` over the hand-built trace, warming on everything before
+/// `measure_from` and measuring the rest. The workload preset only
+/// names the result: `run_on` replays the given records, not a
+/// generated trace.
 fn run(pf: &PrefetcherSpec, trace: &[TraceRecord], measure_from: usize) -> (u64, u64, u64) {
-    let sim = SimConfig::scaled_down(16); // small L2 keeps eviction cheap
-    let mut engine = Engine::new(sim, pf.build());
-    for rec in &trace[..measure_from] {
-        engine.step(rec);
-    }
-    engine.reset_stats();
-    for rec in &trace[measure_from..] {
-        engine.step(rec);
-    }
-    let r = engine.result("anatomy");
+    let spec = RunSpec {
+        workload: WorkloadSpec::database(),
+        seed: 0,
+        warmup_insts: measure_from as u64,
+        measure_insts: (trace.len() - measure_from) as u64,
+        sim: SimConfig::scaled_down(16), // small L2 keeps eviction cheap
+    };
+    let r = spec.run_on(trace, pf);
     (r.epochs, r.l2_load_misses, r.averted_load)
 }
 

@@ -1,12 +1,13 @@
-//! The paper's running example (§3.1-§3.2), end to end through the real
-//! engine: a recurring miss sequence A..I in epochs
+//! The paper's running example (§3.1-§3.2), end to end through the
+//! engine users run (pre-resolved replay): a recurring miss sequence
+//! A..I in epochs
 //! {A,B} {C,D,E} {F,G} {H,I}. Without prefetching the final occurrence
 //! costs 4 epochs; with the epoch-based correlation prefetcher it costs
 //! 2 (A's entry prefetches F,G,H,I; C's entry prefetches H,I).
 
 use ebcp::core::EbcpConfig;
-use ebcp::sim::{Engine, PrefetcherSpec, SimConfig};
-use ebcp::trace::{Op, TraceRecord};
+use ebcp::sim::{PrefetcherSpec, RunSpec, SimConfig};
+use ebcp::trace::{Op, TraceRecord, WorkloadSpec};
 use ebcp::types::{Addr, LineAddr, Pc};
 
 fn lines() -> Vec<LineAddr> {
@@ -61,17 +62,19 @@ fn build_trace() -> (Vec<TraceRecord>, usize) {
     (trace, measure_from)
 }
 
+/// Runs `pf` through the product path (`RunSpec::run_on`: pre-resolve,
+/// then replay) with everything before the final occurrence as
+/// warm-up. The workload preset only names the result.
 fn run(pf: &PrefetcherSpec) -> (u64, u64, u64) {
     let (trace, measure_from) = build_trace();
-    let mut engine = Engine::new(SimConfig::scaled_down(16), pf.build());
-    for rec in &trace[..measure_from] {
-        engine.step(rec);
-    }
-    engine.reset_stats();
-    for rec in &trace[measure_from..] {
-        engine.step(rec);
-    }
-    let r = engine.result("anatomy");
+    let spec = RunSpec {
+        workload: WorkloadSpec::database(),
+        seed: 0,
+        warmup_insts: measure_from as u64,
+        measure_insts: (trace.len() - measure_from) as u64,
+        sim: SimConfig::scaled_down(16),
+    };
+    let r = spec.run_on(&trace, pf);
     (r.epochs, r.l2_load_misses, r.averted_load)
 }
 
