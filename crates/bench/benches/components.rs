@@ -1,6 +1,7 @@
 //! Component microbenchmarks: cache, prefetch buffer, correlation
-//! table, trace generation, raw engine throughput, job hashing and
-//! warm reads from the result store.
+//! table, trace generation, raw engine throughput, the CMP DES beside
+//! single-core replay, job hashing and warm reads from the result
+//! store.
 
 use std::path::{Path, PathBuf};
 
@@ -12,7 +13,7 @@ use ebcp_harness::{results_doc, CmpJob, Harness, HarnessConfig, Job, ResultStore
 use ebcp_mem::{CacheGeometry, PrefetchBuffer, SetAssocCache};
 use ebcp_prefetch::NullPrefetcher;
 use ebcp_serve::SweepSpec;
-use ebcp_sim::{Engine, PreResolved, PrefetcherSpec, ReplayCursor, SimConfig};
+use ebcp_sim::{CmpSpec, Engine, PreResolved, PrefetcherSpec, ReplayCursor, SimConfig};
 use ebcp_trace::{TraceGenerator, WorkloadSpec};
 use ebcp_types::LineAddr;
 
@@ -105,6 +106,97 @@ fn bench_engine(c: &mut Criterion) {
             let mut engine = Engine::new(cfg, Box::new(NullPrefetcher));
             engine.replay_events(&pre.events, &mut ReplayCursor::default(), pre.records);
             engine.cycle()
+        });
+    });
+    g.finish();
+}
+
+/// One serve-grid CMP mix at 1, 2 and 4 cores, streams pre-resolved.
+/// The 1-core cell is core 0 of the 2-core cell, on the same stream.
+struct DesCell {
+    one: CmpSpec,
+    two: CmpSpec,
+    four: CmpSpec,
+    pre2: Vec<PreResolved>,
+    pre4: Vec<PreResolved>,
+}
+
+/// The discrete-event CMP engine against single-core replay, on the
+/// serve grid's CMP cells (every quick-scale workload mix, no
+/// prefetcher, streams pre-resolved outside the timed region). Each
+/// iteration runs all five workloads; throughput counts chip-wide
+/// records. `replay_core0` and `des_1core` replay the same stream,
+/// core 0's of the 2-core cell, so their ratio is the DES's per-record
+/// scheduling cost; `des_2core` and `des_4core` run the 2- and 4-core
+/// cells.
+fn bench_des(c: &mut Criterion) {
+    let scale = Scale::quick();
+    let cells: Vec<DesCell> = WorkloadSpec::extended_presets()
+        .iter()
+        .map(|w| {
+            let two = scale.cmp_spec(w, 2);
+            let four = scale.cmp_spec(w, 4);
+            let one = CmpSpec {
+                workloads: two.workloads[..1].to_vec(),
+                seeds: two.seeds[..1].to_vec(),
+                ..two.clone()
+            };
+            let (pre2, pre4) = (two.pre_resolve_cores(), four.pre_resolve_cores());
+            DesCell {
+                one,
+                two,
+                four,
+                pre2,
+                pre4,
+            }
+        })
+        .collect();
+    let records = |streams: fn(&DesCell) -> &[PreResolved]| {
+        Throughput::Elements(
+            cells
+                .iter()
+                .flat_map(|c| streams(c).iter().map(|p| p.records))
+                .sum(),
+        )
+    };
+    let none = PrefetcherSpec::None;
+    let mut g = c.benchmark_group("des");
+    g.throughput(records(|c| &c.pre2[..1]));
+    g.bench_function("replay_core0", |b| {
+        b.iter(|| {
+            cells
+                .iter()
+                .map(|c| c.two.core_run_spec(0).run_preresolved(&c.pre2[0], &none))
+                .collect::<Vec<_>>()
+        });
+    });
+    g.bench_function("des_1core", |b| {
+        b.iter(|| {
+            cells
+                .iter()
+                .map(|c| c.one.run_streams(&[&c.pre2[0]], &none))
+                .collect::<Vec<_>>()
+        });
+    });
+    g.throughput(records(|c| &c.pre2));
+    g.bench_function("des_2core", |b| {
+        b.iter(|| {
+            cells
+                .iter()
+                .map(|c| c.two.run_streams(&c.pre2.iter().collect::<Vec<_>>(), &none))
+                .collect::<Vec<_>>()
+        });
+    });
+    g.throughput(records(|c| &c.pre4));
+    g.bench_function("des_4core", |b| {
+        b.iter(|| {
+            cells
+                .iter()
+                .map(|c| {
+                    c.four
+                        .run_streams(&c.pre4.iter().collect::<Vec<_>>(), &none)
+                })
+                .collect::<Vec<_>>()
         });
     });
     g.finish();
@@ -221,6 +313,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_cache, bench_prefetch_buffer, bench_correlation_table, bench_generator, bench_engine,
-        bench_job_ids, bench_store_reads
+        bench_des, bench_job_ids, bench_store_reads
 }
 criterion_main!(benches);

@@ -664,6 +664,33 @@ pub fn write_doc(path: &Path, doc: &Value) -> io::Result<()> {
     std::fs::write(path, doc.to_json_pretty())
 }
 
+/// A scratch directory under the temp dir, removed on drop (the store
+/// tests' `tmpdir`s).
+#[cfg(test)]
+pub(crate) struct TmpDir(pub(crate) PathBuf);
+
+#[cfg(test)]
+impl std::ops::Deref for TmpDir {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+#[cfg(test)]
+impl AsRef<Path> for TmpDir {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+#[cfg(test)]
+impl Drop for TmpDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -634,10 +634,10 @@ mod tests {
         )
     }
 
-    fn tmpdir(tag: &str) -> PathBuf {
+    fn tmpdir(tag: &str) -> crate::TmpDir {
         let d = std::env::temp_dir().join(format!("ebcp-preres-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
-        d
+        crate::TmpDir(d)
     }
 
     fn expect_quarantined<T>(read: CacheRead<T>, reason_part: &str) {
@@ -666,7 +666,6 @@ mod tests {
         save(&dir, &j, &pre).unwrap();
         let loaded = load(&dir, &j).expect("cache hit");
         assert_eq!(loaded, pre);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -693,7 +692,6 @@ mod tests {
         let concat: Vec<PreEvent> = blocks.iter().flat_map(|b| b.events.clone()).collect();
         assert_eq!(loaded.events, concat);
         assert_eq!(loaded.records, pre.records);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -723,7 +721,6 @@ mod tests {
             path_for(&dir, &b).exists(),
             "collisions are not quarantined"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -748,7 +745,6 @@ mod tests {
                 "no *.corrupt or temp file beside the stream"
             );
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -761,7 +757,6 @@ mod tests {
         drop(w);
         let shard = path_for(&dir, &j).parent().unwrap().to_path_buf();
         assert_eq!(std::fs::read_dir(&shard).unwrap().count(), 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Three blocks of hand-picked events, the last one empty.
@@ -816,7 +811,6 @@ mod tests {
             .expect("pinned bytes verify");
         assert_eq!(stream.records(), 6);
         assert_eq!(stream.blocks().collect::<Vec<_>>(), golden_blocks());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -833,7 +827,6 @@ mod tests {
         // Self-heal: saving again restores a loadable entry.
         save(&dir, &j, &pre).unwrap();
         assert_eq!(load(&dir, &j), Some(pre));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -847,7 +840,6 @@ mod tests {
         bytes[mid] ^= 0x10;
         std::fs::write(&p, &bytes).unwrap();
         expect_quarantined(load_checked(&dir, &j), "checksum");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -872,7 +864,6 @@ mod tests {
         bytes[at] ^= 0x08;
         std::fs::write(&p, &bytes).unwrap();
         expect_quarantined(open_stream_checked(&dir, &j), "checksum mismatch");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -887,7 +878,6 @@ mod tests {
         // The appended bytes shift the footer window, so the footer
         // checksum rejects before any length check even runs.
         expect_quarantined(load_checked(&dir, &j), "checksum");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -910,7 +900,6 @@ mod tests {
         migrate_flat_streams(&dir);
         assert!(!flat.exists() && sharded.is_file());
         assert_eq!(load(&dir, &j), Some(pre));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -933,7 +922,6 @@ mod tests {
         crafted.extend_from_slice(&bytes[cut..]);
         std::fs::write(&p, &crafted).unwrap();
         expect_quarantined(load_checked(&dir, &j), "disagrees with header event count");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     mod props {
@@ -973,10 +961,11 @@ mod tests {
             check(bytes).is_ok()
         }
 
-        fn temp_stream(tag: &str) -> PathBuf {
+        fn temp_stream(tag: &str) -> (crate::TmpDir, PathBuf) {
             let dir = tmpdir(tag);
             std::fs::create_dir_all(&dir).unwrap();
-            dir.join("s.bin")
+            let path = dir.join("s.bin");
+            (dir, path)
         }
 
         proptest! {
@@ -984,7 +973,7 @@ mod tests {
             /// a quarantine, never a hit.
             #[test]
             fn every_truncated_prefix_is_refused(blocks in arb_blocks()) {
-                let path = temp_stream("prefix");
+                let (_dir, path) = temp_stream("prefix");
                 let bytes = write(&path, &blocks);
                 prop_assert!(opens(&bytes), "the whole file verifies");
                 for cut in 0..bytes.len() {
@@ -1011,7 +1000,7 @@ mod tests {
                 blocks in arb_blocks(),
                 edits in proptest::collection::vec((any::<usize>(), 1u8..255), 1..4),
             ) {
-                let path = temp_stream("edit");
+                let (_dir, path) = temp_stream("edit");
                 let mut bytes = write(&path, &blocks);
                 let mut at: Vec<(usize, u8)> =
                     edits.iter().map(|&(p, d)| (p % bytes.len(), d)).collect();
@@ -1031,7 +1020,7 @@ mod tests {
                 pick in any::<usize>(),
                 mask in 1u64..u64::MAX,
             ) {
-                let path = temp_stream("word");
+                let (_dir, path) = temp_stream("word");
                 let mut bytes = write(&path, &blocks);
                 // Only blocks with events have payload words to change.
                 let full: Vec<usize> =

@@ -211,10 +211,10 @@ mod tests {
         }
     }
 
-    fn tmpdir(tag: &str) -> PathBuf {
+    fn tmpdir(tag: &str) -> crate::TmpDir {
         let d = std::env::temp_dir().join(format!("ebcp-traces-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
-        d
+        crate::TmpDir(d)
     }
 
     #[test]
@@ -230,7 +230,6 @@ mod tests {
         let from_store = drain(&mut seg, 4096);
         let direct = TraceGenerator::new(&s.workload, s.seed).collect_n(from_store.len());
         assert_eq!(from_store, direct);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -250,7 +249,6 @@ mod tests {
             written,
             "a valid cached trace must not be regenerated"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -273,7 +271,6 @@ mod tests {
         assert!(seen[0].0.to_string_lossy().ends_with(".corrupt"));
         assert!(seen[0].0.is_file(), "corrupt bytes preserved");
         assert!(seen[0].1.contains("checksum"), "{}", seen[0].1);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -303,7 +300,6 @@ mod tests {
                 "no *.corrupt or temp file beside the trace"
             );
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Pulls every record out of `src`, `chunk` at a time.
@@ -340,7 +336,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
         generate(&dir, &s, 1_000).unwrap();
         assert_eq!(std::fs::read(path_for(&dir, &s)).unwrap(), teed);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -372,7 +367,6 @@ mod tests {
         tee.next_chunk(&mut buf, 1_500);
         assert!(tee.finish().is_err());
         assert_eq!(std::fs::read_dir(&shard).unwrap().count(), 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -404,7 +398,6 @@ mod tests {
             CacheRead::Quarantined { reason, .. } => assert!(reason.contains("11999"), "{reason}"),
             _ => panic!("a short trace must not be replayed"),
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -427,25 +427,55 @@ impl CmpEngine {
                 heap.schedule(tick, i as u32);
             }
         }
-        while let Some((tick, id)) = heap.peek() {
-            if self.next_ev_at <= tick {
-                // The uncore component wakes first on ties: the oracle
-                // drains matured completions in the record's pre-op,
-                // before its body.
-                self.drain_events(tick);
-            }
-            heap.pop();
+        while let Some((mut tick, id)) = heap.pop() {
             let i = id as usize;
-            self.exec_one(i, &streams[i].events);
-            if self.cores[i].insts == warmup {
-                self.reset_core_stats(i);
-                if !self.shared_snapshotted && self.cores.iter().all(|c| c.insts >= warmup) {
-                    self.shared_snapshotted = true;
-                    self.snapshot_shared();
+            let events = &streams[i].events;
+            // The popped core keeps the chip while its next yield sorts
+            // below the runner-up's wake key; the heap cannot change
+            // meanwhile, since only this core is running.
+            let runner_up = heap.peek().unwrap_or((Cycle::MAX, u32::MAX));
+            // Ties go to the lower id, so a runner-up with a higher id
+            // lets this core run a yield at the runner-up's tick.
+            let yield_bound = if id < runner_up.1 {
+                runner_up.0.saturating_add(1)
+            } else {
+                runner_up.0
+            };
+            loop {
+                if self.next_ev_at <= tick {
+                    // The uncore component wakes first on ties: the
+                    // oracle drains matured completions in the record's
+                    // pre-op, before its body.
+                    self.drain_events(tick);
                 }
-            }
-            if let Some(tick) = self.advance_local(i, &streams[i].events, warmup, total) {
-                heap.schedule(tick, i as u32);
+                // The core sits at a yield record whose key is the
+                // global minimum. The fast loop runs it inline if it
+                // can; otherwise the full machinery does.
+                let insts = self.cores[i].insts;
+                let bound = yield_bound.min(self.next_ev_at);
+                let mut next = self.run_inline(i, events, warmup, total, bound);
+                if self.cores[i].insts == insts {
+                    self.exec_one(i, events);
+                    if self.cores[i].insts == warmup {
+                        self.reset_core_stats(i);
+                        if !self.shared_snapshotted && self.cores.iter().all(|c| c.insts >= warmup)
+                        {
+                            self.shared_snapshotted = true;
+                            self.snapshot_shared();
+                        }
+                    }
+                    next = self.advance_local(i, events, warmup, total);
+                } else if next.is_none() {
+                    next = self.advance_local(i, events, warmup, total);
+                }
+                match next {
+                    Some(t) if (t, id) < runner_up => tick = t,
+                    Some(t) => {
+                        heap.schedule(t, id);
+                        break;
+                    }
+                    None => break,
+                }
             }
         }
         // Residual drain: in the oracle, trailing core-local records
@@ -562,6 +592,206 @@ impl CmpEngine {
         }
     }
 
+    /// The fast loop: runs core `i`'s stream on register-resident
+    /// clock state, executing gap records, L2-hit loads, L2-hit
+    /// stores, store L1 hits and mispredicts inline (and serializing
+    /// instructions, when nothing is outstanding) — each iteration
+    /// [`CmpEngine::exec_one`] specialized to a record that retires
+    /// nothing and ends no window, the same shape as the single-core
+    /// `Engine::replay_fast`. With a miss window open it also runs,
+    /// between the window's deadlines (first outstanding completion,
+    /// ROB fill, dependence countdown), which [`CmpEngine::advance_local`]
+    /// computes the same way.
+    ///
+    /// A record that touches the shared L2 runs here only if its
+    /// pre-record clock is below `bound`: the uncore's `next_ev_at` and
+    /// the runner-up core's wake tick, the caller having applied the
+    /// lower-id tie rule. Mispredicts and serializing instructions
+    /// touch nothing shared and ignore `bound`.
+    ///
+    /// Returns `Some(tick)` when the core is parked at a record that
+    /// needs the scheduler or the full machinery — a shared record at
+    /// or past `bound`, an instruction-fetch miss, a window deadline, a
+    /// serializing instruction under an open window — with the gap in
+    /// front of it consumed and `tick` its pre-record clock: exactly
+    /// where `advance_local` would stop. Returns `None` to hand back
+    /// to `advance_local` on a non-power-of-two issue width, a pure
+    /// filler, a deadline inside a gap, the warm-up crossing record,
+    /// the `total` bound and stream end, and after an L2 miss, whose
+    /// prefetch-buffer/MSHR/off-chip continuation runs here first.
+    fn run_inline(
+        &mut self,
+        i: usize,
+        events: &[PreEvent],
+        warmup: u64,
+        total: u64,
+        bound: Cycle,
+    ) -> Option<Cycle> {
+        if !self.cfg.core.issue_width.is_power_of_two() {
+            None
+        } else if self.cores[i].outstanding.is_empty() {
+            self.run_inline_as::<false>(i, events, warmup, total, bound)
+        } else {
+            self.run_inline_as::<true>(i, events, warmup, total, bound)
+        }
+    }
+
+    /// [`CmpEngine::run_inline`] compiled separately for an idle core
+    /// and an open window, so the idle loop carries no window
+    /// bookkeeping.
+    fn run_inline_as<const WINDOWED: bool>(
+        &mut self,
+        i: usize,
+        events: &[PreEvent],
+        warmup: u64,
+        total: u64,
+        bound: Cycle,
+    ) -> Option<Cycle> {
+        let iw = self.cfg.core.issue_width;
+        let shift = iw.trailing_zeros();
+        let mask = u64::from(iw) - 1;
+        let l2_hit = self.cfg.core.l2_hit_exposed;
+        let mp_pen = self.cfg.core.mispredict_penalty;
+        let ser_cost = self.cfg.core.serialize_cost;
+        let rob = u64::from(self.cfg.core.rob_entries);
+
+        let core = &self.cores[i];
+        let windowed = WINDOWED;
+        debug_assert_eq!(windowed, !core.outstanding.is_empty());
+        // Loop-invariant: only the general path retires or adds misses.
+        let min_done = if windowed {
+            core.outstanding.iter().map(|o| o.done).min()
+        } else {
+            None
+        };
+        let mut cycle = core.cycle;
+        let mut slots = u64::from(core.issue_slots);
+        let mut insts = core.insts;
+        let mut idx = core.idx;
+        let mut gap_done = u64::from(core.gap_done);
+        let mut last_pre = core.last_pre;
+        let mut win = u64::from(core.window_insts);
+        let mut cd = core.dep_countdown.map(u64::from);
+        // Records with an index below `stop` may run here: the warm-up
+        // crossing record (index `warmup - 1`) and the `total` bound
+        // belong to the general path.
+        let stop = if insts < warmup { warmup - 1 } else { total };
+        let mut parked = None;
+        let mut miss = None;
+
+        while let Some(&ev) = events.get(idx) {
+            // Overlap the next event's L2 set fetch with this one's work.
+            if let Some(next) = events.get(idx + 1) {
+                self.l2.prefetch_set(LineAddr::from_index(next.dline));
+            }
+            if ev.flags == 0 {
+                break;
+            }
+            let gap_left = u64::from(ev.gap) - gap_done;
+            if insts + gap_left >= stop {
+                break;
+            }
+            // Records that may run before the window's next deadline
+            // (`advance_local`'s algebra).
+            let room = match min_done {
+                None => u64::MAX,
+                Some(done) => {
+                    let k_done = if done <= cycle {
+                        0
+                    } else {
+                        ((done - cycle) << shift).saturating_sub(slots)
+                    };
+                    k_done.min(rob - 1 - win).min(cd.unwrap_or(u64::MAX))
+                }
+            };
+            if gap_left > room {
+                break;
+            }
+            let pre = cycle + ((slots + gap_left) >> shift);
+            let kind = ev.flags >> K_SHIFT;
+            let local = kind == K_MISPREDICT || (kind == K_SERIALIZE && !windowed);
+            if gap_left == room
+                || ev.flags & F_IFETCH_MISS != 0
+                || (kind == K_SERIALIZE && windowed)
+                || (!local && pre >= bound)
+            {
+                // Park at this record; its gap is local work.
+                if gap_left > 0 {
+                    last_pre = cycle + ((slots + gap_left - 1) >> shift);
+                    insts += gap_left;
+                    slots += gap_left;
+                    cycle += slots >> shift;
+                    slots &= mask;
+                    gap_done += gap_left;
+                    if windowed {
+                        win += gap_left;
+                        cd = cd.map(|c| c - gap_left);
+                    }
+                }
+                parked = Some(cycle);
+                break;
+            }
+
+            insts += gap_left + 1;
+            slots += gap_left + 1;
+            cycle += slots >> shift;
+            slots &= mask;
+            last_pre = pre;
+            idx += 1;
+            gap_done = 0;
+            if windowed {
+                win += gap_left + 1;
+                cd = cd.map(|c| c - gap_left);
+            }
+
+            let line = LineAddr::from_index(ev.dline);
+            match kind {
+                K_LOAD | K_LOAD_FEEDS => {
+                    if self.l2.access(line) {
+                        cycle += l2_hit;
+                    } else {
+                        miss = Some(ev);
+                        break;
+                    }
+                }
+                K_STORE_MISS => {
+                    if !self.l2.access_dirty(line) {
+                        miss = Some(ev);
+                        break;
+                    }
+                }
+                K_STORE_HIT => {
+                    self.l2.mark_dirty(line);
+                }
+                K_MISPREDICT => cycle += mp_pen,
+                // Nothing outstanding: serialize never stalls.
+                K_SERIALIZE => cycle += ser_cost,
+                other => unreachable!("corrupt PreEvent kind {other}"),
+            }
+            // The post-op countdown step; a miss leaves it to `post_op`.
+            cd = cd.map(|c| c - 1);
+        }
+
+        let core = &mut self.cores[i];
+        core.cycle = cycle;
+        core.issue_slots = slots as u32;
+        core.insts = insts;
+        core.idx = idx;
+        core.gap_done = gap_done as u32;
+        core.last_pre = last_pre;
+        core.window_insts = win as u32;
+        core.dep_countdown = cd.map(|c| c as u32);
+        if let Some(ev) = miss {
+            let line = LineAddr::from_index(ev.dline);
+            match ev.flags >> K_SHIFT {
+                K_STORE_MISS => self.store_fill(i, line),
+                kind => self.load_fill(i, line, Pc::new(ev.pc), kind == K_LOAD_FEEDS),
+            }
+            self.post_op(i);
+        }
+        parked
+    }
+
     /// Executes core `i`'s current record through the full per-record
     /// machinery — a verbatim transcription of the oracle's
     /// `step_core`, minus the L1 probes the pre-resolve pass already
@@ -600,9 +830,19 @@ impl CmpEngine {
             let line = LineAddr::from_index(ev.dline);
             match ev.flags >> K_SHIFT {
                 K_NONE => {}
-                K_LOAD => self.load_fill(i, line, Pc::new(ev.pc), false),
-                K_LOAD_FEEDS => self.load_fill(i, line, Pc::new(ev.pc), true),
-                K_STORE_MISS => self.store_fill(i, line),
+                K_LOAD | K_LOAD_FEEDS => {
+                    if self.l2.access(line) {
+                        self.cores[i].cycle += self.cfg.core.l2_hit_exposed;
+                    } else {
+                        let feeds = ev.flags >> K_SHIFT == K_LOAD_FEEDS;
+                        self.load_fill(i, line, Pc::new(ev.pc), feeds);
+                    }
+                }
+                K_STORE_MISS => {
+                    if !self.l2.access_dirty(line) {
+                        self.store_fill(i, line);
+                    }
+                }
                 K_STORE_HIT => {
                     self.l2.mark_dirty(line);
                 }
@@ -619,7 +859,13 @@ impl CmpEngine {
             self.cores[i].idx += 1;
             self.cores[i].gap_done = 0;
         }
+        self.post_op(i);
+    }
 
+    /// Window termination conditions (§2.1) after a record's op — the
+    /// shared tail of [`CmpEngine::exec_one`] and the fast loop's miss
+    /// continuation.
+    fn post_op(&mut self, i: usize) {
         if !self.cores[i].outstanding.is_empty() {
             if self.cores[i].window_insts >= self.cfg.core.rob_entries {
                 self.stall_all(i);
@@ -735,11 +981,9 @@ impl CmpEngine {
         self.stall_all(i);
     }
 
+    /// A load's continuation past an L2 miss (the caller probed L2):
+    /// the prefetch-buffer and off-chip paths.
     fn load_fill(&mut self, i: usize, dline: LineAddr, pc: Pc, feeds_mispredict: bool) {
-        if self.l2.access(dline) {
-            self.cores[i].cycle += self.cfg.core.l2_hit_exposed;
-            return;
-        }
         if let Some(origin) = self.pbuf.lookup_consume(dline) {
             self.cores[i].c.averted_load += 1;
             self.cores[i].cycle += self.cfg.core.l2_hit_exposed;
@@ -753,11 +997,9 @@ impl CmpEngine {
         }
     }
 
+    /// A store's continuation past an L2 miss — same split as
+    /// [`CmpEngine::load_fill`].
     fn store_fill(&mut self, i: usize, dline: LineAddr) {
-        if self.l2.access(dline) {
-            self.l2.mark_dirty(dline);
-            return;
-        }
         if self.pbuf.lookup_consume(dline).is_some() {
             self.cores[i].c.averted_store += 1;
             self.fill_l2(i, dline, true);
@@ -1044,7 +1286,8 @@ mod tests {
     use crate::cmp_stepping::SteppingCmpEngine;
     use ebcp_core::{EbcpConfig, EbcpPrefetcher};
     use ebcp_prefetch::NullPrefetcher;
-    use ebcp_trace::{TraceGenerator, WorkloadSpec};
+    use ebcp_trace::{Op, TraceGenerator, WorkloadSpec};
+    use ebcp_types::Addr;
 
     fn small_workload() -> WorkloadSpec {
         WorkloadSpec {
@@ -1255,6 +1498,160 @@ mod tests {
             r4.cores[0].load_mr(),
             r1.cores[0].load_mr()
         );
+    }
+
+    /// A loop over `lines` data lines `base` apart from other loops:
+    /// three ALU records, then a load (now and then a store, a
+    /// mispredicted branch or a serializing instruction). Once the
+    /// lines sit in L2, every access is an L1 miss and an L2 hit, so
+    /// the fast loop runs long stretches; `lead` ALU records in front
+    /// shift the core's clock against its co-runners.
+    fn loop_trace(n: usize, lines: u64, base: u64, lead: usize) -> Vec<TraceRecord> {
+        let body = (0..n as u64).map(|k| {
+            let pc = Pc::new(0x1000 + 4 * (k % 16));
+            if k % 4 != 3 {
+                return TraceRecord::alu(pc);
+            }
+            let j = k / 4;
+            let addr = Addr::new(base + (j % lines) * 64);
+            match j {
+                j if j % 9 == 5 => TraceRecord::store(pc, addr),
+                j if j % 13 == 6 => TraceRecord::new(pc, Op::Branch { mispredicted: true }),
+                j if j % 29 == 11 => TraceRecord::new(pc, Op::Serialize),
+                _ => TraceRecord::load(pc, addr),
+            }
+        });
+        (0..lead)
+            .map(|_| TraceRecord::alu(Pc::new(0x1000)))
+            .chain(body)
+            .take(n)
+            .collect()
+    }
+
+    fn assert_des_matches_stepping(
+        sim: SimConfig,
+        t: &[Vec<TraceRecord>],
+        pf: impl Fn() -> Box<dyn Prefetcher>,
+        warmup: u64,
+        measure: u64,
+        what: &str,
+    ) {
+        let n = t.len();
+        assert_eq!(
+            CmpEngine::new(sim, n, pf()).run(t, warmup, measure, "w"),
+            SteppingCmpEngine::new(sim, n, pf()).run(t, warmup, measure, "w"),
+            "{what}"
+        );
+    }
+
+    fn null() -> Box<dyn Prefetcher> {
+        Box::new(NullPrefetcher)
+    }
+
+    fn ebcp() -> Box<dyn Prefetcher> {
+        Box::new(EbcpPrefetcher::new(
+            EbcpConfig::tuned().with_table_entries(1 << 14),
+        ))
+    }
+
+    #[test]
+    fn fast_loop_ties_with_the_runner_up_match_stepping() {
+        // Cores running the same loop over the same lines meet at equal
+        // ticks all the time: the lower id must run first, whichever
+        // core is popped. A `lead` of 4 records is one cycle at width
+        // 4, so the lagging core reaches the leader's parked tick from
+        // below (popped core with the higher id) and the leader reaches
+        // the lagging core's tick with the lower id. The two line
+        // counts give an L2-resident loop and a miss-heavy one, where
+        // who goes first decides the primary and the secondary miss.
+        let sim = SimConfig::scaled_down(16);
+        for lines in [256, 4096] {
+            for leads in [[0, 0, 0], [0, 4, 0], [4, 0, 8], [1, 3, 4]] {
+                let t: Vec<_> = leads
+                    .iter()
+                    .map(|&lead| loop_trace(60_000, lines, 0x80_0000, lead))
+                    .collect();
+                for n in [2, 3] {
+                    assert_des_matches_stepping(
+                        sim,
+                        &t[..n],
+                        null,
+                        10_000,
+                        50_000,
+                        &format!("{lines} lines, leads {leads:?}, {n} cores"),
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fast_loop_uncore_events_at_the_parked_tick_match_stepping() {
+        // Store fills, table round-trips and prefetch arrivals mature
+        // while cores run inline; one maturing exactly at a parked tick
+        // must drain before that core's record. EBCP on co-running
+        // loops over disjoint and shared lines produces thousands.
+        let sim = SimConfig::scaled_down(16);
+        for bases in [[0x80_0000, 0x80_0000], [0x80_0000, 0x400_0000]] {
+            let t: Vec<_> = bases
+                .iter()
+                .zip([0, 4])
+                .map(|(&base, lead)| loop_trace(80_000, 3000, base, lead))
+                .collect();
+            assert_des_matches_stepping(sim, &t, ebcp, 20_000, 60_000, &format!("{bases:x?}"));
+            assert_des_matches_stepping(sim, &t, null, 20_000, 60_000, &format!("{bases:x?}"));
+        }
+        let g = traces(2, 80_000);
+        assert_des_matches_stepping(sim, &g, ebcp, 20_000, 60_000, "generated traces");
+    }
+
+    #[test]
+    fn fast_loop_warmup_crossing_and_total_bound_match_stepping() {
+        // The warm-up crossing record and the `total` bound fall inside
+        // long inline runs: at the first records, at odd offsets, and
+        // past the end of the stream.
+        let sim = SimConfig::scaled_down(16);
+        let t: Vec<_> = [0, 4]
+            .iter()
+            .map(|&lead| loop_trace(30_000, 256, 0x80_0000, lead))
+            .collect();
+        for (warmup, measure) in [
+            (1, 9_000),
+            (2, 1),
+            (3, 17_001),
+            (997, 12_345),
+            (4_096, 4_096),
+            (10_001, 0),
+            (20_000, 20_000),
+        ] {
+            for n in [1, 2] {
+                assert_des_matches_stepping(
+                    sim,
+                    &t[..n],
+                    null,
+                    warmup,
+                    measure,
+                    &format!("warm-up {warmup}, measure {measure}, {n} cores"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn non_power_of_two_issue_width_matches_stepping() {
+        // The fast loop only runs at power-of-two widths; at any other
+        // width every record takes the general path.
+        for width in [3, 6] {
+            let mut sim = SimConfig::scaled_down(16);
+            sim.core.issue_width = width;
+            let t: Vec<_> = [0, 4]
+                .iter()
+                .map(|&lead| loop_trace(40_000, 256, 0x80_0000, lead))
+                .collect();
+            assert_des_matches_stepping(sim, &t, null, 10_000, 30_000, &format!("width {width}"));
+            let g = traces(2, 60_000);
+            assert_des_matches_stepping(sim, &g, ebcp, 20_000, 40_000, &format!("width {width}"));
+        }
     }
 
     #[test]

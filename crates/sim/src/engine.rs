@@ -199,16 +199,6 @@ impl Engine {
         self.insts
     }
 
-    /// The prefetcher's name.
-    pub fn prefetcher_name(&self) -> &str {
-        self.pf.name()
-    }
-
-    /// Read access to the prefetcher (for end-of-run inspection).
-    pub fn prefetcher(&self) -> &dyn Prefetcher {
-        self.pf.as_ref()
-    }
-
     /// Resets measurement counters (call at the end of warm-up). Machine
     /// state — caches, tables, in-flight traffic — is untouched.
     pub fn reset_stats(&mut self) {

@@ -290,8 +290,8 @@ impl TraceSink {
         self.records
     }
 
-    /// Closes the tail segment, writes index + footer, fsyncs and
-    /// atomically renames into place. Returns the record count.
+    /// Closes the tail segment, writes index + footer and atomically
+    /// renames into place. Returns the record count.
     ///
     /// # Errors
     ///
@@ -315,8 +315,9 @@ impl TraceSink {
         footer.extend_from_slice(&word_fnv64(&footer).to_le_bytes());
         self.w.write_all(&index_bytes)?;
         self.w.write_all(&footer)?;
+        // No fsync, as in every store writer: the checksum walk at
+        // open quarantines a torn file (DESIGN.md §3f).
         self.w.flush()?;
-        self.w.get_ref().sync_all()?;
         std::fs::rename(&self.tmp, &self.path)?;
         self.published = true;
         Ok(self.records)
@@ -794,14 +795,36 @@ mod tests {
     use super::*;
     use crate::{TraceGenerator, WorkloadSpec};
 
-    fn tmpdir(tag: &str) -> PathBuf {
+    /// A scratch directory under the temp dir, removed on drop.
+    struct TmpDir(PathBuf);
+
+    impl std::ops::Deref for TmpDir {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl AsRef<Path> for TmpDir {
+        fn as_ref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TmpDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn tmpdir(tag: &str) -> TmpDir {
         let dir = std::env::temp_dir().join(format!(
             "ebcp-segfile-{tag}-{}-{}",
             std::process::id(),
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         std::fs::create_dir_all(&dir).unwrap();
-        dir
+        TmpDir(dir)
     }
 
     fn sample() -> Vec<TraceRecord> {
@@ -1139,7 +1162,6 @@ mod tests {
                     let back = read_all(&mut st, chunk);
                     prop_assert_eq!(&back, &recs);
                 }
-                std::fs::remove_dir_all(&dir).ok();
             }
 
             /// Every proper prefix of a valid file (a torn write, a cut
@@ -1158,7 +1180,6 @@ mod tests {
                     let read = SegmentedTrace::open(&path, b"p", Backing::Buffered);
                     prop_assert!(read.is_err(), "a {cut}-byte prefix opened");
                 }
-                std::fs::remove_dir_all(&dir).ok();
             }
 
             /// Arbitrary bytes, foreign or behind this format's magic,
@@ -1174,7 +1195,6 @@ mod tests {
                 bytes.extend_from_slice(&body);
                 std::fs::write(&path, &bytes).unwrap();
                 prop_assert!(SegmentedTrace::open(&path, b"", Backing::Buffered).is_err());
-                std::fs::remove_dir_all(&dir).ok();
             }
 
             /// Arbitrary byte edits at distinct offsets of a valid file
@@ -1198,7 +1218,6 @@ mod tests {
                 }
                 std::fs::write(&path, &bytes).unwrap();
                 prop_assert!(SegmentedTrace::open(&path, b"edit", Backing::Buffered).is_err());
-                std::fs::remove_dir_all(&dir).ok();
             }
 
             /// A change confined to one aligned 8-byte word of a
@@ -1230,7 +1249,6 @@ mod tests {
                     Err(other) => panic!("expected Corrupt, got {other:?}"),
                     Ok(_) => panic!("a one-word change at byte {at} went unnoticed"),
                 }
-                std::fs::remove_dir_all(&dir).ok();
             }
         }
     }
