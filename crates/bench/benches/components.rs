@@ -3,6 +3,7 @@
 //! single-core replay, job hashing and warm reads from the result
 //! store.
 
+use std::cell::OnceCell;
 use std::path::{Path, PathBuf};
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
@@ -253,30 +254,45 @@ fn warm_store(tag: &str, jobs: &[Job], cmp: &[CmpJob]) -> PathBuf {
 /// 11): a fresh harness's warm re-sweep, and the pretty `results.json`
 /// document of its rows.
 fn bench_store_reads(c: &mut Criterion) {
-    let grid = serve_grid(Scale::quick());
-    let jobs = grid.jobs().expect("the serve grid expands");
-    let cmp = grid.cmp_jobs().expect("the serve grid expands");
-    let serve_dir = warm_store("serve", &jobs, &cmp);
-    let q = Scale::quick();
-    let long = SweepSpec {
-        workloads: vec!["database".into(), "graph".into()],
-        prefetchers: sweep_roster(q).iter().map(PrefetcherSpec::name).collect(),
-        cores: Vec::new(),
-        scale: Scale {
-            warm_tenths: q.warm_tenths * 3,
-            measure_tenths: q.measure_tenths * 3,
-            seed: 11,
-            ..q
-        },
-    }
-    .jobs()
-    .expect("the roster names resolve");
-    let long_dir = warm_store("long", &long, &[]);
+    // Each store is simulated on first use, so a bench name filter that
+    // selects none of this group skips the simulations too.
+    let serve_cell = OnceCell::new();
+    let serve = || {
+        serve_cell.get_or_init(|| {
+            let grid = serve_grid(Scale::quick());
+            let jobs = grid.jobs().expect("the serve grid expands");
+            let cmp = grid.cmp_jobs().expect("the serve grid expands");
+            let dir = warm_store("serve", &jobs, &cmp);
+            (jobs, cmp, dir)
+        })
+    };
+    let long_cell = OnceCell::new();
+    let long = || {
+        long_cell.get_or_init(|| {
+            let q = Scale::quick();
+            let jobs = SweepSpec {
+                workloads: vec!["database".into(), "graph".into()],
+                prefetchers: sweep_roster(q).iter().map(PrefetcherSpec::name).collect(),
+                cores: Vec::new(),
+                scale: Scale {
+                    warm_tenths: q.warm_tenths * 3,
+                    measure_tenths: q.measure_tenths * 3,
+                    seed: 11,
+                    ..q
+                },
+            }
+            .jobs()
+            .expect("the roster names resolve");
+            let dir = warm_store("long", &jobs, &[]);
+            (jobs, dir)
+        })
+    };
 
     let mut g = c.benchmark_group("store_reads");
     g.sample_size(30);
     g.bench_function("per_cell_load_checked_serve_grid", |b| {
-        let store = ResultStore::open(&serve_dir).expect("the store opens");
+        let (jobs, cmp, dir) = serve();
+        let store = ResultStore::open(dir).expect("the store opens");
         b.iter(|| {
             let hits = jobs
                 .iter()
@@ -289,24 +305,32 @@ fn bench_store_reads(c: &mut Criterion) {
         });
     });
     g.bench_function("batch_resolve_serve_grid", |b| {
+        let (jobs, cmp, dir) = serve();
         b.iter(|| {
-            let h = store_harness(&serve_dir);
-            (h.run_outcomes(&jobs), h.run_cmp_outcomes(&cmp))
+            let h = store_harness(dir);
+            (h.run_outcomes(jobs), h.run_cmp_outcomes(cmp))
         });
     });
     g.bench_function("batch_resolve_long_grid", |b| {
-        b.iter(|| store_harness(&long_dir).run_outcomes(&long));
+        let (jobs, dir) = long();
+        b.iter(|| store_harness(dir).run_outcomes(jobs));
     });
-    let h = store_harness(&long_dir);
-    h.run_outcomes(&long);
-    assert_eq!(h.summary().executed, 0, "the long grid reads warm");
-    let rows = h.result_rows();
     g.bench_function("results_doc_pretty_long_grid", |b| {
-        b.iter(|| results_doc(long.len(), &rows).to_json_pretty());
+        let (jobs, dir) = long();
+        let h = store_harness(dir);
+        h.run_outcomes(jobs);
+        assert_eq!(h.summary().executed, 0, "the long grid reads warm");
+        let rows = h.result_rows();
+        b.iter(|| results_doc(jobs.len(), &rows).to_json_pretty());
     });
     g.finish();
-    let _ = std::fs::remove_dir_all(&serve_dir);
-    let _ = std::fs::remove_dir_all(&long_dir);
+    let dirs = [
+        serve_cell.get().map(|s| &s.2),
+        long_cell.get().map(|l| &l.1),
+    ];
+    for dir in dirs.into_iter().flatten() {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 criterion_group! {

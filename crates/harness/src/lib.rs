@@ -1167,7 +1167,12 @@ mod tests {
             // (64 Ki records); multi-segment geometry is covered by the
             // preres and traces module tests.
             assert_eq!(stream.records(), 30_000);
-            assert_eq!(stream.seg_records(), 1 << 16, "clamp floor applies");
+            let footer = ebcp_trace::segfile::Footer::read(&preres::path_for(&dir, &jobs[0]));
+            assert_eq!(
+                footer.map(|f| f.seg_records),
+                Some(1 << 16),
+                "clamp floor applies"
+            );
             assert_eq!(traces::path_for(&dir, &jobs[0].spec).is_file(), trace_store);
             // Warm run: streams (and traces) are reused, results identical.
             for entry in std::fs::read_dir(&dir).unwrap() {

@@ -5,81 +5,59 @@
 //! processes the front-end pass runs once per workload and every later
 //! sweep deserializes the packed events instead of re-resolving the
 //! trace. Files live under `<store_dir>/preres/<2-hex>/<pre_key>.bin`,
-//! sharded — like result entries — by the key's first two hex digits;
-//! flat pre-sharding files migrate transparently (swept on store open,
-//! or read-through on first load).
+//! sharded — like result entries — by the key's first two hex digits.
 //!
-//! Format v4 ("EBCPPRE4"), all integers little-endian. The event
-//! payload is cut into **segments** (each standing for a whole number
-//! of trace records) with a per-segment index, so the large tier can
-//! replay a stream block at a time — O(segment) peak memory — while
-//! the quick tier keeps writing one segment covering the whole stream:
+//! A stream is a segmented container ([`ebcp_trace::segfile`]) of
+//! [`EventCodec`] items, magic `EBCPPRE5`, whose meta is the exact
+//! string `pre_key` hashed (collision guard). Each segment is one block:
+//! its events and the trace records they stand for. The large tier
+//! replays a stream a block at a time — O(segment) peak memory — while
+//! the quick tier writes one segment covering the whole stream.
 //!
-//! ```text
-//! magic     8 B   "EBCPPRE4"
-//! canon_len u32   length of the canonical key string
-//! canon     ...   the exact string `pre_key` hashed (collision guard)
-//! payload   per-segment runs of events
-//!               { pc u64, dline u64, gap u32, flags u32 }  (24 B each)
-//! index     n_segs x { n_events u64, records u64, checksum u64 }
-//!               (checksum = word FNV-1a over that segment's payload)
-//! footer   48 B   records u64 | seg_records u64 | n_segs u64
-//!               | index_checksum u64      (over the index)
-//!               | head_checksum u64       (over magic..canon)
-//!               | footer_checksum u64     (over the 40 preceding
-//!                                          footer bytes)
-//! ```
-//!
-//! Every checksum is [`word_fnv64`]: FNV-1a over little-endian `u64`
-//! words (an event is exactly three), shared with the segmented trace
-//! format. v3 ("EBCPPRE3") was the same layout with byte-wise FNV-1a.
-//!
-//! The index and totals live in a footer so [`PreresWriter`] can
-//! stream blocks out in one pass without knowing the totals up front
-//! (`seg_records` is the writer's nominal segment length in records,
-//! recorded for operator display — block replay reads per-segment
-//! record counts from the index).
-//!
-//! Loads are **integrity-checked**. A wrong magic (an older format
-//! revision, e.g. "EBCPPRE3" or the single-blob "EBCPPRE2") or a
-//! canonical-string mismatch (hash collision) is *staleness*: a plain
-//! miss, overwritten in place by the next save. A checksum mismatch, truncation, or
-//! length that disagrees with the index is *corruption*: the file is
-//! quarantined (renamed to `*.corrupt`) and the front-end pass
-//! transparently re-runs, overwriting the original path (self-heal).
-//! Either way a bad entry only costs one front-end pass, never a wrong
-//! stream. [`open_stream_checked`] verifies header, index, footer
-//! **and every segment checksum** in one sequential O(segment) pass at
-//! open, so [`PreresStream::block`] reads during replay skip
-//! re-verification.
+//! Every open runs the container's verify walk. A wrong magic (an older
+//! revision: `EBCPPRE4`, `EBCPPRE3`, the single-blob `EBCPPRE2`) or a
+//! canonical-string mismatch (hash collision) is a plain miss,
+//! overwritten in place by the next save; corruption is quarantined to
+//! `*.corrupt` and the front-end pass re-runs (self-heal). Either way a
+//! bad entry costs one front-end pass, never a wrong stream.
 
-use std::fs::File;
-use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 use ebcp_sim::frontend::{PreBlock, PreEvent, PreResolved};
 use ebcp_sim::RunSpec;
-use ebcp_trace::checksum::{word_fnv64, WordFnv};
+use ebcp_trace::segfile::{Backing, Codec, SegReader, SegWriter};
 
 use crate::job::{Job, CANON_VERSION};
-use crate::store::{quarantine, unique_tmp, CacheRead};
+use crate::store::{segfile_read, CacheRead};
 
-/// v4 ("EBCPPRE4"): segmented payload with per-segment index and word
-/// checksums.
-const MAGIC: &[u8; 8] = b"EBCPPRE4";
+/// Packed pre-resolved events, 24 bytes each, every field
+/// little-endian: `{ pc u64, dline u64, gap u32, flags u32 }`.
+pub struct EventCodec;
 
-/// Bytes per packed event (`pc u64, dline u64, gap u32, flags u32`).
-pub const EVENT_BYTES: u64 = 24;
+impl Codec for EventCodec {
+    type Item = PreEvent;
+    const MAGIC: [u8; 8] = *b"EBCPPRE5";
+    const WIDTH: usize = 24;
 
-/// Bytes per index entry (`n_events u64, records u64, checksum u64`).
-const INDEX_ENTRY_BYTES: u64 = 24;
+    fn encode(ev: &PreEvent, out: &mut [u8]) {
+        out[0..8].copy_from_slice(&ev.pc.to_le_bytes());
+        out[8..16].copy_from_slice(&ev.dline.to_le_bytes());
+        out[16..20].copy_from_slice(&ev.gap.to_le_bytes());
+        out[20..24].copy_from_slice(&ev.flags.to_le_bytes());
+    }
 
-/// Bytes of the trailing footer.
-const FOOTER_BYTES: u64 = 48;
-
-/// Write buffer of a [`PreresWriter`]: streams run to tens of MiB, and
-/// the default 8 KiB buffer costs one `write` call per 8 KiB.
-const WRITE_BUFFER_BYTES: usize = 1 << 18;
+    fn decode(b: &[u8]) -> PreEvent {
+        let word = |at: usize| u64::from_le_bytes(b[at..at + 8].try_into().expect("8 bytes"));
+        let half = |at: usize| u32::from_le_bytes(b[at..at + 4].try_into().expect("4 bytes"));
+        PreEvent {
+            pc: word(0),
+            dline: word(8),
+            gap: half(16),
+            flags: half(20),
+        }
+    }
+}
 
 /// The canonical string [`Job::pre_key`] hashes — regenerated here so
 /// the stored collision guard and the key can never drift apart.
@@ -101,62 +79,9 @@ pub fn path_for(store_dir: &Path, job: &Job) -> PathBuf {
     store_dir.join("preres").join(&name[..2]).join(name)
 }
 
-/// The legacy flat path streams lived at before sharding.
-fn flat_path_for(store_dir: &Path, job: &Job) -> PathBuf {
-    store_dir
-        .join("preres")
-        .join(format!("{:016x}.bin", job.pre_key()))
-}
-
-/// One-time sweep moving flat (pre-sharding) stream files — and their
-/// `.corrupt` quarantines — into shard directories. Best effort and
-/// idempotent; called when a [`crate::ResultStore`] opens.
-pub(crate) fn migrate_flat_streams(store_dir: &Path) {
-    let Ok(entries) = std::fs::read_dir(store_dir.join("preres")) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        // `DirEntry::file_type`, not a `stat` per shard directory.
-        if !entry.file_type().is_ok_and(|t| t.is_file()) {
-            continue;
-        }
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else {
-            continue;
-        };
-        let stem = name.strip_suffix(".corrupt").unwrap_or(name);
-        let ok = matches!(stem.strip_suffix(".bin"),
-            Some(hex) if hex.len() == 16 && hex.bytes().all(|b| b.is_ascii_hexdigit()));
-        if !ok {
-            continue;
-        }
-        let shard = store_dir.join("preres").join(&name[..2]);
-        if std::fs::create_dir_all(&shard).is_ok() {
-            let _ = std::fs::rename(entry.path(), shard.join(name));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Writing
-
 /// Streaming writer for a job's cached stream: push blocks as the
-/// front-end pass produces them; nothing but the index and a small
-/// encode batch is buffered. Written to a pid- and sequence-unique temp
-/// file and renamed on [`PreresWriter::finish`] so concurrent writers
-/// never interleave and readers never observe a partial file. A writer
-/// dropped before a successful `finish` removes its temp file.
-pub struct PreresWriter {
-    w: BufWriter<File>,
-    tmp: PathBuf,
-    path: PathBuf,
-    head_checksum: u64,
-    seg_records: u64,
-    records: u64,
-    index: Vec<(u64, u64, u64)>,
-    /// Set once the rename has put the file in place.
-    published: bool,
-}
+/// front-end pass produces them (see [`SegWriter`]).
+pub struct PreresWriter(SegWriter<EventCodec>);
 
 impl PreresWriter {
     /// Starts a stream for `job` under `store_dir`. `seg_records` is
@@ -167,96 +92,29 @@ impl PreresWriter {
     ///
     /// Propagates file-system failures.
     pub fn create(store_dir: &Path, job: &Job, seg_records: u64) -> io::Result<PreresWriter> {
-        let path = path_for(store_dir, job);
-        let dir = path.parent().expect("path_for always has a parent");
-        std::fs::create_dir_all(dir)?;
-        PreresWriter::create_at(path, pre_canonical(&job.spec).as_bytes(), seg_records)
+        let canon = pre_canonical(&job.spec);
+        SegWriter::create(&path_for(store_dir, job), canon.as_bytes(), seg_records)
+            .map(PreresWriter)
     }
 
-    /// [`PreresWriter::create`] for a stream published at `path` with
-    /// collision guard `canon`.
-    fn create_at(path: PathBuf, canon: &[u8], seg_records: u64) -> io::Result<PreresWriter> {
-        let mut head = Vec::with_capacity(12 + canon.len());
-        head.extend_from_slice(MAGIC);
-        head.extend_from_slice(&(canon.len() as u32).to_le_bytes());
-        head.extend_from_slice(canon);
-        let tmp = unique_tmp(&path, "bin");
-        let mut writer = PreresWriter {
-            w: BufWriter::with_capacity(WRITE_BUFFER_BYTES, File::create(&tmp)?),
-            tmp,
-            path,
-            head_checksum: word_fnv64(&head),
-            seg_records,
-            records: 0,
-            index: Vec::new(),
-            published: false,
-        };
-        writer.w.write_all(&head)?;
-        Ok(writer)
-    }
-
-    /// Appends one segment: `events` covering `records` trace records,
-    /// encoded and hashed a bounded batch at a time.
+    /// Appends one segment: `events` covering `records` trace records.
     ///
     /// # Errors
     ///
     /// Propagates file-system failures.
     pub fn push_block(&mut self, events: &[PreEvent], records: u64) -> io::Result<()> {
-        const BATCH: usize = 256;
-        let mut hash = WordFnv::new();
-        let mut buf = [0u8; BATCH * EVENT_BYTES as usize];
-        for batch in events.chunks(BATCH) {
-            let bytes = &mut buf[..batch.len() * EVENT_BYTES as usize];
-            for (out, ev) in bytes.chunks_exact_mut(EVENT_BYTES as usize).zip(batch) {
-                out[0..8].copy_from_slice(&ev.pc.to_le_bytes());
-                out[8..16].copy_from_slice(&ev.dline.to_le_bytes());
-                out[16..20].copy_from_slice(&ev.gap.to_le_bytes());
-                out[20..24].copy_from_slice(&ev.flags.to_le_bytes());
-            }
-            hash.update(bytes);
-            self.w.write_all(bytes)?;
-        }
-        self.index
-            .push((events.len() as u64, records, hash.finish()));
-        self.records += records;
+        self.0.push(events)?;
+        self.0.end_segment(records);
         Ok(())
     }
 
-    /// Writes index + footer and atomically renames into place.
+    /// Publishes the stream (see [`SegWriter::finish`]).
     ///
     /// # Errors
     ///
-    /// Propagates file-system failures; the tmp file is removed on a
-    /// failed publish.
-    pub fn finish(mut self) -> io::Result<()> {
-        let mut index_bytes = Vec::with_capacity(self.index.len() * INDEX_ENTRY_BYTES as usize);
-        for &(n_events, records, checksum) in &self.index {
-            index_bytes.extend_from_slice(&n_events.to_le_bytes());
-            index_bytes.extend_from_slice(&records.to_le_bytes());
-            index_bytes.extend_from_slice(&checksum.to_le_bytes());
-        }
-        let mut footer = Vec::with_capacity(FOOTER_BYTES as usize);
-        footer.extend_from_slice(&self.records.to_le_bytes());
-        footer.extend_from_slice(&self.seg_records.to_le_bytes());
-        footer.extend_from_slice(&(self.index.len() as u64).to_le_bytes());
-        footer.extend_from_slice(&word_fnv64(&index_bytes).to_le_bytes());
-        footer.extend_from_slice(&self.head_checksum.to_le_bytes());
-        footer.extend_from_slice(&word_fnv64(&footer).to_le_bytes());
-        self.w.write_all(&index_bytes)?;
-        self.w.write_all(&footer)?;
-        self.w.flush()?;
-        std::fs::rename(&self.tmp, &self.path)?;
-        self.published = true;
-        Ok(())
-    }
-}
-
-impl Drop for PreresWriter {
-    fn drop(&mut self) {
-        if !self.published {
-            // Best effort: a leftover temp name is never read as a stream.
-            let _ = std::fs::remove_file(&self.tmp);
-        }
+    /// Propagates file-system failures; nothing is published.
+    pub fn finish(self) -> io::Result<()> {
+        self.0.finish().map(drop)
     }
 }
 
@@ -274,70 +132,30 @@ pub fn save(store_dir: &Path, job: &Job, pre: &PreResolved) -> io::Result<()> {
     w.finish()
 }
 
-// ---------------------------------------------------------------------------
-// Reading
-
-#[derive(Clone)]
-struct SegEntry {
-    n_events: u64,
-    records: u64,
-    /// Byte offset of this segment's payload from the payload base.
-    byte_off: u64,
-}
-
 /// A validated, open stream whose blocks are read lazily — the
 /// bounded-memory counterpart of a loaded [`PreResolved`].
-pub struct PreresStream {
-    file: File,
-    payload_base: u64,
-    records: u64,
-    seg_records: u64,
-    index: Vec<SegEntry>,
-}
+pub struct PreresStream(SegReader<EventCodec>);
 
 impl PreresStream {
     /// Total trace records the stream stands for.
     pub fn records(&self) -> u64 {
-        self.records
-    }
-
-    /// The writer's nominal segment length in records.
-    pub fn seg_records(&self) -> u64 {
-        self.seg_records
+        self.0.footer().records
     }
 
     /// Number of segments.
     pub fn n_segments(&self) -> usize {
-        self.index.len()
+        self.0.segments().len()
     }
 
-    /// Reads segment `k` (validated at open; no re-verification).
+    /// Reads segment `k` into an owned block (verified at open).
     ///
     /// # Errors
     ///
     /// Propagates file-system failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is out of range.
     pub fn block(&mut self, k: usize) -> io::Result<PreBlock> {
-        let seg = &self.index[k];
-        let mut bytes = vec![0u8; (seg.n_events * EVENT_BYTES) as usize];
-        self.file
-            .seek(SeekFrom::Start(self.payload_base + seg.byte_off))?;
-        self.file.read_exact(&mut bytes)?;
-        let mut events = Vec::with_capacity(seg.n_events as usize);
-        for ev in bytes.chunks_exact(EVENT_BYTES as usize) {
-            events.push(PreEvent {
-                pc: u64::from_le_bytes(ev[0..8].try_into().unwrap()),
-                dline: u64::from_le_bytes(ev[8..16].try_into().unwrap()),
-                gap: u32::from_le_bytes(ev[16..20].try_into().unwrap()),
-                flags: u32::from_le_bytes(ev[20..24].try_into().unwrap()),
-            });
-        }
         Ok(PreBlock {
-            events,
-            records: seg.records,
+            events: self.0.read_segment(k)?,
+            records: self.0.segments()[k].records,
         })
     }
 
@@ -349,17 +167,9 @@ impl PreresStream {
     /// fully validated at open; a read failing mid-replay is an
     /// environment fault).
     pub fn blocks(mut self) -> impl Iterator<Item = PreBlock> {
-        (0..self.index.len()).map(move |k| self.block(k).expect("validated stream read mid-replay"))
+        (0..self.n_segments())
+            .map(move |k| self.block(k).expect("validated stream read mid-replay"))
     }
-}
-
-fn read_exact_at(r: &mut (impl Read + Seek), pos: u64, buf: &mut [u8]) -> io::Result<()> {
-    r.seek(SeekFrom::Start(pos))?;
-    r.read_exact(buf)
-}
-
-fn le_u64(buf: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(buf[at..at + 8].try_into().expect("8-byte window"))
 }
 
 /// Opens the stream this process has just written for `job`.
@@ -384,198 +194,16 @@ pub fn open_written(store_dir: &Path, job: &Job) -> PreresStream {
 }
 
 /// Opens and fully validates `job`'s cached stream for block-at-a-time
-/// replay. Verification (header, index, footer, every segment
-/// checksum) runs in one sequential O(segment)-memory pass; corruption
-/// quarantines the file, staleness and collisions are plain misses —
-/// exactly the [`load_checked`] semantics.
+/// replay. Corruption quarantines the file, staleness and collisions
+/// are plain misses — exactly the [`load_checked`] semantics.
 pub fn open_stream_checked(store_dir: &Path, job: &Job) -> CacheRead<PreresStream> {
     let path = path_for(store_dir, job);
-    if !path.exists() {
-        // Rename-based migration from the flat pre-sharding path.
-        let flat = flat_path_for(store_dir, job);
-        if flat.is_file() {
-            if let Some(parent) = path.parent() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-            let _ = std::fs::rename(&flat, &path);
-        }
-    }
-    open_at(path, pre_canonical(&job.spec).as_bytes())
-}
-
-/// [`open_stream_checked`] of the stream at `path`, whose collision
-/// guard must read `canon`.
-fn open_at(path: PathBuf, canon: &[u8]) -> CacheRead<PreresStream> {
-    let Ok(mut file) = File::open(&path) else {
-        return CacheRead::Miss;
-    };
-    let Ok(file_len) = file.metadata().map(|m| m.len()) else {
-        return CacheRead::Miss;
-    };
-    match verify(&mut file, file_len, canon) {
-        Ok(Layout {
-            payload_base,
-            records,
-            seg_records,
-            index,
-        }) => CacheRead::Hit(PreresStream {
-            file,
-            payload_base,
-            records,
-            seg_records,
-            index,
-        }),
-        Err(None) => CacheRead::Miss,
-        Err(Some(reason)) => quarantine(path, reason),
-    }
-}
-
-/// What [`verify`] found in a stream file that checks out.
-struct Layout {
-    payload_base: u64,
-    records: u64,
-    seg_records: u64,
-    index: Vec<SegEntry>,
-}
-
-/// Why a stream file was refused: `None` is a plain miss (another
-/// format revision, another spec, a failed read), `Some(reason)` is
-/// corruption.
-type Refusal = Option<String>;
-
-fn corrupt<T>(reason: impl Into<String>) -> Result<T, Refusal> {
-    Err(Some(reason.into()))
-}
-
-/// Reads `buf` at `pos`; a failed read is a miss, not damage.
-fn read_at(r: &mut (impl Read + Seek), pos: u64, buf: &mut [u8]) -> Result<(), Refusal> {
-    read_exact_at(r, pos, buf).map_err(|_| None)
-}
-
-/// Verifies the `file_len`-byte stream in `r` whose collision guard must
-/// read `canon`: header, footer, index and every segment checksum, in
-/// one sequential O(segment)-memory pass, so block reads during replay
-/// can skip re-hashing.
-fn verify(r: &mut (impl Read + Seek), file_len: u64, canon: &[u8]) -> Result<Layout, Refusal> {
-    let min_len = 12 + FOOTER_BYTES;
-    if file_len < min_len {
-        // Too short to carry a header: ours-but-cut is corruption, a
-        // foreign prefix is staleness.
-        let mut prefix = vec![0u8; file_len.min(8) as usize];
-        read_at(r, 0, &mut prefix)?;
-        return if !prefix.is_empty() && prefix.starts_with(&MAGIC[..prefix.len().min(8)]) {
-            corrupt("truncated header")
-        } else {
-            Err(None)
-        };
-    }
-
-    let mut head_fixed = [0u8; 12];
-    read_at(r, 0, &mut head_fixed)?;
-    if &head_fixed[0..8] != MAGIC {
-        // An older format revision (e.g. "EBCPPRE3") is staleness, not
-        // corruption: plain miss, overwritten on save.
-        return Err(None);
-    }
-    let canon_len = u64::from(u32::from_le_bytes(
-        head_fixed[8..12].try_into().expect("4-byte window"),
-    ));
-    let payload_base = 12 + canon_len;
-    if payload_base + FOOTER_BYTES > file_len {
-        return corrupt(format!(
-            "canon length {canon_len} overruns the {file_len}-byte file"
-        ));
-    }
-
-    let mut footer = [0u8; FOOTER_BYTES as usize];
-    read_at(r, file_len - FOOTER_BYTES, &mut footer)?;
-    if word_fnv64(&footer[0..40]) != le_u64(&footer, 40) {
-        return corrupt("footer checksum mismatch");
-    }
-    let records = le_u64(&footer, 0);
-    let seg_records = le_u64(&footer, 8);
-    let n_segs = le_u64(&footer, 16);
-    let index_checksum = le_u64(&footer, 24);
-    let head_checksum = le_u64(&footer, 32);
-
-    let mut head = vec![0u8; payload_base as usize];
-    read_at(r, 0, &mut head)?;
-    if word_fnv64(&head) != head_checksum {
-        return corrupt("header checksum mismatch");
-    }
-    if head[12..] != *canon {
-        // Collision guard: a valid stream for a *different* spec.
-        return Err(None);
-    }
-
-    if n_segs > file_len / INDEX_ENTRY_BYTES {
-        return corrupt(format!("implausible segment count {n_segs}"));
-    }
-    let index_len = n_segs * INDEX_ENTRY_BYTES;
-    if payload_base + index_len + FOOTER_BYTES > file_len {
-        return corrupt("index overruns the file");
-    }
-    let index_base = file_len - FOOTER_BYTES - index_len;
-    let mut index_bytes = vec![0u8; index_len as usize];
-    read_at(r, index_base, &mut index_bytes)?;
-    if word_fnv64(&index_bytes) != index_checksum {
-        return corrupt("index checksum mismatch");
-    }
-    let mut index = Vec::with_capacity(n_segs as usize);
-    let mut byte_off = 0u64;
-    let mut rec_sum = 0u64;
-    for entry in index_bytes.chunks_exact(INDEX_ENTRY_BYTES as usize) {
-        let n_events = le_u64(entry, 0);
-        let records = le_u64(entry, 8);
-        index.push(SegEntry {
-            n_events,
-            records,
-            byte_off,
-        });
-        // Checked: the checksums guard against damage, not crafting.
-        let (Some(off), Some(sum)) = (
-            n_events
-                .checked_mul(EVENT_BYTES)
-                .and_then(|n| byte_off.checked_add(n)),
-            rec_sum.checked_add(records),
-        ) else {
-            return corrupt("index counts overflow");
-        };
-        byte_off = off;
-        rec_sum = sum;
-    }
-    if payload_base.checked_add(byte_off) != Some(index_base) {
-        return corrupt(format!(
-            "payload length {} disagrees with header event count {}",
-            index_base - payload_base,
-            byte_off / EVENT_BYTES
-        ));
-    }
-    if rec_sum != records {
-        return corrupt(format!(
-            "index sums to {rec_sum} records, footer claims {records}"
-        ));
-    }
-
-    let mut buf = Vec::new();
-    for (k, (seg, entry)) in index
-        .iter()
-        .zip(index_bytes.chunks_exact(INDEX_ENTRY_BYTES as usize))
-        .enumerate()
-    {
-        buf.resize((seg.n_events * EVENT_BYTES) as usize, 0);
-        read_at(r, payload_base + seg.byte_off, &mut buf)?;
-        if word_fnv64(&buf) != le_u64(entry, 16) {
-            return corrupt(format!("segment {k} checksum mismatch"));
-        }
-    }
-
-    Ok(Layout {
-        payload_base,
-        records,
-        seg_records,
-        index,
-    })
+    let opened = SegReader::open(
+        &path,
+        pre_canonical(&job.spec).as_bytes(),
+        Backing::Buffered,
+    );
+    segfile_read(path, opened.map(PreresStream))
 }
 
 /// Loads a cached stream for `job`, or `None` on any miss, mismatch or
@@ -593,32 +221,32 @@ pub fn load(store_dir: &Path, job: &Job) -> Option<PreResolved> {
 /// quick tier; the large tier uses [`open_stream_checked`] +
 /// [`PreresStream::blocks`] instead.
 pub fn load_checked(store_dir: &Path, job: &Job) -> CacheRead<PreResolved> {
-    match open_stream_checked(store_dir, job) {
-        CacheRead::Hit(mut stream) => {
-            let total: u64 = stream.index.iter().map(|s| s.n_events).sum();
-            let mut events = Vec::with_capacity(usize::try_from(total).unwrap_or(0));
-            for k in 0..stream.n_segments() {
-                match stream.block(k) {
-                    Ok(b) => events.extend_from_slice(&b.events),
-                    Err(_) => return CacheRead::Miss,
-                }
-            }
-            CacheRead::Hit(PreResolved {
-                events,
-                records: stream.records,
-                l1i: job.spec.sim.l1i,
-                l1d: job.spec.sim.l1d,
-            })
+    let mut stream = match open_stream_checked(store_dir, job) {
+        CacheRead::Hit(stream) => stream,
+        CacheRead::Miss => return CacheRead::Miss,
+        CacheRead::Quarantined { path, reason } => return CacheRead::Quarantined { path, reason },
+    };
+    let total: u64 = stream.0.segments().iter().map(|s| s.items).sum();
+    let mut events = Vec::with_capacity(usize::try_from(total).unwrap_or(0));
+    for k in 0..stream.n_segments() {
+        match stream.0.read_segment(k) {
+            Ok(segment) => events.extend_from_slice(&segment),
+            Err(_) => return CacheRead::Miss,
         }
-        CacheRead::Miss => CacheRead::Miss,
-        CacheRead::Quarantined { path, reason } => CacheRead::Quarantined { path, reason },
     }
+    CacheRead::Hit(PreResolved {
+        events,
+        records: stream.records(),
+        l1i: job.spec.sim.l1i,
+        l1d: job.spec.sim.l1d,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ebcp_sim::{PrefetcherSpec, SimConfig};
+    use ebcp_trace::segfile::{FOOTER_BYTES, INDEX_ENTRY_BYTES};
     use ebcp_trace::WorkloadSpec;
 
     fn job() -> Job {
@@ -682,7 +310,7 @@ mod tests {
 
         let stream = open_stream_checked(&dir, &j).into_hit().expect("hit");
         assert_eq!(stream.records(), pre.records);
-        assert_eq!(stream.seg_records(), 3_000);
+        assert_eq!(stream.0.footer().seg_records, 3_000);
         assert_eq!(stream.n_segments(), blocks.len());
         let back: Vec<PreBlock> = stream.blocks().collect();
         assert_eq!(back, blocks, "blocks survive the disk round trip");
@@ -731,9 +359,17 @@ mod tests {
         save(&dir, &j, &pre).unwrap();
         let p = path_for(&dir, &j);
         let fresh = std::fs::read(&p).unwrap();
-        for old in [b"EBCPPRE2", b"EBCPPRE3"] {
+        // The last pinned `EBCPPRE4` file, and this stream behind each
+        // older magic.
+        let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/preres_v4.bin");
+        let mut olds = vec![std::fs::read(golden).unwrap()];
+        assert_eq!(&olds[0][..8], b"EBCPPRE4");
+        for old in [b"EBCPPRE2", b"EBCPPRE3", b"EBCPPRE4"] {
             let mut bytes = fresh.clone();
             bytes[..8].copy_from_slice(old);
+            olds.push(bytes);
+        }
+        for bytes in olds {
             std::fs::write(&p, &bytes).unwrap();
             assert!(matches!(load_checked(&dir, &j), CacheRead::Miss));
             assert!(p.exists(), "stale formats are overwritten, not quarantined");
@@ -745,18 +381,6 @@ mod tests {
                 "no *.corrupt or temp file beside the stream"
             );
         }
-    }
-
-    #[test]
-    fn dropped_writer_leaves_no_temp_file() {
-        let dir = tmpdir("drop");
-        let j = job();
-        let pre = j.spec.pre_resolve();
-        let mut w = PreresWriter::create(&dir, &j, 3_000).unwrap();
-        w.push_block(&pre.events[..10], 100).unwrap();
-        drop(w);
-        let shard = path_for(&dir, &j).parent().unwrap().to_path_buf();
-        assert_eq!(std::fs::read_dir(&shard).unwrap().count(), 0);
     }
 
     /// Three blocks of hand-picked events, the last one empty.
@@ -787,11 +411,11 @@ mod tests {
     fn golden_file_pins_format() {
         // `EBCP_BLESS_GOLDEN=1` regenerates the pinned file after an
         // *intentional* format revision.
-        let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/preres_v4.bin");
+        let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/preres_v5.bin");
         let dir = tmpdir("golden");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("s.bin");
-        let mut w = PreresWriter::create_at(path.clone(), b"golden-v4", 3).unwrap();
+        let mut w = PreresWriter(SegWriter::create(&path, b"golden-v4", 3).unwrap());
         for b in golden_blocks() {
             w.push_block(&b.events, b.records).unwrap();
         }
@@ -806,9 +430,9 @@ mod tests {
             fresh, pinned,
             "stream format drifted from the pinned golden file"
         );
-        let stream = open_at(golden, b"golden-v4")
-            .into_hit()
-            .expect("pinned bytes verify");
+        let stream = PreresStream(
+            SegReader::open(&golden, b"golden-v4", Backing::Buffered).expect("pinned bytes verify"),
+        );
         assert_eq!(stream.records(), 6);
         assert_eq!(stream.blocks().collect::<Vec<_>>(), golden_blocks());
     }
@@ -860,7 +484,7 @@ mod tests {
         let p = path_for(&dir, &j);
         let mut bytes = std::fs::read(&p).unwrap();
         // Damage payload somewhere past the first block.
-        let at = 12 + (blocks[0].events.len() + 2) * EVENT_BYTES as usize;
+        let at = 12 + (blocks[0].events.len() + 2) * EventCodec::WIDTH;
         bytes[at] ^= 0x08;
         std::fs::write(&p, &bytes).unwrap();
         expect_quarantined(open_stream_checked(&dir, &j), "checksum mismatch");
@@ -881,28 +505,6 @@ mod tests {
     }
 
     #[test]
-    fn flat_stream_migrates_on_sweep_and_read_through() {
-        let dir = tmpdir("shard-migrate");
-        let j = job();
-        let pre = j.spec.pre_resolve();
-        save(&dir, &j, &pre).unwrap();
-        let sharded = path_for(&dir, &j);
-        let flat = flat_path_for(&dir, &j);
-
-        // Read-through: a flat file written by pre-sharding code is
-        // found, loaded, and moved into its shard.
-        std::fs::rename(&sharded, &flat).unwrap();
-        assert_eq!(load(&dir, &j), Some(pre.clone()));
-        assert!(!flat.exists() && sharded.is_file());
-
-        // Sweep: the store-open migration pass moves flat files too.
-        std::fs::rename(&sharded, &flat).unwrap();
-        migrate_flat_streams(&dir);
-        assert!(!flat.exists() && sharded.is_file());
-        assert_eq!(load(&dir, &j), Some(pre));
-    }
-
-    #[test]
     fn header_payload_length_disagreement_is_quarantined() {
         // A crafted file with *valid* header/index/footer checksums
         // whose payload length disagrees with the index event counts:
@@ -916,133 +518,200 @@ mod tests {
         save(&dir, &j, &j.spec.pre_resolve()).unwrap();
         let p = path_for(&dir, &j);
         let bytes = std::fs::read(&p).unwrap();
-        let cut = bytes.len() - (FOOTER_BYTES + INDEX_ENTRY_BYTES) as usize;
+        let cut = bytes.len() - FOOTER_BYTES - INDEX_ENTRY_BYTES;
         let mut crafted = bytes[..cut].to_vec();
-        crafted.extend_from_slice(&[0u8; EVENT_BYTES as usize]); // phantom event
+        crafted.extend_from_slice(&[0u8; EventCodec::WIDTH]); // phantom event
         crafted.extend_from_slice(&bytes[cut..]);
         std::fs::write(&p, &crafted).unwrap();
-        expect_quarantined(load_checked(&dir, &j), "disagrees with header event count");
+        expect_quarantined(load_checked(&dir, &j), "disagrees with the index");
     }
 
-    mod props {
-        use super::*;
+    /// The container's property suite, instantiated once per codec. It
+    /// lives here because this is the lowest crate that sees both.
+    mod container_props {
+        use std::fmt::Debug;
+
+        use ebcp_trace::segfile::{
+            verify, Backing, Codec, Layout, SegReader, SegWriter, SegfileError, TraceCodec,
+        };
+        use ebcp_trace::{Op, TraceRecord};
+        use ebcp_types::{Addr, Pc};
         use proptest::prelude::*;
 
-        fn arb_blocks() -> impl Strategy<Value = Vec<PreBlock>> {
-            let event = (any::<u64>(), any::<u64>(), any::<u32>(), any::<u32>()).prop_map(
+        use super::*;
+
+        /// Segments as `(items, records)` pairs.
+        type Segs<T> = Vec<(Vec<T>, u64)>;
+
+        fn arb_segments<T: Debug>(
+            item: impl Strategy<Value = T>,
+        ) -> impl Strategy<Value = Segs<T>> {
+            let seg = (proptest::collection::vec(item, 0..6), 1u64..50);
+            proptest::collection::vec(seg, 1..4)
+        }
+
+        fn arb_record() -> impl Strategy<Value = TraceRecord> {
+            (0u32..7, any::<u64>(), any::<u64>()).prop_map(|(kind, pc, addr)| {
+                let addr = Addr::new(addr);
+                let op = match kind {
+                    0 => Op::Alu,
+                    1 | 2 => Op::Load {
+                        addr,
+                        feeds_mispredict: kind == 2,
+                    },
+                    3 => Op::Store { addr },
+                    4 | 5 => Op::Branch {
+                        mispredicted: kind == 5,
+                    },
+                    _ => Op::Serialize,
+                };
+                TraceRecord::new(Pc::new(pc), op)
+            })
+        }
+
+        fn arb_event() -> impl Strategy<Value = PreEvent> {
+            (any::<u64>(), any::<u64>(), any::<u32>(), any::<u32>()).prop_map(
                 |(pc, dline, gap, flags)| PreEvent {
                     pc,
                     dline,
                     gap,
                     flags,
                 },
-            );
-            let block = (proptest::collection::vec(event, 0..6), 1u64..50)
-                .prop_map(|(events, records)| PreBlock { events, records });
-            proptest::collection::vec(block, 1..4)
+            )
         }
 
-        /// Writes `blocks` as a stream at `path` and returns its bytes.
-        fn write(path: &Path, blocks: &[PreBlock]) -> Vec<u8> {
-            let mut w = PreresWriter::create_at(path.to_path_buf(), b"prop", 8).unwrap();
-            for b in blocks {
-                w.push_block(&b.events, b.records).unwrap();
-            }
-            w.finish().unwrap();
-            std::fs::read(path).unwrap()
-        }
+        const META: &[u8] = b"prop";
 
-        /// How `bytes` verify as a stream file guarded by "prop".
-        fn check(bytes: &[u8]) -> Result<Layout, Refusal> {
-            verify(&mut io::Cursor::new(bytes), bytes.len() as u64, b"prop")
-        }
-
-        fn opens(bytes: &[u8]) -> bool {
-            check(bytes).is_ok()
-        }
-
-        fn temp_stream(tag: &str) -> (crate::TmpDir, PathBuf) {
-            let dir = tmpdir(tag);
+        /// A scratch file path, its directory removed on drop.
+        fn scratch(tag: &str) -> (crate::TmpDir, PathBuf) {
+            let dir = tmpdir(&format!("props-{tag}"));
             std::fs::create_dir_all(&dir).unwrap();
             let path = dir.join("s.bin");
             (dir, path)
         }
 
-        proptest! {
-            /// Every proper prefix of a valid stream reads as a miss or
-            /// a quarantine, never a hit.
-            #[test]
-            fn every_truncated_prefix_is_refused(blocks in arb_blocks()) {
-                let (_dir, path) = temp_stream("prefix");
-                let bytes = write(&path, &blocks);
-                prop_assert!(opens(&bytes), "the whole file verifies");
-                for cut in 0..bytes.len() {
-                    prop_assert!(!opens(&bytes[..cut]), "a {cut}-byte prefix opened");
-                }
+        /// Writes `segs` at `path` and returns the file's bytes.
+        fn write<C: Codec>(path: &Path, segs: &Segs<C::Item>) -> Vec<u8> {
+            let mut w = SegWriter::<C>::create(path, META, 8).unwrap();
+            for (items, records) in segs {
+                w.push(items).unwrap();
+                w.end_segment(*records);
             }
+            w.finish().unwrap();
+            std::fs::read(path).unwrap()
+        }
 
-            /// Arbitrary bytes, foreign or behind this format's magic,
-            /// never open as a stream.
-            #[test]
-            fn arbitrary_bytes_never_open(
-                body in proptest::collection::vec(any::<u8>(), 0..400),
-                ours in any::<bool>(),
-            ) {
-                let mut bytes = if ours { MAGIC.to_vec() } else { Vec::new() };
-                bytes.extend_from_slice(&body);
-                prop_assert!(!opens(&bytes));
-            }
+        fn check<C: Codec>(bytes: &[u8]) -> Result<Layout, SegfileError> {
+            verify::<C>(&mut io::Cursor::new(bytes), META)
+        }
 
-            /// Arbitrary byte edits at distinct offsets of a valid stream
-            /// never open.
-            #[test]
-            fn edited_stream_never_opens(
-                blocks in arb_blocks(),
-                edits in proptest::collection::vec((any::<usize>(), 1u8..255), 1..4),
-            ) {
-                let (_dir, path) = temp_stream("edit");
-                let mut bytes = write(&path, &blocks);
-                let mut at: Vec<(usize, u8)> =
-                    edits.iter().map(|&(p, d)| (p % bytes.len(), d)).collect();
-                at.sort_unstable();
-                at.dedup_by_key(|e| e.0);
-                for (p, d) in at {
-                    bytes[p] ^= d;
-                }
-                prop_assert!(!opens(&bytes));
-            }
+        macro_rules! suite {
+            ($name:ident, $codec:ty, $item:expr) => {
+                mod $name {
+                    use super::*;
 
-            /// A change confined to one 8-byte word of a block's payload
-            /// is always quarantined, naming that block.
-            #[test]
-            fn a_one_word_payload_change_is_always_caught(
-                blocks in arb_blocks(),
-                pick in any::<usize>(),
-                mask in 1u64..u64::MAX,
-            ) {
-                let (_dir, path) = temp_stream("word");
-                let mut bytes = write(&path, &blocks);
-                // Only blocks with events have payload words to change.
-                let full: Vec<usize> =
-                    (0..blocks.len()).filter(|&k| !blocks[k].events.is_empty()).collect();
-                if let Some(&k) = full.get(pick % full.len().max(1)) {
-                    let base: usize = 12 + 4 + blocks[..k]
-                        .iter()
-                        .map(|b| b.events.len() * EVENT_BYTES as usize)
-                        .sum::<usize>();
-                    let words = blocks[k].events.len() * EVENT_BYTES as usize / 8;
-                    let at = base + pick / full.len() % words * 8;
-                    let word = le_u64(&bytes, at) ^ mask;
-                    bytes[at..at + 8].copy_from_slice(&word.to_le_bytes());
-                    match check(&bytes) {
-                        Err(Some(reason)) => {
-                            let want = format!("segment {k} checksum");
-                            prop_assert!(reason.contains(&want), "{reason}");
+                    proptest! {
+                        /// Every segment reads back as written through
+                        /// both backings.
+                        #[test]
+                        fn segments_round_trip(segs in arb_segments($item)) {
+                            let (_dir, path) = scratch("rt");
+                            write::<$codec>(&path, &segs);
+                            for backing in [Backing::Buffered, Backing::Mmap] {
+                                let mut r = SegReader::<$codec>::open(&path, META, backing).unwrap();
+                                let records: u64 = segs.iter().map(|s| s.1).sum();
+                                prop_assert_eq!(r.footer().records, records);
+                                prop_assert_eq!(r.segments().len(), segs.len());
+                                for (k, (items, records)) in segs.iter().enumerate() {
+                                    prop_assert_eq!(r.segments()[k].records, *records);
+                                    prop_assert_eq!(&r.read_segment(k).unwrap(), items);
+                                }
+                            }
                         }
-                        _ => panic!("a one-word change at byte {at} was not called corrupt"),
+
+                        /// Every proper prefix of a valid file (a torn
+                        /// write, a cut copy) is refused.
+                        #[test]
+                        fn every_truncated_prefix_is_refused(segs in arb_segments($item)) {
+                            let (_dir, path) = scratch("prefix");
+                            let bytes = write::<$codec>(&path, &segs);
+                            prop_assert!(check::<$codec>(&bytes).is_ok(), "the whole file verifies");
+                            for cut in 0..bytes.len() {
+                                prop_assert!(
+                                    check::<$codec>(&bytes[..cut]).is_err(),
+                                    "a {}-byte prefix opened", cut
+                                );
+                            }
+                        }
+
+                        /// Arbitrary bytes, foreign or behind the codec's
+                        /// magic, never open.
+                        #[test]
+                        fn arbitrary_bytes_never_open(
+                            body in proptest::collection::vec(any::<u8>(), 0..400),
+                            ours in any::<bool>(),
+                        ) {
+                            let mut bytes = if ours { <$codec>::MAGIC.to_vec() } else { Vec::new() };
+                            bytes.extend_from_slice(&body);
+                            prop_assert!(check::<$codec>(&bytes).is_err());
+                        }
+
+                        /// Arbitrary byte edits at distinct offsets of a
+                        /// valid file never open.
+                        #[test]
+                        fn edited_file_never_opens(
+                            segs in arb_segments($item),
+                            edits in proptest::collection::vec((any::<usize>(), 1u8..255), 1..4),
+                        ) {
+                            let (_dir, path) = scratch("edit");
+                            let mut bytes = write::<$codec>(&path, &segs);
+                            let mut at: Vec<(usize, u8)> =
+                                edits.iter().map(|&(p, d)| (p % bytes.len(), d)).collect();
+                            at.sort_unstable();
+                            at.dedup_by_key(|e| e.0);
+                            for (p, d) in at {
+                                bytes[p] ^= d;
+                            }
+                            prop_assert!(check::<$codec>(&bytes).is_err());
+                        }
+
+                        /// A change confined to one aligned 8-byte word of
+                        /// a segment's payload is always called corrupt,
+                        /// naming that segment.
+                        #[test]
+                        fn a_one_word_payload_change_is_always_caught(
+                            segs in arb_segments($item),
+                            pick in any::<usize>(),
+                            mask in 1u64..u64::MAX,
+                        ) {
+                            let (_dir, path) = scratch("word");
+                            let mut bytes = write::<$codec>(&path, &segs);
+                            // Only segments with items have payload words.
+                            let full: Vec<usize> =
+                                (0..segs.len()).filter(|&k| !segs[k].0.is_empty()).collect();
+                            if let Some(&k) = full.get(pick % full.len().max(1)) {
+                                let width = <$codec>::WIDTH;
+                                let base = 12 + META.len()
+                                    + segs[..k].iter().map(|s| s.0.len() * width).sum::<usize>();
+                                let words = segs[k].0.len() * width / 8;
+                                let at = base + pick / full.len() % words * 8;
+                                let word = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+                                bytes[at..at + 8].copy_from_slice(&(word ^ mask).to_le_bytes());
+                                match check::<$codec>(&bytes) {
+                                    Err(SegfileError::Corrupt(why)) => {
+                                        let want = format!("segment {k} checksum");
+                                        prop_assert!(why.contains(&want), "{}", why);
+                                    }
+                                    _ => panic!("a one-word change at byte {at} was not called corrupt"),
+                                }
+                            }
+                        }
                     }
                 }
-            }
+            };
         }
+
+        suite!(traces, TraceCodec, arb_record());
+        suite!(streams, EventCodec, arb_event());
     }
 }

@@ -26,10 +26,10 @@
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use ebcp_mem::{BusStats, MemStats};
 use ebcp_sim::SimResult;
+use ebcp_trace::segfile::{unique_tmp, Footer, SegfileError};
 
 use crate::job::{Fnv64, Job, JobId};
 use crate::json::{self, JsonSink, ParseError, Reader, Value};
@@ -38,23 +38,6 @@ use crate::json::{self, JsonSink, ParseError, Reader, Value};
 ///
 /// v3: added the `checksum` integrity field.
 const SCHEMA: u64 = 3;
-
-/// Sequence counter making concurrent temp-file names unique within a
-/// process; the pid makes them unique across processes.
-static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// A pid- and sequence-unique sibling temp path for atomically
-/// replacing `path` (write temp, rename). Two processes — or two
-/// threads of one process — publishing the same target concurrently
-/// each write their own temp file, so the final rename is the only
-/// contended step and readers never observe a torn file.
-pub(crate) fn unique_tmp(path: &Path, ext: &str) -> PathBuf {
-    path.with_extension(format!(
-        "{ext}.tmp.{}.{}",
-        std::process::id(),
-        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-    ))
-}
 
 /// Outcome of an integrity-checked cache read.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,6 +65,16 @@ impl<T> CacheRead<T> {
             CacheRead::Hit(v) => Some(v),
             _ => None,
         }
+    }
+}
+
+/// A segmented-file open as a cache read: a stale, foreign or unreadable
+/// file is a plain miss, a corrupt one is quarantined.
+pub(crate) fn segfile_read<T>(path: PathBuf, opened: Result<T, SegfileError>) -> CacheRead<T> {
+    match opened {
+        Ok(value) => CacheRead::Hit(value),
+        Err(SegfileError::Corrupt(reason)) => quarantine(path, reason),
+        Err(SegfileError::Stale | SegfileError::Io(_)) => CacheRead::Miss,
     }
 }
 
@@ -167,7 +160,6 @@ impl ResultStore {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         migrate_flat_entries(&dir);
-        crate::preres::migrate_flat_streams(&dir);
         Ok(ResultStore { dir })
     }
 
@@ -284,7 +276,7 @@ pub(crate) fn write_entry(
     if let Some(parent) = path.parent() {
         fs::create_dir_all(parent)?;
     }
-    let tmp = unique_tmp(path, "json");
+    let tmp = unique_tmp(path);
     fs::write(&tmp, doc.to_json_pretty())?;
     fs::rename(&tmp, path)
 }
@@ -336,29 +328,6 @@ impl StoreFootprint {
     }
 }
 
-/// Segment count from the 48-byte checksummed footer shared by the
-/// segmented trace and pre-resolved stream formats (`n_segs` at offset
-/// 16, self-checksum over the first 40 bytes at offset 40). `None` when
-/// the file is too short or the footer does not verify — the scan then
-/// counts the file's bytes but no segments, without quarantining
-/// (footprint reporting is read-only).
-fn footer_segments(path: &Path) -> Option<u64> {
-    use std::io::{Read, Seek, SeekFrom};
-    let mut f = fs::File::open(path).ok()?;
-    let len = f.metadata().ok()?.len();
-    if len < 48 {
-        return None;
-    }
-    let mut footer = [0u8; 48];
-    f.seek(SeekFrom::Start(len - 48)).ok()?;
-    f.read_exact(&mut footer).ok()?;
-    let stored = u64::from_le_bytes(footer[40..48].try_into().ok()?);
-    if ebcp_trace::checksum::word_fnv64(&footer[0..40]) != stored {
-        return None;
-    }
-    Some(u64::from_le_bytes(footer[16..24].try_into().ok()?))
-}
-
 /// Scans one class directory tree, tallying files with `suffix` (and
 /// their `.corrupt` quarantines); `segmented` adds per-file footer
 /// segment counts.
@@ -389,7 +358,10 @@ fn scan_class(root: &Path, suffix: &str, segmented: bool) -> StoreClassFootprint
             out.files += 1;
             out.bytes += entry.metadata().map_or(0, |m| m.len());
             if segmented {
-                out.segments += footer_segments(&path).unwrap_or(0);
+                // A footer that does not verify counts the file's bytes
+                // but no segments; footprint reporting is read-only and
+                // never quarantines.
+                out.segments += Footer::read(&path).map_or(0, |f| f.n_segs);
             }
         }
     }
@@ -821,6 +793,37 @@ mod tests {
             std::env::temp_dir().join(format!("ebcp-store-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         ResultStore::open(dir).unwrap()
+    }
+
+    #[test]
+    fn footprint_counts_a_damaged_footer_as_bytes_without_segments() {
+        let dir = crate::TmpDir(
+            std::env::temp_dir().join(format!("ebcp-store-test-footer-{}", std::process::id())),
+        );
+        let _ = fs::remove_dir_all(&*dir);
+        let job = sample_job();
+        crate::preres::save(&dir, &job, &job.spec.pre_resolve()).unwrap();
+        let healthy = store_footprint(&dir).preres;
+        assert_eq!(
+            (healthy.files, healthy.segments, healthy.corrupt),
+            (1, 1, 0)
+        );
+        let path = crate::preres::path_for(&dir, &job);
+        let mut bytes = fs::read(&path).unwrap();
+        let n = bytes.len();
+        bytes[n - 30] ^= 1; // inside the footer's totals
+        fs::write(&path, &bytes).unwrap();
+        let damaged = store_footprint(&dir).preres;
+        assert_eq!(
+            (
+                damaged.files,
+                damaged.bytes,
+                damaged.segments,
+                damaged.corrupt
+            ),
+            (1, healthy.bytes, 0, 0)
+        );
+        assert!(path.is_file(), "reporting never quarantines");
     }
 
     #[test]

@@ -1,33 +1,29 @@
-//! On-disk store of generated traces in the segmented binary format.
+//! On-disk store of generated traces, segmented containers of trace
+//! records ([`ebcp_trace::segfile`], magic `EBCPSEG3`).
 //!
 //! Trace generation is deterministic, so this store is a *performance*
-//! cache, not a correctness one: a trace depends only on
-//! `(workload, seed, record count)`, and with the store enabled
+//! cache, not a correctness one: a trace depends only on `(workload,
+//! seed, record count)`, and with the store enabled
 //! ([`crate::HarnessConfig::trace_store`]) each workload is generated
 //! **once**. The run that generates it feeds its front end through a
 //! [`TraceTee`], which writes every chunk to a [`TraceSink`] as it hands
-//! it on, so that run reads nothing back; every later front-end pass
-//! replays the file zero-copy through an mmap'd [`SegmentedTrace`]
-//! window (O(segment) resident) instead of re-running the generator,
-//! after verifying every segment at open.
+//! it on; every later front-end pass verifies the file at open and
+//! replays it through mmap'd [`SegmentedTrace`] windows instead.
 //!
-//! Files live under `<store_dir>/traces/<2-hex>/<trace_key>.seg`,
-//! sharded like result entries. The cache discipline matches the rest
-//! of the store: the file's meta field carries the full canonical
-//! string its name hashes (collision guard); a wrong-version or
-//! wrong-meta file is *staleness* — regenerated in place; a checksum or
-//! length failure is *corruption* — the file is quarantined
-//! (`*.corrupt`) and transparently regenerated.
+//! Files live under `<store_dir>/traces/<2-hex>/<trace_key>.seg`, their
+//! meta the full canonical string the name hashes (collision guard). An
+//! older or foreign file is a plain miss, regenerated in place; a corrupt
+//! one is quarantined (`*.corrupt`) and regenerated.
 
 use std::io;
 use std::path::{Path, PathBuf};
 
 use ebcp_sim::{Engine, RunSpec};
-use ebcp_trace::{Backing, ChunkSource, SegfileError, SegmentedTrace, TraceGenerator};
+use ebcp_trace::{Backing, ChunkSource, SegmentedTrace, TraceGenerator};
 use ebcp_trace::{TraceRecord, TraceSink};
 
 use crate::job::{fnv1a64, CANON_VERSION};
-use crate::store::{quarantine, CacheRead};
+use crate::store::{quarantine, segfile_read, CacheRead};
 
 /// The canonical string a trace file's name hashes and its meta field
 /// stores verbatim. Covers everything generation depends on — and the
@@ -75,13 +71,9 @@ impl TraceTee {
     /// `seg_records` records.
     pub fn new(store_dir: &Path, spec: &RunSpec, seg_records: u64) -> TraceTee {
         let path = path_for(store_dir, spec);
-        let sink = path
-            .parent()
-            .map_or(Ok(()), std::fs::create_dir_all)
-            .and_then(|()| TraceSink::create(&path, trace_canonical(spec).as_bytes(), seg_records));
         TraceTee {
             gen: TraceGenerator::new(&spec.workload, spec.seed),
-            sink,
+            sink: TraceSink::create(&path, trace_canonical(spec).as_bytes(), seg_records),
             left: spec.warmup_insts + spec.measure_insts,
         }
     }
@@ -149,15 +141,14 @@ pub fn open_checked(
 ) -> CacheRead<SegmentedTrace> {
     let path = path_for(store_dir, spec);
     let want = spec.warmup_insts + spec.measure_insts;
-    match SegmentedTrace::open(&path, trace_canonical(spec).as_bytes(), backing) {
+    let opened = SegmentedTrace::open(&path, trace_canonical(spec).as_bytes(), backing);
+    match segfile_read(path.clone(), opened) {
         // A short trace would run its front end dry and change results.
-        Ok(trace) if trace.records() != want => quarantine(
+        CacheRead::Hit(trace) if trace.records() != want => quarantine(
             path,
             format!("holds {} records, its spec needs {want}", trace.records()),
         ),
-        Ok(trace) => CacheRead::Hit(trace),
-        Err(SegfileError::Corrupt(reason)) => quarantine(path, reason),
-        Err(SegfileError::Stale | SegfileError::Io(_)) => CacheRead::Miss,
+        read => read,
     }
 }
 
@@ -280,9 +271,19 @@ mod tests {
         let _ = open_or_generate(&dir, &s, 2_000, Backing::Buffered, |_, _| {}).unwrap();
         let p = path_for(&dir, &s);
         let fresh = std::fs::read(&p).unwrap();
-        for old in [b"EBCPSEG0", b"EBCPSEG1"] {
+        // The last pinned `EBCPSEG1` and `EBCPSEG2` files, and this trace
+        // behind each older magic.
+        let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../trace/golden");
+        let mut olds: Vec<Vec<u8>> = ["trace_v1.seg", "trace_v2.seg"]
+            .iter()
+            .map(|name| std::fs::read(golden.join(name)).unwrap())
+            .collect();
+        for old in [b"EBCPSEG0", b"EBCPSEG1", b"EBCPSEG2"] {
             let mut bytes = fresh.clone();
-            bytes[..8].copy_from_slice(old); // an older format revision
+            bytes[..8].copy_from_slice(old);
+            olds.push(bytes);
+        }
+        for bytes in olds {
             std::fs::write(&p, &bytes).unwrap();
             assert!(matches!(
                 open_checked(&dir, &s, Backing::Buffered),
@@ -392,8 +393,9 @@ mod tests {
         let path = path_for(&dir, &s);
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         let short = TraceGenerator::new(&s.workload, s.seed).collect_n(11_999);
-        ebcp_trace::segfile::write_segmented(&path, trace_canonical(&s).as_bytes(), 1_000, &short)
-            .unwrap();
+        let mut sink = TraceSink::create(&path, trace_canonical(&s).as_bytes(), 1_000).unwrap();
+        sink.push_chunk(&short).unwrap();
+        sink.finish().unwrap();
         match open_checked(&dir, &s, Backing::Buffered) {
             CacheRead::Quarantined { reason, .. } => assert!(reason.contains("11999"), "{reason}"),
             _ => panic!("a short trace must not be replayed"),

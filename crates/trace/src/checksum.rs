@@ -1,27 +1,26 @@
-//! The payload checksum of the on-disk stream formats: FNV-1a 64 over
-//! little-endian `u64` words.
+//! The checksum of the segmented container ([`segfile`](crate::segfile)):
+//! FNV-1a 64 over little-endian `u64` words, with the high half of the
+//! state folded down after every step.
 //!
-//! Byte-wise FNV-1a runs one multiply per byte; folding a whole word per
-//! step runs one per eight, which is what makes the open-time verify walk
-//! over a multi-hundred-MiB trace or event stream cheap. A trailing 1–7
-//! bytes that do not fill a word are folded one byte per step, exactly
-//! like byte-wise FNV-1a. [`WordFnv`] streams: it carries at most seven
-//! bytes between [`WordFnv::update`] calls, so a writer hashes records
-//! as it emits them without ever buffering a block.
+//! Folding a whole word per step runs one multiply per eight bytes where
+//! byte-wise FNV-1a runs eight, which is what makes the open-time verify
+//! walk over a multi-hundred-MiB file cheap. A trailing 1–7 bytes are
+//! folded one byte per step. [`WordFnv`] streams with a carry of at most
+//! seven bytes, so a writer hashes items as it emits them.
 //!
-//! **Single-word guarantee.** Each step `h ← (h ⊕ w) · P` is a bijection
-//! of the state for a fixed word `w` (the prime is odd, so multiplying by
-//! it is invertible mod 2⁶⁴), and a bijection of the word for a fixed
-//! state. So two inputs of equal length that differ only inside one
-//! aligned 8-byte word (or only in one tail byte) always hash apart: the
-//! states differ right after that step and no later step can merge them.
-//! Changes spread over two or more words are caught only with high
-//! probability — and not at all for some structured pairs: flipping bit
-//! 63 of two consecutive words cancels, since a top-bit difference
-//! survives the multiply unchanged and the next word's flip undoes it.
-//! Both formats that use this checksum also bound every length through
-//! their index and footer, so a truncation or insertion never reaches a
-//! payload comparison.
+//! **Single-word guarantee.** Each step `h ← f((h ⊕ w) · P)`, with
+//! `f(x) = x ⊕ (x ≫ 32)`, is a bijection of the state for a fixed word
+//! `w` (the prime is odd, so the multiply is invertible mod 2⁶⁴, and
+//! `f(f(x)) = x`), and a bijection of the word for a fixed state. So two
+//! inputs of equal length that differ only inside one aligned 8-byte word
+//! (or one tail byte) always hash apart: the states differ right after
+//! that step and no later step can merge them. Changes spread over
+//! several words are caught with high probability. Without the fold,
+//! flipping bit 63 of two consecutive words cancelled exactly (a top-bit
+//! difference survives the multiply unchanged); `f` copies that bit down
+//! to bit 31, where the next word's flip cannot undo it. The container
+//! bounds every length through its index and footer, so a truncation or
+//! insertion never reaches a payload comparison.
 
 const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const PRIME: u64 = 0x0000_0100_0000_01B3;
@@ -90,7 +89,8 @@ impl Default for WordFnv {
 
 #[inline(always)]
 fn step(h: u64, w: u64) -> u64 {
-    (h ^ w).wrapping_mul(PRIME)
+    let h = (h ^ w).wrapping_mul(PRIME);
+    h ^ (h >> 32)
 }
 
 /// One-shot [`WordFnv`] of `bytes`.
@@ -106,7 +106,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Byte-wise FNV-1a: the tail rule of the word hash.
+    /// One folded step per byte: the tail rule of the word hash.
     fn bytewise(h: u64, bytes: &[u8]) -> u64 {
         bytes.iter().fold(h, |h, &b| step(h, u64::from(b)))
     }
@@ -118,9 +118,10 @@ mod tests {
 
     #[test]
     fn inputs_shorter_than_a_word_hash_byte_wise() {
-        // With no whole word the hash is plain FNV-1a: pinned against the
-        // published FNV-1a 64 test vector for "a".
-        assert_eq!(word_fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        // One step is FNV-1a's xor-multiply followed by the fold: before
+        // the fold this is the published FNV-1a 64 test vector for "a".
+        let fnv1a = 0xaf63_dc4c_8601_ec8c_u64;
+        assert_eq!(word_fnv64(b"a"), fnv1a ^ (fnv1a >> 32));
         assert_eq!(word_fnv64(b"abcdefg"), bytewise(OFFSET, b"abcdefg"));
     }
 
@@ -135,14 +136,25 @@ mod tests {
     }
 
     #[test]
-    fn the_documented_blind_spot_is_real() {
-        // Top-bit flips in two consecutive words cancel: the reason the
-        // guarantee is stated for one word.
-        let a = [0u8; 16];
-        let mut b = a;
-        b[7] ^= 0x80;
-        b[15] ^= 0x80;
-        assert_eq!(word_fnv64(&a), word_fnv64(&b));
+    fn top_bit_flips_in_consecutive_words_are_caught() {
+        // The plain word hash's blind spot: a top-bit difference survives
+        // the multiply, so a second top-bit flip in the next word undid
+        // it. The fold carries it down to bit 31 first.
+        let plain = |bytes: &[u8]| {
+            bytes.chunks_exact(8).fold(OFFSET, |h, w| {
+                (h ^ u64::from_le_bytes(w.try_into().unwrap())).wrapping_mul(PRIME)
+            })
+        };
+        for len in [16, 24, 64] {
+            let a = vec![0x5au8; len];
+            for at in (0..len - 8).step_by(8) {
+                let mut b = a.clone();
+                b[at + 7] ^= 0x80;
+                b[at + 15] ^= 0x80;
+                assert_eq!(plain(&a), plain(&b), "the plain hash's blind spot");
+                assert_ne!(word_fnv64(&a), word_fnv64(&b), "words {at}.. of {len}");
+            }
+        }
     }
 
     proptest! {

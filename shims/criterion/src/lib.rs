@@ -9,8 +9,11 @@
 //! intentionally simple: each benchmark runs `sample_size` timed
 //! samples and reports min/median/mean wall-clock time (plus element
 //! throughput when declared). No warm-up analysis, outlier detection,
-//! or HTML reports.
+//! or HTML reports. Like the real crate, the first non-flag argument
+//! (`cargo bench -- des`) is a name filter: only benchmarks whose
+//! `group/id` label contains it run.
 
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Re-export of the standard black box (the real crate's `black_box`).
@@ -36,15 +39,38 @@ pub enum BatchSize {
     PerIteration,
 }
 
+/// The process's bench name filter, set once by `criterion_main!`.
+static FILTER: OnceLock<String> = OnceLock::new();
+
+/// Takes the name filter from the bench binary's arguments: the first
+/// one that is not a flag. Called by `criterion_main!`.
+#[doc(hidden)]
+pub fn set_filter_from_args(args: &[String]) {
+    if let Some(filter) = filter_arg(args) {
+        let _ = FILTER.set(filter.to_owned());
+    }
+}
+
+fn filter_arg(args: &[String]) -> Option<&str> {
+    args.iter()
+        .map(String::as_str)
+        .find(|a| !a.starts_with('-'))
+}
+
 /// Top-level benchmark driver (subset of `criterion::Criterion`).
 #[derive(Debug, Clone)]
 pub struct Criterion {
     sample_size: usize,
+    /// Runs only benchmarks whose label contains this.
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
-        Criterion { sample_size: 10 }
+        Criterion {
+            sample_size: 10,
+            filter: FILTER.get().cloned(),
+        }
     }
 }
 
@@ -59,7 +85,7 @@ impl Criterion {
     /// Opens a named group of benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
-            _parent: self,
+            parent: self,
             name: name.into(),
             sample_size: self.sample_size,
             throughput: None,
@@ -72,14 +98,21 @@ impl Criterion {
         F: FnMut(&mut Bencher),
     {
         let sample_size = self.sample_size;
-        run_one("", id.as_ref(), sample_size, None, f);
+        run_one(
+            self.filter.as_deref(),
+            "",
+            id.as_ref(),
+            sample_size,
+            None,
+            f,
+        );
         self
     }
 }
 
 /// A named group of benchmarks (subset of `criterion::BenchmarkGroup`).
 pub struct BenchmarkGroup<'a> {
-    _parent: &'a Criterion,
+    parent: &'a Criterion,
     name: String,
     sample_size: usize,
     throughput: Option<Throughput>,
@@ -104,6 +137,7 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher),
     {
         run_one(
+            self.parent.filter.as_deref(),
             &self.name,
             id.as_ref(),
             self.sample_size,
@@ -144,10 +178,24 @@ impl Bencher {
     }
 }
 
-fn run_one<F>(group: &str, id: &str, sample_size: usize, throughput: Option<Throughput>, mut f: F)
-where
+fn run_one<F>(
+    filter: Option<&str>,
+    group: &str,
+    id: &str,
+    sample_size: usize,
+    throughput: Option<Throughput>,
+    mut f: F,
+) where
     F: FnMut(&mut Bencher),
 {
+    let label = if group.is_empty() {
+        id.to_owned()
+    } else {
+        format!("{group}/{id}")
+    };
+    if filter.is_some_and(|filter| !label.contains(filter)) {
+        return;
+    }
     let mut b = Bencher {
         samples: Vec::with_capacity(sample_size),
     };
@@ -161,11 +209,6 @@ where
     let min = b.samples[0];
     let median = b.samples[b.samples.len() / 2];
     let mean = b.samples.iter().sum::<Duration>() / b.samples.len() as u32;
-    let label = if group.is_empty() {
-        id.to_owned()
-    } else {
-        format!("{group}/{id}")
-    };
     let mut line = format!(
         "bench {label:<48} min {:>10.3?}  median {:>10.3?}  mean {:>10.3?}  ({} samples)",
         min,
@@ -205,8 +248,9 @@ macro_rules! criterion_group {
     };
 }
 
-/// Declares `main` running the given groups (CLI flags from `cargo
-/// bench`/`cargo test` are accepted and ignored).
+/// Declares `main` running the given groups. The first non-flag
+/// argument is a bench name filter; flags from `cargo bench`/`cargo
+/// test` are accepted and ignored.
 #[macro_export]
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
@@ -217,6 +261,7 @@ macro_rules! criterion_main {
             if args.iter().any(|a| a == "--test" || a == "--list") {
                 return;
             }
+            $crate::set_filter_from_args(&args);
             $($group();)+
         }
     };
@@ -240,6 +285,26 @@ mod tests {
         g.finish();
         // 1 warm-up + 3 timed samples.
         assert_eq!(runs, 4);
+    }
+
+    #[test]
+    fn name_filter_selects_by_label() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(filter_arg(&args(&["--bench", "des"])), Some("des"));
+        assert_eq!(filter_arg(&args(&["--bench"])), None);
+        let mut c = Criterion {
+            filter: Some("des/".into()),
+            ..Criterion::default().sample_size(1)
+        };
+        let (mut kept, mut skipped) = (0u32, 0u32);
+        let mut g = c.benchmark_group("des");
+        g.bench_function("replay", |b| b.iter(|| kept += 1));
+        g.finish();
+        let mut g = c.benchmark_group("store_reads");
+        g.bench_function("des_lookalike", |b| b.iter(|| skipped += 1));
+        g.finish();
+        c.bench_function("ungrouped", |b| b.iter(|| skipped += 1));
+        assert_eq!((kept, skipped), (2, 0), "1 warm-up + 1 sample, or nothing");
     }
 
     #[test]
