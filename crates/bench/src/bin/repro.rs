@@ -43,8 +43,9 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use ebcp_bench::{
-    experiments, report, service, throughput, tracescale, Harness, HarnessConfig, Scale,
+    experiments, gate, report, service, throughput, tracescale, Harness, HarnessConfig, Scale,
 };
+use ebcp_harness::Value;
 
 fn usage() -> ! {
     eprintln!(
@@ -438,11 +439,9 @@ fn main() {
     }
 }
 
-/// Runs the trace-scale cells, writes `<out-dir>/BENCH_trace_scale.json`
+/// Runs the trace-scale cells and writes `<out-dir>/BENCH_trace_scale.json`
 /// (with the process RSS high-water mark — the large tier's bounded-
-/// memory evidence), and with `--check-baseline` fails the process if
-/// the segmented geomean dropped more than 25% below the committed
-/// baseline.
+/// memory evidence), gated under [`gate::TRACE_SCALE`].
 fn bench_trace_scale(scale: Scale, out_dir: &Path, baseline: Option<&Path>) {
     let large = scale == Scale::large();
     let rows = if large {
@@ -459,40 +458,13 @@ fn bench_trace_scale(scale: Scale, out_dir: &Path, baseline: Option<&Path>) {
         );
     }
     let doc = tracescale::to_json(scale, large, &rows, vm_hwm);
-    if let Err(e) = std::fs::create_dir_all(out_dir) {
-        eprintln!("warning: could not create {}: {e}", out_dir.display());
-    }
-    let path = out_dir.join("BENCH_trace_scale.json");
-    match std::fs::write(&path, doc.to_json_pretty()) {
-        Ok(()) => eprintln!("# wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
-    let Some(baseline) = baseline else { return };
-    let parsed = std::fs::read_to_string(baseline)
-        .map_err(|e| e.to_string())
-        .and_then(|text| ebcp_harness::json::parse(&text).map_err(|e| e.to_string()));
-    let base_doc = match parsed {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("error: could not read baseline {}: {e}", baseline.display());
-            std::process::exit(1);
-        }
-    };
-    match tracescale::check_against_baseline(&rows, scale, large, &base_doc, 0.25) {
-        Ok((cur, base)) => {
-            eprintln!("# trace-scale gate passed: geomean {cur:.1} Minst/s vs baseline {base:.1}")
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
+    let file = "BENCH_trace_scale.json";
+    write_and_gate(&doc, out_dir, file, baseline, &gate::TRACE_SCALE);
 }
 
 /// Runs the simulated-throughput matrix plus the sweep, lockstep and
-/// CMP DES cells, writes `<out-dir>/BENCH_throughput.json`, and (with
-/// `--check-baseline`) fails the process if any geometric mean dropped
-/// more than 25% below the committed baseline.
+/// CMP DES cells and writes `<out-dir>/BENCH_throughput.json`, gated
+/// under [`gate::THROUGHPUT`].
 fn bench_throughput(scale: Scale, out_dir: &Path, baseline: Option<&Path>) {
     let rows = throughput::measure(scale);
     print!("{}", throughput::render(&rows));
@@ -506,73 +478,39 @@ fn bench_throughput(scale: Scale, out_dir: &Path, baseline: Option<&Path>) {
     println!();
     print!("{}", throughput::render_cmp(&cmp));
     let doc = throughput::to_json(scale, &rows, &sweep, &lockstep, &cmp);
+    let file = "BENCH_throughput.json";
+    write_and_gate(&doc, out_dir, file, baseline, &gate::THROUGHPUT);
+}
+
+/// Writes a bench command's document to `<out-dir>/<file>` and, with
+/// `--check-baseline`, checks it against the baseline under `table`;
+/// an unreadable baseline or a failed gate exits the process with 1.
+fn write_and_gate(
+    doc: &Value,
+    out_dir: &Path,
+    file: &str,
+    baseline: Option<&Path>,
+    table: &gate::Table,
+) {
     if let Err(e) = std::fs::create_dir_all(out_dir) {
         eprintln!("warning: could not create {}: {e}", out_dir.display());
     }
-    let path = out_dir.join("BENCH_throughput.json");
+    let path = out_dir.join(file);
     match std::fs::write(&path, doc.to_json_pretty()) {
         Ok(()) => eprintln!("# wrote {}", path.display()),
         Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
     }
     let Some(baseline) = baseline else { return };
-    let parsed = std::fs::read_to_string(baseline)
+    let checked = std::fs::read_to_string(baseline)
         .map_err(|e| e.to_string())
-        .and_then(|text| ebcp_harness::json::parse(&text).map_err(|e| e.to_string()));
-    let doc = match parsed {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("error: could not read baseline {}: {e}", baseline.display());
-            std::process::exit(1);
-        }
-    };
-    match throughput::check_against_baseline(&rows, &doc, 0.25) {
-        Ok((cur, base)) => {
-            eprintln!("# throughput gate passed: geomean {cur:.1} Minst/s vs baseline {base:.1}")
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
-    match throughput::check_sweep_against_baseline(&sweep, &doc, 0.25) {
-        Ok((cur, base)) if base <= 0.0 => {
-            eprintln!(
-                "# sweep gate skipped (baseline has no sweep section); \
-                 current geomean {cur:.1} Minst/s"
-            );
-        }
-        Ok((cur, base)) => {
-            eprintln!("# sweep gate passed: geomean {cur:.1} Minst/s vs baseline {base:.1}");
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
-    match throughput::check_lockstep_against_baseline(&lockstep, &doc, 0.25) {
-        Ok((cur, base)) if base <= 0.0 => {
-            eprintln!(
-                "# lockstep gate skipped (baseline has no lockstep section); \
-                 current geomean {cur:.1} Minst/s"
-            );
-        }
-        Ok((cur, base)) => {
-            eprintln!("# lockstep gate passed: geomean {cur:.1} Minst/s vs baseline {base:.1}");
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
-    match throughput::check_cmp_against_baseline(&cmp, &doc, 0.25) {
-        Ok((cur, base)) if base <= 0.0 => {
-            eprintln!(
-                "# cmp gate skipped (baseline has no cmp section); \
-                 current geomean {cur:.1} Minst/s"
-            );
-        }
-        Ok((cur, base)) => {
-            eprintln!("# cmp gate passed: geomean {cur:.1} Minst/s vs baseline {base:.1}");
+        .and_then(|text| ebcp_harness::json::parse(&text).map_err(|e| e.to_string()))
+        .map_err(|e| format!("could not read baseline {}: {e}", baseline.display()))
+        .and_then(|base| gate::check(doc, &base, table));
+    match checked {
+        Ok(passed) => {
+            for (key, cur, base) in passed {
+                eprintln!("# {key} gate passed: {cur:.1} vs baseline {base:.1}");
+            }
         }
         Err(e) => {
             eprintln!("error: {e}");

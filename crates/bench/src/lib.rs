@@ -3,8 +3,10 @@
 //!
 //! Each driver returns typed rows and can print an aligned table with the
 //! paper's reference values beside the measured ones. The `repro` binary
-//! exposes one subcommand per experiment; the Criterion benches in
-//! `benches/` time scaled-down versions of the same drivers.
+//! exposes one subcommand per experiment; `repro bench-throughput` and
+//! `repro bench-trace-scale` time the drivers' cells under the baseline
+//! gates of [`gate`], and the `components` Criterion bench in
+//! `benches/` times the individual components.
 //!
 //! # Scaling
 //!
@@ -20,6 +22,7 @@
 //! 2 MB-L2 machine.
 
 pub mod experiments;
+pub mod gate;
 pub mod report;
 pub mod scale;
 pub mod service;

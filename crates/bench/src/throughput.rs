@@ -8,16 +8,15 @@
 //! that stream through a fresh engine and reports simulated millions of
 //! instructions per wall-clock second.
 //! The committed baseline under `crates/bench/baselines/` turns the
-//! numbers into a CI gate: a geometric-mean regression beyond the
-//! tolerance fails the run.
-
-use std::time::Instant;
+//! numbers into a CI gate ([`crate::gate::THROUGHPUT`]): a geometric-mean
+//! regression beyond the tolerance fails the run.
 
 use ebcp_core::EbcpConfig;
 use ebcp_harness::Value;
 use ebcp_prefetch::{BaselineConfig, GhbConfig, StreamConfig};
 use ebcp_sim::PrefetcherSpec;
 
+use crate::gate::{geomean, min_wall};
 use crate::scale::Scale;
 
 /// One timed cell of the throughput matrix.
@@ -101,12 +100,7 @@ pub fn measure(scale: Scale) -> Vec<ThroughputRow> {
         let spec = scale.run_spec(&w, scale.machine());
         let pre = spec.pre_resolve();
         for pf in roster(scale) {
-            let mut wall = f64::INFINITY;
-            for _ in 0..2 {
-                let t0 = Instant::now();
-                std::hint::black_box(spec.run_preresolved(&pre, &pf));
-                wall = wall.min(t0.elapsed().as_secs_f64());
-            }
+            let (wall, _) = min_wall(2, || spec.run_preresolved(&pre, &pf));
             rows.push(ThroughputRow {
                 workload: w.name.clone(),
                 prefetcher: pf.name(),
@@ -183,29 +177,19 @@ pub fn measure_lockstep(scale: Scale) -> Vec<LockstepRow> {
         // untimed pass keeps that out of the measurement.
         std::hint::black_box(PreResolved::from_records(&spec.sim, &trace));
 
-        // Min-of-2 per mode, identical treatment for a fair ratio: a
-        // cell runs hundreds of ms, where a single scheduler hiccup on
-        // a shared host smears one shot by 20-30%, and the minimum is
-        // the robust estimator of the true cost. Both modes include
-        // the front-end pass: it is part of what a sweep costs, and
-        // both amortize it the same way.
-        let mut serial = f64::INFINITY;
-        for _ in 0..2 {
-            let t0 = Instant::now();
+        // Min-of-2 per mode, identical treatment for a fair ratio. Both
+        // modes include the front-end pass: it is part of what a sweep
+        // costs, and both amortize it the same way.
+        let (serial, _) = min_wall(2, || {
             let pre = PreResolved::from_records(&spec.sim, &trace);
             for pf in &roster {
                 std::hint::black_box(spec.run_preresolved(&pre, pf));
             }
-            serial = serial.min(t0.elapsed().as_secs_f64());
-        }
-
-        let mut lockstep = f64::INFINITY;
-        for _ in 0..2 {
-            let t1 = Instant::now();
+        });
+        let (lockstep, _) = min_wall(2, || {
             let pre = PreResolved::from_records(&spec.sim, &trace);
-            std::hint::black_box(spec.run_preresolved_many(&pre, &roster));
-            lockstep = lockstep.min(t1.elapsed().as_secs_f64());
-        }
+            spec.run_preresolved_many(&pre, &roster)
+        });
 
         let total = trace.len() as u64 * roster.len() as u64;
         rows.push(LockstepRow {
@@ -280,15 +264,7 @@ pub fn measure_cmp(scale: Scale) -> Vec<CmpThroughputRow> {
         let refs: Vec<&ebcp_sim::frontend::PreResolved> = streams.iter().collect();
         let records = (spec.warmup_insts + spec.measure_insts) * cores;
         for pf in cmp_roster(scale) {
-            // Min-of-2, as in `measure_sweep`: CMP cells are the
-            // shortest timed regions in the file, so one scheduler
-            // hiccup smears a single shot the most.
-            let mut wall = f64::INFINITY;
-            for _ in 0..2 {
-                let t0 = Instant::now();
-                std::hint::black_box(spec.run_streams(&refs, &pf));
-                wall = wall.min(t0.elapsed().as_secs_f64());
-            }
+            let (wall, _) = min_wall(2, || spec.run_streams(&refs, &pf));
             rows.push(CmpThroughputRow {
                 cores,
                 prefetcher: pf.name(),
@@ -299,41 +275,6 @@ pub fn measure_cmp(scale: Scale) -> Vec<CmpThroughputRow> {
         }
     }
     rows
-}
-
-fn geomean(values: impl Iterator<Item = f64>) -> f64 {
-    let positive: Vec<f64> = values.filter(|&m| m > 0.0).collect();
-    if positive.is_empty() {
-        return 0.0;
-    }
-    let log_sum: f64 = positive.iter().map(|m| m.ln()).sum();
-    (log_sum / positive.len() as f64).exp()
-}
-
-/// Geometric mean of the per-cell Minst/s (robust to one fast cell
-/// dominating an arithmetic mean).
-pub fn geomean_mips(rows: &[ThroughputRow]) -> f64 {
-    geomean(rows.iter().map(|r| r.mips))
-}
-
-/// Geometric mean of the amortized sweep Minst/s.
-pub fn sweep_geomean_mips(rows: &[SweepRow]) -> f64 {
-    geomean(rows.iter().map(|r| r.mips))
-}
-
-/// Geometric mean of the amortized lockstep Minst/s.
-pub fn lockstep_geomean_mips(rows: &[LockstepRow]) -> f64 {
-    geomean(rows.iter().map(|r| r.mips))
-}
-
-/// Geometric mean of the per-workload lockstep-vs-serial speedups.
-pub fn lockstep_geomean_speedup(rows: &[LockstepRow]) -> f64 {
-    geomean(rows.iter().map(|r| r.speedup))
-}
-
-/// Geometric mean of the chip-wide CMP DES Minst/s.
-pub fn cmp_geomean_mips(rows: &[CmpThroughputRow]) -> f64 {
-    geomean(rows.iter().map(|r| r.mips))
 }
 
 /// Encodes the matrix plus the sweep, lockstep and CMP cells as the
@@ -403,166 +344,31 @@ pub fn to_json(
     Value::Obj(vec![
         ("schema".into(), Value::Int(6)),
         ("scale_den".into(), Value::Int(scale.den)),
-        ("geomean_mips".into(), Value::Num(geomean_mips(rows))),
+        (
+            "geomean_mips".into(),
+            Value::Num(geomean(rows.iter().map(|r| r.mips))),
+        ),
         (
             "sweep_geomean_mips".into(),
-            Value::Num(sweep_geomean_mips(sweep)),
+            Value::Num(geomean(sweep.iter().map(|r| r.mips))),
         ),
         (
             "lockstep_geomean_mips".into(),
-            Value::Num(lockstep_geomean_mips(lockstep)),
+            Value::Num(geomean(lockstep.iter().map(|r| r.mips))),
         ),
         (
             "lockstep_geomean_speedup".into(),
-            Value::Num(lockstep_geomean_speedup(lockstep)),
+            Value::Num(geomean(lockstep.iter().map(|r| r.speedup))),
         ),
-        ("cmp_geomean_mips".into(), Value::Num(cmp_geomean_mips(cmp))),
+        (
+            "cmp_geomean_mips".into(),
+            Value::Num(geomean(cmp.iter().map(|r| r.mips))),
+        ),
         ("rows".into(), Value::Arr(rows_json)),
         ("sweep".into(), Value::Arr(sweep_json)),
         ("lockstep".into(), Value::Arr(lockstep_json)),
         ("cmp".into(), Value::Arr(cmp_json)),
     ])
-}
-
-/// Compares measured rows against a committed baseline document.
-///
-/// Returns `(current, baseline)` geometric means on success.
-///
-/// # Errors
-///
-/// Fails if the baseline is malformed or the current geometric mean
-/// dropped by more than `max_drop` (a fraction, e.g. `0.25`).
-pub fn check_against_baseline(
-    rows: &[ThroughputRow],
-    baseline: &Value,
-    max_drop: f64,
-) -> Result<(f64, f64), String> {
-    let base = baseline
-        .get("geomean_mips")
-        .and_then(Value::as_f64)
-        .ok_or_else(|| "baseline missing geomean_mips".to_owned())?;
-    if base <= 0.0 {
-        return Err(format!("baseline geomean_mips not positive: {base}"));
-    }
-    let cur = geomean_mips(rows);
-    let floor = base * (1.0 - max_drop);
-    if cur < floor {
-        return Err(format!(
-            "simulated throughput regressed: geomean {cur:.1} Minst/s is below \
-             {floor:.1} ({:.0}% of baseline {base:.1})",
-            (1.0 - max_drop) * 100.0
-        ));
-    }
-    Ok((cur, base))
-}
-
-/// Compares measured sweep cells against a committed baseline document.
-///
-/// Returns `(current, baseline)` geometric mean amortized Minst/s on
-/// success. A schema-1 baseline (no `sweep_geomean_mips`) passes
-/// trivially with a baseline of `0.0`, so the gate can be introduced
-/// without a flag day.
-///
-/// # Errors
-///
-/// Fails if the current sweep geometric mean dropped by more than
-/// `max_drop` below the baseline.
-pub fn check_sweep_against_baseline(
-    sweep: &[SweepRow],
-    baseline: &Value,
-    max_drop: f64,
-) -> Result<(f64, f64), String> {
-    let cur = sweep_geomean_mips(sweep);
-    let Some(base) = baseline.get("sweep_geomean_mips").and_then(Value::as_f64) else {
-        return Ok((cur, 0.0));
-    };
-    if base <= 0.0 {
-        return Err(format!("baseline sweep_geomean_mips not positive: {base}"));
-    }
-    let floor = base * (1.0 - max_drop);
-    if cur < floor {
-        return Err(format!(
-            "sweep throughput regressed: geomean {cur:.1} Minst/s is below \
-             {floor:.1} ({:.0}% of baseline {base:.1})",
-            (1.0 - max_drop) * 100.0
-        ));
-    }
-    Ok((cur, base))
-}
-
-/// Compares measured lockstep cells against a committed baseline
-/// document.
-///
-/// Returns `(current, baseline)` geometric mean amortized Minst/s on
-/// success. A pre-lockstep baseline (no `lockstep_geomean_mips`)
-/// passes trivially with a baseline of `0.0`, so the gate can be
-/// introduced without a flag day.
-///
-/// # Errors
-///
-/// Fails if the current lockstep geometric mean dropped by more than
-/// `max_drop` below the baseline.
-pub fn check_lockstep_against_baseline(
-    lockstep: &[LockstepRow],
-    baseline: &Value,
-    max_drop: f64,
-) -> Result<(f64, f64), String> {
-    let cur = lockstep_geomean_mips(lockstep);
-    let Some(base) = baseline
-        .get("lockstep_geomean_mips")
-        .and_then(Value::as_f64)
-    else {
-        return Ok((cur, 0.0));
-    };
-    if base <= 0.0 {
-        return Err(format!(
-            "baseline lockstep_geomean_mips not positive: {base}"
-        ));
-    }
-    let floor = base * (1.0 - max_drop);
-    if cur < floor {
-        return Err(format!(
-            "lockstep throughput regressed: geomean {cur:.1} Minst/s is below \
-             {floor:.1} ({:.0}% of baseline {base:.1})",
-            (1.0 - max_drop) * 100.0
-        ));
-    }
-    Ok((cur, base))
-}
-
-/// Compares measured CMP DES cells against a committed baseline
-/// document.
-///
-/// Returns `(current, baseline)` geometric mean chip-wide Minst/s on
-/// success. A pre-DES baseline (no `cmp_geomean_mips`) passes trivially
-/// with a baseline of `0.0`, so the gate can be introduced without a
-/// flag day.
-///
-/// # Errors
-///
-/// Fails if the current CMP geometric mean dropped by more than
-/// `max_drop` below the baseline.
-pub fn check_cmp_against_baseline(
-    cmp: &[CmpThroughputRow],
-    baseline: &Value,
-    max_drop: f64,
-) -> Result<(f64, f64), String> {
-    let cur = cmp_geomean_mips(cmp);
-    let Some(base) = baseline.get("cmp_geomean_mips").and_then(Value::as_f64) else {
-        return Ok((cur, 0.0));
-    };
-    if base <= 0.0 {
-        return Err(format!("baseline cmp_geomean_mips not positive: {base}"));
-    }
-    let floor = base * (1.0 - max_drop);
-    if cur < floor {
-        return Err(format!(
-            "CMP DES throughput regressed: geomean {cur:.1} Minst/s is below \
-             {floor:.1} ({:.0}% of baseline {base:.1})",
-            (1.0 - max_drop) * 100.0
-        ));
-    }
-    Ok((cur, base))
 }
 
 /// Renders the matrix as an aligned table.
@@ -585,7 +391,11 @@ pub fn render(rows: &[ThroughputRow]) -> String {
             r.workload, r.prefetcher, r.records, r.wall_ms, r.mips
         );
     }
-    let _ = writeln!(s, "geomean: {:.1} Minst/s", geomean_mips(rows));
+    let _ = writeln!(
+        s,
+        "geomean: {:.1} Minst/s",
+        geomean(rows.iter().map(|r| r.mips))
+    );
     s
 }
 
@@ -612,7 +422,7 @@ pub fn render_sweep(rows: &[SweepRow]) -> String {
     let _ = writeln!(
         s,
         "geomean: {:.1} Minst/s amortized",
-        sweep_geomean_mips(rows)
+        geomean(rows.iter().map(|r| r.mips))
     );
     s
 }
@@ -640,8 +450,8 @@ pub fn render_lockstep(rows: &[LockstepRow]) -> String {
     let _ = writeln!(
         s,
         "geomean: {:.1} Minst/s amortized, {:.2}x vs serial replay",
-        lockstep_geomean_mips(rows),
-        lockstep_geomean_speedup(rows)
+        geomean(rows.iter().map(|r| r.mips)),
+        geomean(rows.iter().map(|r| r.speedup))
     );
     s
 }
@@ -669,7 +479,7 @@ pub fn render_cmp(rows: &[CmpThroughputRow]) -> String {
     let _ = writeln!(
         s,
         "geomean: {:.1} Minst/s chip-wide",
-        cmp_geomean_mips(rows)
+        geomean(rows.iter().map(|r| r.mips))
     );
     s
 }
@@ -793,6 +603,7 @@ pub fn render_event_mix(rows: &[EventMixRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate;
 
     fn row(mips: f64) -> ThroughputRow {
         ThroughputRow {
@@ -835,15 +646,6 @@ mod tests {
             wall_ms: 4_000_000.0 / mips / 1e3,
             mips,
         }
-    }
-
-    #[test]
-    fn geomean_math() {
-        let rows = [row(10.0), row(40.0)];
-        assert!((geomean_mips(&rows) - 20.0).abs() < 1e-9);
-        assert_eq!(geomean_mips(&[]), 0.0);
-        let sweeps = [sweep_row(30.0), sweep_row(120.0)];
-        assert!((sweep_geomean_mips(&sweeps) - 60.0).abs() < 1e-9);
     }
 
     #[test]
@@ -897,90 +699,23 @@ mod tests {
     }
 
     #[test]
-    fn baseline_gate() {
-        let baseline = to_json(
-            Scale::quick(),
-            &[row(40.0)],
-            &[sweep_row(100.0)],
-            &[lockstep_row(400.0, 4.0)],
-            &[cmp_row(800.0)],
-        );
-        // Within tolerance: 31 > 40 * 0.75.
-        assert!(check_against_baseline(&[row(31.0)], &baseline, 0.25).is_ok());
-        // Beyond tolerance: 29 < 30.
-        let err = check_against_baseline(&[row(29.0)], &baseline, 0.25).unwrap_err();
-        assert!(err.contains("regressed"), "{err}");
-        // Malformed baseline.
-        assert!(check_against_baseline(&[row(29.0)], &Value::Null, 0.25).is_err());
-    }
-
-    #[test]
-    fn sweep_baseline_gate() {
-        let baseline = to_json(
-            Scale::quick(),
-            &[row(40.0)],
-            &[sweep_row(100.0)],
-            &[lockstep_row(400.0, 4.0)],
-            &[cmp_row(800.0)],
-        );
-        // Within tolerance: 80 > 100 * 0.75.
-        assert!(check_sweep_against_baseline(&[sweep_row(80.0)], &baseline, 0.25).is_ok());
-        // Beyond tolerance: 70 < 75.
-        let err = check_sweep_against_baseline(&[sweep_row(70.0)], &baseline, 0.25).unwrap_err();
-        assert!(err.contains("regressed"), "{err}");
-        // Schema-1 baseline without a sweep section passes trivially.
-        let old = Value::Obj(vec![("geomean_mips".into(), Value::Num(40.0))]);
-        let (cur, base) = check_sweep_against_baseline(&[sweep_row(70.0)], &old, 0.25).unwrap();
-        assert!((cur - 70.0).abs() < 1e-9);
-        assert_eq!(base, 0.0);
-    }
-
-    #[test]
-    fn lockstep_baseline_gate() {
-        let baseline = to_json(
-            Scale::quick(),
-            &[row(40.0)],
-            &[sweep_row(100.0)],
-            &[lockstep_row(400.0, 4.0)],
-            &[cmp_row(800.0)],
-        );
-        // Within tolerance: 320 > 400 * 0.75.
-        assert!(
-            check_lockstep_against_baseline(&[lockstep_row(320.0, 3.0)], &baseline, 0.25).is_ok()
-        );
-        // Beyond tolerance: 280 < 300.
-        let err = check_lockstep_against_baseline(&[lockstep_row(280.0, 3.0)], &baseline, 0.25)
-            .unwrap_err();
-        assert!(err.contains("regressed"), "{err}");
-        // A schema-2 baseline without a lockstep section passes
-        // trivially, so the gate needs no flag day.
-        let old = Value::Obj(vec![("sweep_geomean_mips".into(), Value::Num(100.0))]);
-        let (cur, base) =
-            check_lockstep_against_baseline(&[lockstep_row(280.0, 3.0)], &old, 0.25).unwrap();
-        assert!((cur - 280.0).abs() < 1e-9);
-        assert_eq!(base, 0.0);
-    }
-
-    #[test]
-    fn cmp_baseline_gate() {
-        let baseline = to_json(
-            Scale::quick(),
-            &[row(40.0)],
-            &[sweep_row(100.0)],
-            &[lockstep_row(400.0, 4.0)],
-            &[cmp_row(800.0)],
-        );
-        // Within tolerance: 640 > 800 * 0.75.
-        assert!(check_cmp_against_baseline(&[cmp_row(640.0)], &baseline, 0.25).is_ok());
-        // Beyond tolerance: 560 < 600.
-        let err = check_cmp_against_baseline(&[cmp_row(560.0)], &baseline, 0.25).unwrap_err();
-        assert!(err.contains("regressed"), "{err}");
-        // A schema-3 baseline without a cmp section passes trivially,
-        // so the gate needs no flag day.
-        let old = Value::Obj(vec![("lockstep_geomean_mips".into(), Value::Num(400.0))]);
-        let (cur, base) = check_cmp_against_baseline(&[cmp_row(560.0)], &old, 0.25).unwrap();
-        assert!((cur - 560.0).abs() < 1e-9);
-        assert_eq!(base, 0.0);
+    fn gate_refuses_a_baseline_at_another_scale() {
+        let cells = |scale| {
+            to_json(
+                scale,
+                &[row(40.0)],
+                &[sweep_row(100.0)],
+                &[lockstep_row(400.0, 4.0)],
+                &[cmp_row(800.0)],
+            )
+        };
+        let quick = cells(Scale::quick());
+        let passed = gate::check(&quick, &quick, &gate::THROUGHPUT).unwrap();
+        assert_eq!(passed.len(), 4, "every gate reads the document");
+        // Den-4 Minst/s against a den-16 baseline is a configuration
+        // error, not a pass or a regression.
+        let err = gate::check(&cells(Scale::standard()), &quick, &gate::THROUGHPUT).unwrap_err();
+        assert!(err.contains("scale_den"), "{err}");
     }
 
     #[test]

@@ -19,17 +19,16 @@
 //!
 //! The quick tier times the first two (the committed baseline under
 //! `crates/bench/baselines/` gates the segmented geomean against a 25%
-//! drop); the large tier (`--scale large`, ~100× quick) deliberately
-//! skips monolithic — materializing a 100× event stream is exactly what
-//! the streamed modes exist to avoid, and it would also pollute the
-//! process RSS high-water mark this tier reports as evidence of
-//! O(segment) residency — and adds the disk-stream cell. Like the
-//! throughput benches, cells never flow through the caching harness: a
-//! memoized result has no wall time.
+//! drop under [`crate::gate::TRACE_SCALE`]); the large tier (`--scale
+//! large`, ~100× quick) deliberately skips monolithic — materializing
+//! a 100× event stream is exactly what the streamed modes exist to
+//! avoid, and it would also pollute the process RSS high-water mark
+//! this tier reports as evidence of O(segment) residency — and adds
+//! the disk-stream cell. Like the throughput benches, cells never flow
+//! through the caching harness: a memoized result has no wall time.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
 
 use ebcp_core::EbcpConfig;
 use ebcp_harness::{preres, Job, Value};
@@ -37,6 +36,7 @@ use ebcp_sim::{resolve_blocks, run_preresolved_blocks, PreBlock, PrefetcherSpec,
 use ebcp_trace::template::WorkloadProgram;
 use ebcp_trace::TraceGenerator;
 
+use crate::gate::{geomean, min_wall};
 use crate::scale::Scale;
 
 /// One timed workload cell.
@@ -148,32 +148,22 @@ pub fn measure(scale: Scale) -> Vec<TraceScaleRow> {
         // steady state never pays again.
         std::hint::black_box(spec.pre_resolve_with(Arc::clone(&program)));
 
-        let mut mono = f64::INFINITY;
-        let mut mono_result = None;
-        for _ in 0..2 {
-            let t0 = Instant::now();
+        let (mono, mono_result) = min_wall(2, || {
             let pre = spec.pre_resolve_with(Arc::clone(&program));
-            let r = spec.run_preresolved(&pre, &pf);
-            mono = mono.min(t0.elapsed().as_secs_f64());
-            mono_result = Some(r);
-        }
-        let mono_result = mono_result.expect("two monolithic reps ran");
-
-        let mut seg = f64::INFINITY;
-        for _ in 0..2 {
-            let t0 = Instant::now();
+            spec.run_preresolved(&pre, &pf)
+        });
+        let (seg, ()) = min_wall(2, || {
             let r = run_preresolved_blocks(
                 &spec,
                 blocks(&spec, Arc::clone(&program), SEG_RECORDS),
                 &pf,
             );
-            seg = seg.min(t0.elapsed().as_secs_f64());
             assert_eq!(
                 r, mono_result,
                 "segmented replay diverged from monolithic on {}",
                 w.name
             );
-        }
+        });
 
         rows.push(TraceScaleRow {
             workload: w.name.clone(),
@@ -216,10 +206,9 @@ pub fn measure_large(scale: Scale) -> Vec<TraceScaleRow> {
     let program = Arc::new(WorkloadProgram::build(&spec.workload));
     let records = spec.warmup_insts + spec.measure_insts;
 
-    let t0 = Instant::now();
-    let exact =
-        run_preresolved_blocks(&spec, blocks(&spec, Arc::clone(&program), SEG_RECORDS), &pf);
-    let seg = t0.elapsed().as_secs_f64();
+    let (seg, exact) = min_wall(1, || {
+        run_preresolved_blocks(&spec, blocks(&spec, Arc::clone(&program), SEG_RECORDS), &pf)
+    });
 
     // Disk-stream cell: the front end runs once into the scratch
     // store, then one validated open outside the timed cell, so the
@@ -228,11 +217,8 @@ pub fn measure_large(scale: Scale) -> Vec<TraceScaleRow> {
     let dir = ScratchDir::new("ebcp-trace-scale");
     let job = Job::new(spec.clone(), pf.clone());
     write_stream(&spec, Arc::clone(&program), SEG_RECORDS, &dir.0, &job);
-    let stream = preres::open_written(&dir.0, &job);
-
-    let t1 = Instant::now();
-    let replayed = run_preresolved_blocks(&spec, stream.blocks(), &pf);
-    let replay1 = t1.elapsed().as_secs_f64();
+    let mut stream = preres::open_written(&dir.0, &job).blocks();
+    let (replay1, replayed) = min_wall(1, || run_preresolved_blocks(&spec, &mut stream, &pf));
     assert_eq!(
         replayed, exact,
         "disk-stream replay diverged from segmented on {}",
@@ -249,26 +235,6 @@ pub fn measure_large(scale: Scale) -> Vec<TraceScaleRow> {
         speedup: 0.0,
         mips: records as f64 / seg.max(1e-12) / 1e6,
     }]
-}
-
-fn geomean(values: impl Iterator<Item = f64>) -> f64 {
-    let positive: Vec<f64> = values.filter(|&m| m > 0.0).collect();
-    if positive.is_empty() {
-        return 0.0;
-    }
-    let log_sum: f64 = positive.iter().map(|m| m.ln()).sum();
-    (log_sum / positive.len() as f64).exp()
-}
-
-/// Geometric mean of the segmented Minst/s across cells.
-pub fn geomean_mips(rows: &[TraceScaleRow]) -> f64 {
-    geomean(rows.iter().map(|r| r.mips))
-}
-
-/// Geometric mean of the monolithic-over-segmented speedups (`0.0` at
-/// the large tier, which has none).
-pub fn geomean_speedup(rows: &[TraceScaleRow]) -> f64 {
-    geomean(rows.iter().map(|r| r.speedup))
 }
 
 /// The process's resident-set high-water mark (`VmHWM`), in bytes.
@@ -302,7 +268,11 @@ pub fn render(rows: &[TraceScaleRow], large: bool) -> String {
                 r.workload, r.records, r.segmented_ms, r.replay1_ms, r.mips
             );
         }
-        let _ = writeln!(out, "geomean: {:.1} Minst/s segmented", geomean_mips(rows));
+        let _ = writeln!(
+            out,
+            "geomean: {:.1} Minst/s segmented",
+            geomean(rows.iter().map(|r| r.mips))
+        );
     } else {
         let _ = writeln!(
             out,
@@ -323,8 +293,8 @@ pub fn render(rows: &[TraceScaleRow], large: bool) -> String {
         let _ = writeln!(
             out,
             "geomean: {:.1} Minst/s segmented, monolithic over segmented {:.2}x",
-            geomean_mips(rows),
-            geomean_speedup(rows)
+            geomean(rows.iter().map(|r| r.mips)),
+            geomean(rows.iter().map(|r| r.speedup))
         );
     }
     out
@@ -356,8 +326,14 @@ pub fn to_json(scale: Scale, large: bool, rows: &[TraceScaleRow], vm_hwm: Option
             "tier".into(),
             Value::Str(if large { "large" } else { "quick" }.into()),
         ),
-        ("geomean_mips".into(), Value::Num(geomean_mips(rows))),
-        ("geomean_speedup".into(), Value::Num(geomean_speedup(rows))),
+        (
+            "geomean_mips".into(),
+            Value::Num(geomean(rows.iter().map(|r| r.mips))),
+        ),
+        (
+            "geomean_speedup".into(),
+            Value::Num(geomean(rows.iter().map(|r| r.speedup))),
+        ),
     ];
     if let Some(hwm) = vm_hwm {
         fields.push(("vm_hwm_bytes".into(), Value::Int(hwm)));
@@ -366,65 +342,10 @@ pub fn to_json(scale: Scale, large: bool, rows: &[TraceScaleRow], vm_hwm: Option
     Value::Obj(fields)
 }
 
-/// Compares measured cells against a committed baseline document.
-///
-/// Returns `(current, baseline)` geometric mean Minst/s on success. A
-/// baseline written at a different tier or machine scale is a
-/// configuration error, not a regression: Minst/s at one `scale_den`
-/// says nothing about another.
-///
-/// # Errors
-///
-/// Fails on a malformed, tier-mismatched or scale-mismatched baseline,
-/// or a geometric mean more than `max_drop` below it.
-pub fn check_against_baseline(
-    rows: &[TraceScaleRow],
-    scale: Scale,
-    large: bool,
-    baseline: &Value,
-    max_drop: f64,
-) -> Result<(f64, f64), String> {
-    let tier = if large { "large" } else { "quick" };
-    match baseline.get("tier").and_then(Value::as_str) {
-        Some(t) if t == tier => {}
-        other => {
-            return Err(format!(
-                "baseline tier {other:?} does not match the measured tier {tier:?}"
-            ))
-        }
-    }
-    match baseline.get("scale_den").and_then(Value::as_u64) {
-        Some(den) if den == scale.den => {}
-        other => {
-            return Err(format!(
-                "baseline scale_den {other:?} does not match the measured scale_den {}; \
-                 re-record the baseline at this scale",
-                scale.den
-            ))
-        }
-    }
-    let base = baseline
-        .get("geomean_mips")
-        .and_then(Value::as_f64)
-        .ok_or_else(|| "baseline missing geomean_mips".to_owned())?;
-    if base <= 0.0 {
-        return Err(format!("baseline geomean_mips not positive: {base}"));
-    }
-    let cur = geomean_mips(rows);
-    let floor = base * (1.0 - max_drop);
-    if cur < floor {
-        return Err(format!(
-            "trace-scale throughput regressed: geomean {cur:.1} Minst/s is below \
-             {floor:.1} ({:.0}% of baseline {base:.1})",
-            (1.0 - max_drop) * 100.0
-        ));
-    }
-    Ok((cur, base))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate;
     use ebcp_sim::stepping::run_stepped;
 
     /// A trimmed scale so the test matrix stays suite-sized; the real
@@ -502,9 +423,8 @@ mod tests {
         assert!(!path.exists());
     }
 
-    #[test]
-    fn json_round_trips_the_gates() {
-        let rows = vec![TraceScaleRow {
+    fn row() -> TraceScaleRow {
+        TraceScaleRow {
             workload: "database".into(),
             records: 1_000_000,
             seg_records: SEG_RECORDS,
@@ -513,29 +433,33 @@ mod tests {
             replay1_ms: 0.0,
             speedup: 100.0 / 105.0,
             mips: 1_000_000.0 / 0.105 / 1e6,
-        }];
-        let doc = to_json(Scale::quick(), false, &rows, Some(123 << 20));
+        }
+    }
+
+    #[test]
+    fn json_document_shape() {
+        let doc = to_json(Scale::quick(), false, &[row()], Some(123 << 20));
         assert_eq!(doc.get("tier").unwrap().as_str(), Some("quick"));
         assert_eq!(doc.get("vm_hwm_bytes").unwrap().as_u64(), Some(123 << 20));
         assert_eq!(doc.get("schema").unwrap().as_u64(), Some(2));
         let row = &doc.get("rows").unwrap().as_arr().unwrap()[0];
         assert_eq!(row.get("segmented_ms").unwrap().as_f64(), Some(105.0));
         assert!(row.get("scatter_ms").is_none(), "the scatter cell is gone");
+    }
+
+    #[test]
+    fn gate_refuses_another_tier_or_scale() {
         let quick = Scale::quick();
-        let (cur, base) = check_against_baseline(&rows, quick, false, &doc, 0.25).unwrap();
-        assert!((cur - base).abs() < 1e-9, "self-comparison passes");
+        let doc = to_json(quick, false, &[row()], None);
+        assert!(gate::check(&doc, &doc, &gate::TRACE_SCALE).is_ok());
         // A tier mismatch is an error, not a silent pass.
-        assert!(check_against_baseline(&rows, quick, true, &doc, 0.25).is_err());
-        // So is a machine-scale mismatch, even on a self-comparison.
-        let den4 = Scale { den: 4, ..quick };
-        let err = check_against_baseline(&rows, den4, false, &doc, 0.25).unwrap_err();
+        let large = to_json(quick, true, &[row()], None);
+        let err = gate::check(&large, &doc, &gate::TRACE_SCALE).unwrap_err();
+        assert!(err.contains("tier"), "{err}");
+        // So is a machine-scale mismatch at the same tier.
+        let den4 = to_json(Scale { den: 4, ..quick }, false, &[row()], None);
+        let err = gate::check(&den4, &doc, &gate::TRACE_SCALE).unwrap_err();
         assert!(err.contains("scale_den"), "{err}");
-        // A 25% drop gate trips when the baseline is inflated.
-        let mut inflated = rows.clone();
-        for r in &mut inflated {
-            r.mips /= 2.0;
-        }
-        assert!(check_against_baseline(&inflated, quick, false, &doc, 0.25).is_err());
     }
 
     #[test]

@@ -47,7 +47,6 @@
 
 pub mod checksum;
 pub mod gen;
-pub mod io;
 pub mod record;
 pub mod segfile;
 pub mod spec;
@@ -55,7 +54,6 @@ pub mod stats;
 pub mod template;
 
 pub use gen::TraceGenerator;
-pub use io::{read_trace, write_trace, TraceCodecError};
 pub use record::{Op, TraceRecord};
 pub use segfile::{Backing, SegfileError, SegmentedTrace, TraceSink};
 pub use spec::WorkloadSpec;

@@ -1143,7 +1143,7 @@ mod tests {
 
     #[test]
     fn golden_file_pins_format() {
-        // The golden file is the io.rs sample trace written with
+        // The golden file is the `sample` trace written with
         // seg_records=3 and meta "golden-v1". Any byte drift in the
         // encoder shows up as a mismatch here; `EBCP_BLESS_GOLDEN=1`
         // regenerates it after an *intentional* format revision.

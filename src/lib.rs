@@ -9,9 +9,9 @@
 //! This facade crate re-exports the workspace:
 //!
 //! * [`types`] — addresses, cycles, access kinds, statistics primitives.
-//! * [`trace`] — trace records, binary trace I/O, and the four synthetic
-//!   workload generators (`database`, `tpcw`, `specjbb2005`,
-//!   `specjappserver2004`).
+//! * [`trace`] — trace records, the segmented on-disk container, and
+//!   the four synthetic workload generators (`database`, `tpcw`,
+//!   `specjbb2005`, `specjappserver2004`).
 //! * [`mem`] — caches, MSHRs, the prefetch buffer, and the
 //!   split-transaction bus + DRAM timing model.
 //! * [`prefetch`] — the event-driven [`prefetch::Prefetcher`] trait and

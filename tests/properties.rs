@@ -5,7 +5,9 @@ use std::collections::{HashMap, VecDeque};
 
 use ebcp::core::{compress_line, decompress_line, CorrelationTable, Emab};
 use ebcp::mem::{CacheGeometry, MshrFile, PrefetchBuffer, SetAssocCache};
-use ebcp::trace::{read_trace, write_trace, Op, TraceGenerator, TraceRecord, WorkloadSpec};
+use ebcp::trace::{
+    Backing, Op, SegmentedTrace, TraceGenerator, TraceRecord, TraceSink, WorkloadSpec,
+};
 use ebcp::types::{Addr, LineAddr, Pc, LINE_BYTES};
 use proptest::prelude::*;
 
@@ -26,13 +28,40 @@ fn arb_record() -> impl Strategy<Value = TraceRecord> {
     (any::<u64>(), arb_op()).prop_map(|(pc, op)| TraceRecord::new(Pc::new(pc), op))
 }
 
+/// A scratch directory under the temp dir, removed on drop.
+struct TmpDir(std::path::PathBuf);
+
+impl TmpDir {
+    fn new(tag: &str) -> TmpDir {
+        static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("ebcp-{tag}-{}-{seq}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        TmpDir(dir)
+    }
+}
+
+impl Drop for TmpDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 proptest! {
-    /// The binary trace codec round-trips arbitrary records.
+    /// The segmented trace container round-trips arbitrary records,
+    /// full 64-bit pc and address included, across segment seams.
     #[test]
     fn trace_codec_round_trips(trace in proptest::collection::vec(arb_record(), 0..200)) {
-        let mut bytes = Vec::new();
-        write_trace(&mut bytes, &trace).unwrap();
-        let back = read_trace(&bytes[..]).unwrap();
+        let dir = TmpDir::new("prop-trace");
+        let path = dir.0.join("t.seg");
+        let mut sink = TraceSink::create(&path, b"prop", 64).unwrap();
+        sink.push_chunk(&trace).unwrap();
+        prop_assert_eq!(sink.finish().unwrap(), trace.len() as u64);
+        let mut st = SegmentedTrace::open(&path, b"prop", Backing::Mmap).unwrap();
+        let (mut back, mut chunk) = (Vec::new(), Vec::new());
+        while st.next_chunk(&mut chunk, 4096) > 0 {
+            back.extend_from_slice(&chunk);
+        }
         prop_assert_eq!(trace, back);
     }
 
