@@ -150,7 +150,7 @@ mod tests {
         Value::Obj(
             fields
                 .iter()
-                .map(|(k, v)| ((*k).to_owned(), v.clone()))
+                .map(|(k, v)| ((*k).to_owned().into(), v.clone()))
                 .collect(),
         )
     }

@@ -436,7 +436,9 @@ pub fn serve_grid(scale: Scale) -> SweepSpec {
 /// The sweep is [`serve_grid`]. It is submitted once cold (populating
 /// the memo), then `WARM_SUBMITS` more times; each warm submit performs
 /// zero simulations, so its wall time is pure service overhead —
-/// queueing, memo lookups, streaming and client-side reassembly.
+/// queueing, memo lookups, streaming and client-side reassembly. Every
+/// warm document, rendered after its clock stops, must equal the cold
+/// one byte for byte; the first that differs fails the run (exit 1).
 pub fn bench_serve(out_dir: &Path, scale: Scale) -> i32 {
     const WARM_SUBMITS: usize = 30;
     let spec = serve_grid(scale);
@@ -470,10 +472,13 @@ pub fn bench_serve(out_dir: &Path, scale: Scale) -> i32 {
         Ok(c) => c,
         Err(code) => return code,
     };
-    let submit_once = |client: &mut Client| -> Result<Duration, i32> {
+    let submit_once = |client: &mut Client| -> Result<(Duration, String), i32> {
         let t = Instant::now();
         match client.submit(&spec, |_| {}) {
-            Ok(SweepOutcome::Done { failed: 0, .. }) => Ok(t.elapsed()),
+            Ok(SweepOutcome::Done { failed: 0, results }) => {
+                let took = t.elapsed();
+                Ok((took, results.to_json_pretty()))
+            }
             Ok(other) => {
                 eprintln!("error: bench sweep did not complete cleanly: {other:?}");
                 Err(1)
@@ -485,15 +490,19 @@ pub fn bench_serve(out_dir: &Path, scale: Scale) -> i32 {
         }
     };
 
-    let cold = match submit_once(&mut client) {
-        Ok(d) => d,
+    let (cold, cold_doc) = match submit_once(&mut client) {
+        Ok(done) => done,
         Err(code) => return code,
     };
     let executed = server.service().harness().summary().executed;
     let mut warm_ms: Vec<f64> = Vec::with_capacity(WARM_SUBMITS);
-    for _ in 0..WARM_SUBMITS {
+    for n in 1..=WARM_SUBMITS {
         match submit_once(&mut client) {
-            Ok(d) => warm_ms.push(d.as_secs_f64() * 1e3),
+            Ok((d, doc)) if doc == cold_doc => warm_ms.push(d.as_secs_f64() * 1e3),
+            Ok(_) => {
+                eprintln!("error: warm submit {n} of {WARM_SUBMITS} assembled a document that differs from the cold one");
+                return 1;
+            }
             Err(code) => return code,
         }
     }

@@ -13,6 +13,11 @@
 //! typed result codecs (`store::read_result`/`write_result` and their
 //! CMP forms) use to go between structs and text with no tree — the
 //! store's reads and the daemon's cell lines run on those.
+//!
+//! A [`Value`] object's keys are `Cow<'static, str>`: the encoders
+//! (`result_to_json`, `results_doc_cmp`, the protocol's events) borrow
+//! their static key names instead of allocating one `String` per key,
+//! and only [`parse`] owns the keys it reads.
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
@@ -34,8 +39,9 @@ pub enum Value {
     Str(String),
     /// An array.
     Arr(Vec<Value>),
-    /// An object: insertion-ordered key/value pairs.
-    Obj(Vec<(String, Value)>),
+    /// An object: insertion-ordered key/value pairs. Static key names
+    /// are borrowed; parsed keys are owned.
+    Obj(Vec<(Cow<'static, str>, Value)>),
 }
 
 impl Value {
@@ -471,7 +477,7 @@ impl<'a> Reader<'a> {
                 let mut fields = Vec::new();
                 self.object(|r, key| {
                     let v = r.value()?;
-                    fields.push((key.to_owned(), v));
+                    fields.push((Cow::Owned(key.to_owned()), v));
                     Ok(())
                 })?;
                 Ok(Value::Obj(fields))

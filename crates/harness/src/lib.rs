@@ -79,6 +79,7 @@ pub mod store;
 pub mod telemetry;
 pub mod traces;
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -591,13 +592,13 @@ pub fn results_doc_cmp(submitted: usize, rows: &[ResultRow], cmp_rows: &[CmpResu
     let jobs: Vec<Value> = rows
         .iter()
         .map(|row| {
-            let mut fields = vec![
+            let head = [
                 ("id".into(), Value::Str(row.id.to_string())),
                 ("workload".into(), Value::Str(row.workload.clone())),
                 ("prefetcher".into(), Value::Str(row.prefetcher.clone())),
             ];
-            fields.extend(outcome_fields(&row.outcome, store::result_to_json));
-            Value::Obj(fields)
+            let tail = outcome_fields(&row.outcome, store::result_to_json);
+            Value::Obj(head.into_iter().chain(tail).collect())
         })
         .collect();
     let mut fields = vec![
@@ -618,14 +619,14 @@ pub fn results_doc_cmp(submitted: usize, rows: &[ResultRow], cmp_rows: &[CmpResu
         let cmp_jobs: Vec<Value> = cmp_rows
             .iter()
             .map(|row| {
-                let mut fields = vec![
+                let head = [
                     ("id".into(), Value::Str(row.id.to_string())),
                     ("cell".into(), Value::Str(row.cell.clone())),
                     ("prefetcher".into(), Value::Str(row.prefetcher.clone())),
                     ("cores".into(), Value::Int(row.cores)),
                 ];
-                fields.extend(outcome_fields(&row.outcome, cmp::cmp_result_to_json));
-                Value::Obj(fields)
+                let tail = outcome_fields(&row.outcome, cmp::cmp_result_to_json);
+                Value::Obj(head.into_iter().chain(tail).collect())
             })
             .collect();
         fields.push(("cmp_jobs".into(), Value::Arr(cmp_jobs)));
@@ -637,7 +638,10 @@ pub fn results_doc_cmp(submitted: usize, rows: &[ResultRow], cmp_rows: &[CmpResu
 /// `results.json` row, single-core or CMP. A retried success renders as
 /// `"ok"`: whether a cell needed its second attempt is timing, not
 /// result.
-fn outcome_fields<R>(outcome: &Outcome<R>, to_json: fn(&R) -> Value) -> [(String, Value); 3] {
+fn outcome_fields<R>(
+    outcome: &Outcome<R>,
+    to_json: fn(&R) -> Value,
+) -> [(Cow<'static, str>, Value); 3] {
     let tag = if outcome.is_failed() { "failed" } else { "ok" };
     [
         ("outcome".into(), Value::Str(tag.into())),

@@ -23,6 +23,7 @@
 //! to the flat path — migrating read-through — in case another process
 //! wrote one mid-transition.
 
+use std::borrow::Cow;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -586,7 +587,7 @@ fn bus_from_json(v: &Value) -> Option<BusStats> {
 /// Encodes a [`SimResult`] as a JSON tree (also used for
 /// `results.json`). [`write_result`] writes the same text directly.
 pub fn result_to_json(r: &SimResult) -> Value {
-    let mut fields: Vec<(String, Value)> = Vec::with_capacity(RESULT_KEYS);
+    let mut fields: Vec<(Cow<'static, str>, Value)> = Vec::with_capacity(RESULT_KEYS);
     for (key, get, _) in &NAMES {
         fields.push(((*key).into(), Value::Str(get(r).clone())));
     }

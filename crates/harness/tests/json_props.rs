@@ -16,10 +16,12 @@
 //! store entry — yields an error, a miss or a quarantine, never a panic
 //! or a loop.
 
+use std::borrow::Cow;
+
 use ebcp_harness::cmp::{
     cmp_result_from_json, cmp_result_to_json, read_cmp_result, write_cmp_result,
 };
-use ebcp_harness::json::{parse, Reader, Value};
+use ebcp_harness::json::{parse, write_key, write_str, write_u64, Reader, Value};
 use ebcp_harness::store::{read_result, result_from_json, result_to_json, write_result};
 use ebcp_harness::{fnv1a64, CacheRead, CmpJob, Fnv64, Job, ResultStore};
 use ebcp_sim::{CmpResult, CmpSpec, PrefetcherSpec, RunSpec, SimConfig, SimResult};
@@ -38,6 +40,20 @@ const PALETTE: &[char] = &[
 fn arb_string() -> impl Strategy<Value = String> {
     proptest::collection::vec(0usize..PALETTE.len(), 0..12)
         .prop_map(|picks| picks.into_iter().map(|i| PALETTE[i]).collect())
+}
+
+/// Strings over all of Unicode, half their characters ASCII (so
+/// quotes, backslashes and control bytes come up often).
+fn arb_text() -> impl Strategy<Value = String> {
+    proptest::collection::vec(any::<u64>(), 0..24).prop_map(|words| {
+        words
+            .into_iter()
+            .map(|w| {
+                let range = if w & 1 == 0 { 0x80 } else { 0x11_0000 };
+                char::from_u32(((w >> 1) % range) as u32).unwrap_or('\u{fffd}')
+            })
+            .collect()
+    })
 }
 
 /// Generates one value at `depth` remaining levels of nesting.
@@ -62,7 +78,7 @@ fn gen_value(rng: &mut TestRng, depth: usize) -> Value {
             use proptest::strategy::Strategy as _;
             Value::Obj(
                 (0..rng.below(4))
-                    .map(|_| (arb_string().generate(rng), gen_value(rng, depth - 1)))
+                    .map(|_| (arb_string().generate(rng).into(), gen_value(rng, depth - 1)))
                     .collect(),
             )
         }
@@ -144,6 +160,86 @@ proptest! {
     }
 }
 
+/// `write_u64`'s text for `n`.
+fn u64_text(n: u64) -> String {
+    let mut out = String::new();
+    write_u64(&mut out, n);
+    out
+}
+
+/// The two-digit writer equals `to_string` at every digit-count edge:
+/// 0, 9, 10, 99, 100, each power of ten and its neighbours, and
+/// `u64::MAX`.
+#[test]
+fn write_u64_matches_to_string_at_every_digit_edge() {
+    let mut edges = vec![0, 9, 10, 99, 100, u64::MAX, u64::MAX - 1];
+    for k in 0..=19 {
+        let p = 10u64.pow(k);
+        edges.extend([p - 1, p, p + 1]);
+    }
+    for n in edges {
+        assert_eq!(u64_text(n), n.to_string(), "{n}");
+    }
+}
+
+/// `v` with every object key borrowed as `'static` (leaked: the test
+/// builds a bounded number of small keys).
+fn borrow_keys(v: &Value) -> Value {
+    match v {
+        Value::Arr(items) => Value::Arr(items.iter().map(borrow_keys).collect()),
+        Value::Obj(fields) => Value::Obj(
+            fields
+                .iter()
+                .map(|(k, x)| {
+                    let key: &'static str = Box::leak(k.to_string().into_boxed_str());
+                    (Cow::Borrowed(key), borrow_keys(x))
+                })
+                .collect(),
+        ),
+        other => other.clone(),
+    }
+}
+
+proptest! {
+    #[test]
+    fn write_u64_matches_to_string(n in any::<u64>(), shift in 0u32..64) {
+        prop_assert_eq!(u64_text(n), n.to_string());
+        // Short numbers too, not only the ~20-digit bulk of `any`.
+        prop_assert_eq!(u64_text(n >> shift), (n >> shift).to_string());
+    }
+
+    #[test]
+    fn write_key_is_write_str_and_a_colon(
+        palette in arb_string(),
+        any_text in arb_text(),
+    ) {
+        for key in [palette, any_text] {
+            let mut want = String::new();
+            write_str(&mut want, &key);
+            want.push(':');
+            let mut got = String::new();
+            write_key(&mut got, &key);
+            prop_assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn borrowed_and_owned_keys_are_the_same_document(v in ArbValue, r in ArbResult) {
+        // Arbitrary trees: the generator's owned keys against the same
+        // keys borrowed.
+        let borrowed = borrow_keys(&v);
+        prop_assert_eq!(&borrowed, &v);
+        prop_assert_eq!(borrowed.to_json(), v.to_json());
+        prop_assert_eq!(borrowed.to_json_pretty(), v.to_json_pretty());
+        // An encoder's static keys against the owned keys `parse` reads.
+        let tree = result_to_json(&r);
+        let owned = parse(&tree.to_json()).unwrap();
+        prop_assert_eq!(&owned, &tree);
+        prop_assert_eq!(owned.to_json(), tree.to_json());
+        prop_assert_eq!(owned.to_json_pretty(), tree.to_json_pretty());
+    }
+}
+
 /// A counter value from the classes that matter: zero, the `f64`
 /// precision edge, `u64::MAX`, and arbitrary bits.
 fn gen_counter(rng: &mut TestRng) -> u64 {
@@ -212,7 +308,7 @@ fn shuffle_keys(v: &Value, rng: &mut TestRng) -> Value {
     match v {
         Value::Arr(items) => Value::Arr(items.iter().map(|x| shuffle_keys(x, rng)).collect()),
         Value::Obj(fields) => {
-            let mut fields: Vec<(String, Value)> = fields
+            let mut fields: Vec<(Cow<'static, str>, Value)> = fields
                 .iter()
                 .map(|(k, x)| (k.clone(), shuffle_keys(x, rng)))
                 .collect();
@@ -232,7 +328,7 @@ fn with_repeats(v: &Value, rng: &mut TestRng) -> Value {
     match v {
         Value::Arr(items) => Value::Arr(items.iter().map(|x| with_repeats(x, rng)).collect()),
         Value::Obj(fields) => {
-            let mut out: Vec<(String, Value)> = fields
+            let mut out: Vec<(Cow<'static, str>, Value)> = fields
                 .iter()
                 .map(|(k, x)| (k.clone(), with_repeats(x, rng)))
                 .collect();

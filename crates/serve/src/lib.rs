@@ -18,6 +18,11 @@
 //! - results and live telemetry **stream** back per cell as they land,
 //!   over a std-only line-delimited JSON protocol ([`proto`]) carried
 //!   by TCP or a Unix socket — no HTTP stack, no serialization crates.
+//!   A submit's lines are coalesced into one buffer, written once it
+//!   holds 16 KiB, before the daemon waits for the next cell, and with
+//!   the final line: a landed cell never waits in the buffer, and a warm
+//!   submit's ~220 KB go out in about fifteen writes instead of one per
+//!   line.
 //!
 //! The client side ([`client`]) assembles the streamed cells back into
 //! a `results.json` through the *same* deterministic renderer local

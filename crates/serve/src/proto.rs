@@ -56,10 +56,11 @@ impl std::fmt::Debug for Conn {
 
 impl Conn {
     /// Wraps a read half and a write half (use the stream's
-    /// `try_clone` to split a socket).
+    /// `try_clone` to split a socket). The read buffer holds 64 KiB, so
+    /// a client takes a submit's coalesced cell lines in few reads.
     pub fn new(read: Box<dyn Read + Send>, write: Box<dyn Write + Send>) -> Self {
         Conn {
-            reader: BufReader::new(read),
+            reader: BufReader::with_capacity(64 << 10, read),
             writer: write,
         }
     }
@@ -123,7 +124,7 @@ impl Conn {
     }
 }
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
+fn obj(fields: Vec<(&'static str, Value)>) -> Value {
     Value::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
 }
 

@@ -8,7 +8,9 @@
 //! subscribes to the harness telemetry bus *before* queueing, then
 //! streams per-cell results and bus events (filtered to the sweep's own
 //! job labels, except cache quarantines, which every client should see)
-//! until all unique cells have landed.
+//! until all unique cells have landed. The lines are coalesced and
+//! written in few large writes (`FLUSH_AT`), never held while the
+//! handler waits.
 //!
 //! Isolation is inherited, not re-implemented: a cell that panics
 //! becomes that client's `"failed"` cell through the harness's
@@ -40,6 +42,11 @@ use crate::sweep::SweepSpec;
 /// The longest a submit's drain loop waits for a completion before it
 /// forwards the telemetry that arrived meanwhile.
 const DRAIN_WAIT: Duration = Duration::from_millis(2);
+
+/// A submit's outgoing lines are coalesced into one buffer, written
+/// once it holds this many bytes, before the handler waits for a
+/// completion or runs the sweep's CMP cells, and with the final line.
+const FLUSH_AT: usize = 16 << 10;
 
 /// Where to listen and how to queue.
 #[derive(Debug, Clone)]
@@ -357,30 +364,44 @@ impl Server {
             }
         }
         drop(tx);
-        conn.send(&resp_accepted(submitted, unique.len() + unique_cmp.len()))?;
+        // Every line from here on is appended to `out`, which goes to
+        // the socket in few large writes.
+        let mut out = Outbox::default();
+        out.push_value(&resp_accepted(submitted, unique.len() + unique_cmp.len()));
 
         // CMP cells run here while the workers drain the queued
         // singles; the telemetry subscription (taken before queueing)
-        // buffers both streams' events until the drain loop below.
+        // buffers both streams' events until the drain loop below. A
+        // cold CMP cell can take seconds, so `accepted` goes out first.
+        if !unique_cmp.is_empty() {
+            out.write(conn)?;
+        }
         let cmp_outcomes = self
             .service
             .harness()
             .run_cmp_outcomes_with_ids(&unique_cmp, &cmp_ids);
 
-        // Cell lines are written straight from the rows (no JSON tree)
-        // into one reused buffer.
-        let mut line = String::new();
         let mut outcomes: HashMap<JobId, JobOutcome> = HashMap::new();
         while outcomes.len() < unique.len() {
             while let Ok(ev) = telemetry.try_recv() {
                 if event_is_for(&ev, &labels) {
-                    conn.send(&resp_telemetry(&ev))?;
+                    out.push_value(&resp_telemetry(&ev));
                 }
             }
-            // Wait on the completions themselves, so a cell that lands
-            // mid-wait is sent at once; telemetry is drained again
-            // after each wait.
-            match completions.recv_timeout(DRAIN_WAIT) {
+            out.write_if_full(conn)?;
+            // A landed cell is taken without waiting; before any wait
+            // the pending lines are written, so nothing that has landed
+            // sits in the buffer while the handler blocks. Telemetry is
+            // drained again after each wait.
+            let next = match completions.try_recv() {
+                Ok(delivery) => Ok(delivery),
+                Err(mpsc::TryRecvError::Empty) => {
+                    out.write(conn)?;
+                    completions.recv_timeout(DRAIN_WAIT)
+                }
+                Err(mpsc::TryRecvError::Disconnected) => Err(mpsc::RecvTimeoutError::Disconnected),
+            };
+            match next {
                 Ok((id, outcome)) => {
                     // A completion for a job this sweep never submitted
                     // would be a service routing bug; drop it rather
@@ -395,7 +416,7 @@ impl Server {
                         prefetcher: job.pf.name().to_string(),
                         outcome,
                     };
-                    send_written(conn, &mut line, |out| write_cell(out, &row))?;
+                    out.push_line(|line| write_cell(line, &row));
                     outcomes.insert(id, row.outcome);
                 }
                 Err(mpsc::RecvTimeoutError::Timeout) => {}
@@ -407,7 +428,7 @@ impl Server {
         // Late stragglers from the final cell's execution.
         while let Ok(ev) = telemetry.try_recv() {
             if event_is_for(&ev, &labels) {
-                conn.send(&resp_telemetry(&ev))?;
+                out.push_value(&resp_telemetry(&ev));
             }
         }
         let landed = outcomes.len() + cmp_outcomes.len();
@@ -421,23 +442,51 @@ impl Server {
                 cores: job.cores() as u64,
                 outcome,
             };
-            send_written(conn, &mut line, |out| write_cmp_cell(out, &row))?;
+            out.push_line(|line| write_cmp_cell(line, &row));
+            out.write_if_full(conn)?;
         }
-        conn.send(&resp_done(submitted, landed, failed))
+        out.push_value(&resp_done(submitted, landed, failed));
+        out.write(conn)
     }
 }
 
-/// Sends the line `write` appends to `line`, a buffer reused across
-/// lines.
-fn send_written(
-    conn: &mut Conn,
-    line: &mut String,
-    write: impl FnOnce(&mut String),
-) -> io::Result<()> {
-    line.clear();
-    write(line);
-    line.push('\n');
-    conn.send_raw(line)
+/// A submit's pending outgoing lines: appended in stream order, written
+/// to the socket in one `send_raw` per [`FLUSH_AT`] bytes or wait.
+#[derive(Default)]
+struct Outbox {
+    pending: String,
+}
+
+impl Outbox {
+    /// Appends the line `write` writes, plus its newline.
+    fn push_line(&mut self, write: impl FnOnce(&mut String)) {
+        write(&mut self.pending);
+        self.pending.push('\n');
+    }
+
+    /// Appends `v` as a compact line.
+    fn push_value(&mut self, v: &Value) {
+        self.push_line(|line| line.push_str(&v.to_json()));
+    }
+
+    /// Writes the pending lines, if any.
+    fn write(&mut self, conn: &mut Conn) -> io::Result<()> {
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        let sent = conn.send_raw(&self.pending);
+        self.pending.clear();
+        sent
+    }
+
+    /// Writes the pending lines once they reach [`FLUSH_AT`] bytes.
+    fn write_if_full(&mut self, conn: &mut Conn) -> io::Result<()> {
+        if self.pending.len() >= FLUSH_AT {
+            self.write(conn)
+        } else {
+            Ok(())
+        }
+    }
 }
 
 /// Should this bus event be forwarded to a sweep with these labels?

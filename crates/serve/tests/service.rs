@@ -494,12 +494,19 @@ fn unix_socket_carries_the_same_protocol() {
 /// Every cell line the daemon streams — ok and failed, single-core and
 /// CMP — is byte for byte the reference `resp_cell`/`resp_cmp_cell`
 /// encoding of the row it decodes to, so the typed writer changed no
-/// wire byte. Spoken over a raw socket to see the lines as sent.
+/// wire byte. A warm repeat's whole line sequence is then exactly the
+/// reference encodings in stream order: `accepted`, the single-core
+/// cells in submission order (memo hits are delivered as they are
+/// queued), the CMP cells, `done`. Spoken over a raw socket to see the
+/// lines as sent, however the daemon batches its writes.
 #[test]
 fn streamed_cell_lines_equal_the_reference_encoding_of_their_rows() {
+    use ebcp_harness::{CmpJob, Job, JobId};
     use ebcp_serve::proto::{
-        parse_cell, parse_cmp_cell, read_message, request_submit, resp_cell, resp_cmp_cell,
+        parse_cell, parse_cmp_cell, read_message, request_submit, resp_accepted, resp_cell,
+        resp_cmp_cell, resp_done,
     };
+    use std::collections::HashMap;
     use std::io::{BufRead, BufReader, Write};
 
     let d = daemon(2, 64);
@@ -512,7 +519,9 @@ fn streamed_cell_lines_equal_the_reference_encoding_of_their_rows() {
     sock.write_all(request.as_bytes()).unwrap();
 
     let (mut cells, mut cmp_cells, mut failed) = (0, 0, 0);
-    for line in BufReader::new(sock.try_clone().unwrap()).lines() {
+    let (mut rows, mut cmp_rows) = (HashMap::new(), HashMap::new());
+    let mut lines = BufReader::new(sock.try_clone().unwrap()).lines();
+    for line in lines.by_ref() {
         let line = line.unwrap();
         let tree = ebcp_harness::json::parse(&line).unwrap();
         match read_message(&line).unwrap() {
@@ -521,12 +530,14 @@ fn streamed_cell_lines_equal_the_reference_encoding_of_their_rows() {
                 assert_eq!(parse_cell(&tree).unwrap(), row);
                 cells += 1;
                 failed += usize::from(row.outcome.is_failed());
+                rows.insert(row.id, row);
             }
             Message::CmpCell(row) => {
                 assert_eq!(line, resp_cmp_cell(&row).to_json());
                 assert_eq!(parse_cmp_cell(&tree).unwrap(), row);
                 cmp_cells += 1;
                 failed += usize::from(row.outcome.is_failed());
+                cmp_rows.insert(row.id, row);
             }
             Message::Event(v) => {
                 assert_eq!(v, tree);
@@ -539,9 +550,103 @@ fn streamed_cell_lines_equal_the_reference_encoding_of_their_rows() {
     assert_eq!((cells, cmp_cells), (3, 3));
     assert_eq!(failed, 2, "the fault lane fails on one core and on two");
 
+    // The warm repeat, line for line.
+    let ids: Vec<JobId> = Job::ids(&spec.jobs().unwrap());
+    let cmp_ids: Vec<JobId> = CmpJob::ids(&spec.cmp_jobs().unwrap());
+    let mut want = vec![resp_accepted(6, 6).to_json()];
+    want.extend(ids.iter().map(|id| resp_cell(&rows[id]).to_json()));
+    want.extend(
+        cmp_ids
+            .iter()
+            .map(|id| resp_cmp_cell(&cmp_rows[id]).to_json()),
+    );
+    want.push(resp_done(6, 6, 2).to_json());
+    sock.write_all(request.as_bytes()).unwrap();
+    let mut warm = Vec::new();
+    for line in lines.by_ref() {
+        let line = line.unwrap();
+        let last = line.starts_with(r#"{"event":"done""#);
+        warm.push(line);
+        if last {
+            break;
+        }
+    }
+    assert_eq!(warm, want);
+
     drop(sock);
     d.server.stop();
     d.runner.join().unwrap().unwrap();
+}
+
+/// Coalescing never holds a landed cell while the daemon waits for the
+/// next one. One worker runs a two-workload sweep's cells one after
+/// another, and the first `tpcw` cell is held up at its store read: its
+/// result-store entry is a FIFO, whose open blocks until the test opens
+/// the other end. The `database` cells must reach the client while that
+/// cell is blocked, so no timing is involved; a daemon that kept them
+/// buffered would time the client's read out instead.
+#[cfg(target_os = "linux")]
+#[test]
+fn landed_cells_stream_while_a_later_cell_is_still_running() {
+    use ebcp_harness::ResultStore;
+    use std::ffi::CString;
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::ffi::OsStrExt;
+
+    extern "C" {
+        fn mkfifo(path: *const std::os::raw::c_char, mode: u32) -> i32;
+    }
+
+    let store = std::env::temp_dir().join(format!("ebcp-serve-fifo-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    let spec = sweep(&["database", "tpcw"], &["none", "stream"]);
+    let jobs = spec.jobs().unwrap();
+    assert_eq!(jobs[2].spec.workload.name, "tpcw");
+    let gate = ResultStore::open(&store).unwrap().entry_path(&jobs[2]);
+    std::fs::create_dir_all(gate.parent().unwrap()).unwrap();
+    let path = CString::new(gate.as_os_str().as_bytes()).unwrap();
+    // SAFETY: `mkfifo(const char *, mode_t)` with Linux's 32-bit
+    // `mode_t`; `path` is a NUL-terminated string that outlives the call.
+    assert_eq!(unsafe { mkfifo(path.as_ptr(), 0o600) }, 0, "mkfifo");
+
+    let d = daemon_over(Some(store.clone()), 1, 1, 64);
+    let raw_addr = d.addr.strip_prefix("tcp:").unwrap().to_string();
+    let mut sock = std::net::TcpStream::connect(&raw_addr).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut request = ebcp_serve::proto::request_submit(spec.to_value()).to_json();
+    request.push('\n');
+    sock.write_all(request.as_bytes()).unwrap();
+
+    let mut rd = BufReader::new(sock.try_clone().unwrap());
+    let mut line = String::new();
+    let mut workloads = Vec::new();
+    while workloads.len() < 2 {
+        line.clear();
+        let read = rd.read_line(&mut line);
+        assert!(
+            matches!(read, Ok(n) if n > 0),
+            "the database cells did not arrive while the tpcw cell was blocked: {read:?}"
+        );
+        if let Message::Cell(row) = ebcp_serve::proto::read_message(line.trim()).unwrap() {
+            workloads.push(row.workload);
+        }
+    }
+    assert_eq!(workloads, ["database", "database"]);
+
+    // Release the blocked cell: its entry reads as garbage, is
+    // quarantined, and the cell simulates.
+    std::fs::write(&gate, b"not a store entry").unwrap();
+    let mut cells = workloads.len();
+    let done = read_until_final_event(&mut rd, &mut cells);
+    assert_eq!(done.get("event").and_then(Value::as_str), Some("done"));
+    assert_eq!(cells, 4);
+    assert_eq!(d.server.service().harness().summary().quarantined, 1);
+
+    drop((rd, sock));
+    d.server.stop();
+    d.runner.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&store);
 }
 
 /// Reads lines from `rd` until one is an `event` line other than
