@@ -534,7 +534,7 @@ pub fn event_mix(scale: Scale) -> Vec<EventMixRow> {
         let pre = PreResolved::from_records(&spec.sim, &trace);
         let mut counts = [0u64; 9];
         for ev in &pre.events {
-            counts[0] += u64::from(ev.gap);
+            counts[0] += u64::from(ev.gap());
             let Some(r) = ev.decode() else { continue };
             let k = match r.op {
                 ResolvedOp::None => {

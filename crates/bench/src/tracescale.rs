@@ -13,7 +13,7 @@
 //!   segment is ever resident. Exact.
 //! * **1-worker stream replay** — large tier only: the front end runs
 //!   once, streaming blocks to an on-disk pre-resolved cache
-//!   (`EBCPPRE5`, the harness's own format); one worker then replays
+//!   (`EBCPPRE6`, the harness's own format); one worker then replays
 //!   the stream end to end. Exact, and the honest single-worker cost
 //!   of a cached back-end pass.
 //!

@@ -8,18 +8,19 @@
 //! sharded — like result entries — by the key's first two hex digits.
 //!
 //! A stream is a segmented container ([`ebcp_trace::segfile`]) of
-//! [`EventCodec`] items, magic `EBCPPRE5`, whose meta is the exact
+//! [`EventCodec`] items, magic `EBCPPRE6`, whose meta is the exact
 //! string `pre_key` hashed (collision guard). Each segment is one block:
 //! its events and the trace records they stand for. The large tier
 //! replays a stream a block at a time — O(segment) peak memory — while
 //! the quick tier writes one segment covering the whole stream.
 //!
 //! Every open runs the container's verify walk. A wrong magic (an older
-//! revision: `EBCPPRE4`, `EBCPPRE3`, the single-blob `EBCPPRE2`) or a
-//! canonical-string mismatch (hash collision) is a plain miss,
-//! overwritten in place by the next save; corruption is quarantined to
-//! `*.corrupt` and the front-end pass re-runs (self-heal). Either way a
-//! bad entry costs one front-end pass, never a wrong stream.
+//! revision: the 24-byte-event `EBCPPRE5`, `EBCPPRE4`, `EBCPPRE3`, the
+//! single-blob `EBCPPRE2`) or a canonical-string mismatch (hash
+//! collision) is a plain miss, overwritten in place by the next save;
+//! corruption is quarantined to `*.corrupt` and the front-end pass
+//! re-runs (self-heal). Either way a bad entry costs one front-end pass,
+//! never a wrong stream.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -31,31 +32,26 @@ use ebcp_trace::segfile::{Backing, Codec, SegReader, SegWriter};
 use crate::job::{Job, CANON_VERSION};
 use crate::store::{segfile_read, CacheRead};
 
-/// Packed pre-resolved events, 24 bytes each, every field
-/// little-endian: `{ pc u64, dline u64, gap u32, flags u32 }`.
+/// Packed pre-resolved events, 16 bytes each: [`PreEvent`]'s two words
+/// as they are, little-endian — `pc u64`, then `word u64` holding the
+/// data line (bits 0..48), the gap (bits 48..60) and the flags (bits
+/// 60..64).
 pub struct EventCodec;
 
 impl Codec for EventCodec {
     type Item = PreEvent;
-    const MAGIC: [u8; 8] = *b"EBCPPRE5";
-    const WIDTH: usize = 24;
+    const MAGIC: [u8; 8] = *b"EBCPPRE6";
+    const WIDTH: usize = 16;
 
     fn encode(ev: &PreEvent, out: &mut [u8]) {
-        out[0..8].copy_from_slice(&ev.pc.to_le_bytes());
-        out[8..16].copy_from_slice(&ev.dline.to_le_bytes());
-        out[16..20].copy_from_slice(&ev.gap.to_le_bytes());
-        out[20..24].copy_from_slice(&ev.flags.to_le_bytes());
+        let [pc, word] = ev.words();
+        out[0..8].copy_from_slice(&pc.to_le_bytes());
+        out[8..16].copy_from_slice(&word.to_le_bytes());
     }
 
     fn decode(b: &[u8]) -> PreEvent {
         let word = |at: usize| u64::from_le_bytes(b[at..at + 8].try_into().expect("8 bytes"));
-        let half = |at: usize| u32::from_le_bytes(b[at..at + 4].try_into().expect("4 bytes"));
-        PreEvent {
-            pc: word(0),
-            dline: word(8),
-            gap: half(16),
-            flags: half(20),
-        }
+        PreEvent::from_words([word(0), word(8)])
     }
 }
 
@@ -217,9 +213,10 @@ pub fn load(store_dir: &Path, job: &Job) -> Option<PreResolved> {
 /// a *corrupt* file, which is quarantined (renamed to `*.corrupt`) so
 /// the caller can log it and transparently re-resolve.
 ///
-/// Concatenates every segment — materialized-memory semantics for the
-/// quick tier; the large tier uses [`open_stream_checked`] +
-/// [`PreresStream::blocks`] instead.
+/// Decodes every segment straight into one vector reserved for the
+/// whole stream, so a load peaks at the stream plus one read buffer —
+/// materialized-memory semantics for the quick tier; the large tier
+/// uses [`open_stream_checked`] + [`PreresStream::blocks`] instead.
 pub fn load_checked(store_dir: &Path, job: &Job) -> CacheRead<PreResolved> {
     let mut stream = match open_stream_checked(store_dir, job) {
         CacheRead::Hit(stream) => stream,
@@ -229,9 +226,8 @@ pub fn load_checked(store_dir: &Path, job: &Job) -> CacheRead<PreResolved> {
     let total: u64 = stream.0.segments().iter().map(|s| s.items).sum();
     let mut events = Vec::with_capacity(usize::try_from(total).unwrap_or(0));
     for k in 0..stream.n_segments() {
-        match stream.0.read_segment(k) {
-            Ok(segment) => events.extend_from_slice(&segment),
-            Err(_) => return CacheRead::Miss,
+        if stream.0.read_segment_into(k, &mut events).is_err() {
+            return CacheRead::Miss;
         }
     }
     CacheRead::Hit(PreResolved {
@@ -359,12 +355,19 @@ mod tests {
         save(&dir, &j, &pre).unwrap();
         let p = path_for(&dir, &j);
         let fresh = std::fs::read(&p).unwrap();
-        // The last pinned `EBCPPRE4` file, and this stream behind each
-        // older magic.
-        let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/preres_v4.bin");
-        let mut olds = vec![std::fs::read(golden).unwrap()];
-        assert_eq!(&olds[0][..8], b"EBCPPRE4");
-        for old in [b"EBCPPRE2", b"EBCPPRE3", b"EBCPPRE4"] {
+        // The last pinned `EBCPPRE4` and `EBCPPRE5` (24-byte event)
+        // files, and this stream behind each older magic.
+        let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("golden");
+        let mut olds = Vec::new();
+        for (file, magic) in [
+            ("preres_v4.bin", b"EBCPPRE4"),
+            ("preres_v5.bin", b"EBCPPRE5"),
+        ] {
+            let bytes = std::fs::read(golden.join(file)).unwrap();
+            assert_eq!(&bytes[..8], magic);
+            olds.push(bytes);
+        }
+        for old in [b"EBCPPRE2", b"EBCPPRE3", b"EBCPPRE4", b"EBCPPRE5"] {
             let mut bytes = fresh.clone();
             bytes[..8].copy_from_slice(old);
             olds.push(bytes);
@@ -383,21 +386,22 @@ mod tests {
         }
     }
 
-    /// Three blocks of hand-picked events, the last one empty.
+    /// Three blocks of hand-picked events, the last one empty; the
+    /// second holds every packed field at its largest value.
     fn golden_blocks() -> Vec<PreBlock> {
-        let ev = |pc, dline, gap, flags| PreEvent {
-            pc,
-            dline,
-            gap,
-            flags,
-        };
+        let ev = |pc, dline, gap, flags| PreEvent::new(pc, dline, gap, flags).unwrap();
         vec![
             PreBlock {
-                events: vec![ev(0x100, 0x8000, 3, 1), ev(0x104, 0, 0, 0x2a)],
+                events: vec![ev(0x100, 0x8000, 3, 1), ev(0x104, 0, 0, 0xd)],
                 records: 3,
             },
             PreBlock {
-                events: vec![ev(u64::MAX, 1 << 40, u32::MAX, 7)],
+                events: vec![ev(
+                    u64::MAX,
+                    PreEvent::MAX_DLINE,
+                    PreEvent::MAX_GAP,
+                    PreEvent::MAX_FLAGS,
+                )],
                 records: 2,
             },
             PreBlock {
@@ -411,7 +415,7 @@ mod tests {
     fn golden_file_pins_format() {
         // `EBCP_BLESS_GOLDEN=1` regenerates the pinned file after an
         // *intentional* format revision.
-        let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/preres_v5.bin");
+        let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/preres_v6.bin");
         let dir = tmpdir("golden");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("s.bin");
@@ -569,15 +573,27 @@ mod tests {
             })
         }
 
+        /// Raw words, or packed fields drawn mostly from their
+        /// boundary values.
         fn arb_event() -> impl Strategy<Value = PreEvent> {
-            (any::<u64>(), any::<u64>(), any::<u32>(), any::<u32>()).prop_map(
-                |(pc, dline, gap, flags)| PreEvent {
-                    pc,
-                    dline,
-                    gap,
-                    flags,
-                },
+            fn field<T: Clone + 'static>(
+                [a, b, c]: [T; 3],
+                any: impl Strategy<Value = T> + 'static,
+            ) -> BoxedStrategy<T> {
+                prop_oneof![Just(a), Just(b), Just(c), any].boxed()
+            }
+            let fields = (
+                field([0, 1, u64::MAX], any::<u64>()),
+                field([0, 1, PreEvent::MAX_DLINE], 0..PreEvent::MAX_DLINE + 1),
+                field([0, 1, PreEvent::MAX_GAP], 0..PreEvent::MAX_GAP + 1),
+                field([0, 1, PreEvent::MAX_FLAGS], 0..PreEvent::MAX_FLAGS + 1),
             )
+                .prop_map(|(pc, dline, gap, flags)| {
+                    PreEvent::new(pc, dline, gap, flags).expect("dline within its field")
+                });
+            let raw = (any::<u64>(), any::<u64>())
+                .prop_map(|(pc, word)| PreEvent::from_words([pc, word]));
+            prop_oneof![fields, raw]
         }
 
         const META: &[u8] = b"prop";

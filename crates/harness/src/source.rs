@@ -11,11 +11,12 @@ pub const DEFAULT_MEM_BUDGET_BYTES: u64 = 1_500_000_000;
 /// Peak resident bytes *per trace record* a streamed (segment-at-a-time)
 /// worker charges against its budget share: one mmap'd trace-file
 /// window at 17 B/record ([`ebcp_trace::segfile`]'s fixed-width
-/// encoding) plus one packed pre-resolved event block at its 24 B/event
-/// worst case (every record an L1 miss). The materialized path used to
-/// count only the event stream; the streamed path's windows and blocks
-/// are charged here so N concurrent streamed workers still fit one
-/// process budget.
+/// encoding) plus one pre-resolved event block at 24 B/record — the
+/// 16 B/event worst case (every record an L1 miss) with 8 B to spare,
+/// the charge from before events were packed into 16 B, kept so segment
+/// lengths did not move. The materialized path used to count only the
+/// event stream; the streamed path's windows and blocks are charged
+/// here so N concurrent streamed workers still fit one process budget.
 pub const STREAMED_BYTES_PER_RECORD: u64 = 17 + 24;
 
 /// Headroom multiplier on [`STREAMED_BYTES_PER_RECORD`] covering decode
@@ -25,10 +26,11 @@ pub const STREAMED_HEADROOM: u64 = 4;
 
 /// Estimated materialized footprint of `spec`'s *pre-resolved* event
 /// stream, from the spec alone (before any front-end pass has run).
-/// Packed events are 24 B and only L1 misses plus gap fillers emit one;
+/// Packed events are 16 B and only L1 misses plus gap fillers emit one;
 /// 8 B/record is an upper bound across every workload preset at every
-/// scale (observed densities are 1–5 B/record), so the harness errs
-/// toward streaming — which is exact — never toward blowing the budget.
+/// scale (observed densities are 3.7–4.4 B/record at quick scale, which
+/// a test pins), so the harness errs toward streaming — which is exact —
+/// never toward blowing the budget.
 pub fn est_pre_bytes(spec: &RunSpec) -> u64 {
     (spec.warmup_insts + spec.measure_insts) * 8
 }
@@ -73,5 +75,40 @@ mod tests {
     fn est_pre_bytes_scales_with_records() {
         let s = spec(10_000);
         assert_eq!(est_pre_bytes(&s), 80_000);
+    }
+
+    /// The estimate is a real upper bound on the resident stream for
+    /// every preset, single-core and per core of the 2- and 4-core CMP
+    /// cells, so `--mem-budget` never admits a stream it cannot hold.
+    /// A fifth of quick's trace length keeps it short; event density
+    /// barely moves with length (at most 0.546 of the estimate at the
+    /// full quick length).
+    #[test]
+    fn est_pre_bytes_bounds_every_resident_stream() {
+        use ebcp_sim::PreEvent;
+        let scale = crate::Scale {
+            warm_tenths: 7,
+            measure_tenths: 2,
+            ..crate::Scale::quick()
+        };
+        for preset in WorkloadSpec::extended_presets() {
+            let single = scale.run_spec(
+                &preset.clone().scaled(1, scale.den as usize),
+                scale.machine(),
+            );
+            let cmp = [2, 4].map(|cores| scale.cmp_spec(&preset, cores));
+            let per_core = cmp
+                .iter()
+                .flat_map(|c| (0..c.cores()).map(|k| c.core_run_spec(k)));
+            for spec in std::iter::once(single).chain(per_core) {
+                let resident = spec.pre_resolve().events.len() * std::mem::size_of::<PreEvent>();
+                assert!(
+                    resident as u64 <= est_pre_bytes(&spec),
+                    "{}: {resident} B resident over {} B estimated",
+                    spec.workload.name,
+                    est_pre_bytes(&spec)
+                );
+            }
+        }
     }
 }

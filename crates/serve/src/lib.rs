@@ -35,6 +35,8 @@
 //! sides yields identical content-addressed jobs; the names are the
 //! wire format and version skew is caught by the job-id echo.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod client;
 pub mod proto;
 pub mod server;

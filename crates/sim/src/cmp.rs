@@ -520,8 +520,8 @@ impl CmpEngine {
                 return None;
             }
             let &ev = events.get(core.idx)?;
-            let gap_left = u64::from(ev.gap) - u64::from(core.gap_done);
-            if gap_left == 0 && ev.flags == 0 {
+            let gap_left = u64::from(ev.gap()) - u64::from(core.gap_done);
+            if gap_left == 0 && ev.flags() == 0 {
                 // Exhausted pure filler: no event record behind it.
                 core.idx += 1;
                 core.gap_done = 0;
@@ -565,10 +565,10 @@ impl CmpEngine {
                 continue;
             }
             // At the event record itself (gap exhausted, flags != 0).
-            if windowed || ev.flags & F_IFETCH_MISS != 0 {
+            if windowed || ev.flags() & F_IFETCH_MISS != 0 {
                 return Some(core.cycle);
             }
-            match ev.flags >> K_SHIFT {
+            match ev.flags() >> K_SHIFT {
                 K_MISPREDICT | K_SERIALIZE => {
                     // Nothing outstanding: a pure local clock bump
                     // (serialize never stalls with an empty window).
@@ -579,7 +579,7 @@ impl CmpEngine {
                         core.cycle += 1;
                         core.issue_slots = 0;
                     }
-                    core.cycle += if ev.flags >> K_SHIFT == K_MISPREDICT {
+                    core.cycle += if ev.flags() >> K_SHIFT == K_MISPREDICT {
                         mp_pen
                     } else {
                         ser_cost
@@ -682,12 +682,12 @@ impl CmpEngine {
         while let Some(&ev) = events.get(idx) {
             // Overlap the next event's L2 set fetch with this one's work.
             if let Some(next) = events.get(idx + 1) {
-                self.l2.prefetch_set(LineAddr::from_index(next.dline));
+                self.l2.prefetch_set(LineAddr::from_index(next.dline()));
             }
-            if ev.flags == 0 {
+            if ev.flags() == 0 {
                 break;
             }
-            let gap_left = u64::from(ev.gap) - gap_done;
+            let gap_left = u64::from(ev.gap()) - gap_done;
             if insts + gap_left >= stop {
                 break;
             }
@@ -708,10 +708,10 @@ impl CmpEngine {
                 break;
             }
             let pre = cycle + ((slots + gap_left) >> shift);
-            let kind = ev.flags >> K_SHIFT;
+            let kind = ev.flags() >> K_SHIFT;
             let local = kind == K_MISPREDICT || (kind == K_SERIALIZE && !windowed);
             if gap_left == room
-                || ev.flags & F_IFETCH_MISS != 0
+                || ev.flags() & F_IFETCH_MISS != 0
                 || (kind == K_SERIALIZE && windowed)
                 || (!local && pre >= bound)
             {
@@ -744,7 +744,7 @@ impl CmpEngine {
                 cd = cd.map(|c| c - gap_left);
             }
 
-            let line = LineAddr::from_index(ev.dline);
+            let line = LineAddr::from_index(ev.dline());
             match kind {
                 K_LOAD | K_LOAD_FEEDS => {
                     if self.l2.access(line) {
@@ -782,10 +782,10 @@ impl CmpEngine {
         core.window_insts = win as u32;
         core.dep_countdown = cd.map(|c| c as u32);
         if let Some(ev) = miss {
-            let line = LineAddr::from_index(ev.dline);
-            match ev.flags >> K_SHIFT {
+            let line = LineAddr::from_index(ev.dline());
+            match ev.flags() >> K_SHIFT {
                 K_STORE_MISS => self.store_fill(i, line),
-                kind => self.load_fill(i, line, Pc::new(ev.pc), kind == K_LOAD_FEEDS),
+                kind => self.load_fill(i, line, Pc::new(ev.pc()), kind == K_LOAD_FEEDS),
             }
             self.post_op(i);
         }
@@ -809,9 +809,9 @@ impl CmpEngine {
 
         self.cores[i].insts += 1;
 
-        let is_gap = self.cores[i].gap_done < ev.gap;
-        if !is_gap && ev.flags & F_IFETCH_MISS != 0 {
-            self.fetch_miss(i, Pc::new(ev.pc));
+        let is_gap = self.cores[i].gap_done < ev.gap();
+        if !is_gap && ev.flags() & F_IFETCH_MISS != 0 {
+            self.fetch_miss(i, Pc::new(ev.pc()));
         }
 
         let core = &mut self.cores[i];
@@ -827,15 +827,15 @@ impl CmpEngine {
         if is_gap {
             self.cores[i].gap_done += 1;
         } else {
-            let line = LineAddr::from_index(ev.dline);
-            match ev.flags >> K_SHIFT {
+            let line = LineAddr::from_index(ev.dline());
+            match ev.flags() >> K_SHIFT {
                 K_NONE => {}
                 K_LOAD | K_LOAD_FEEDS => {
                     if self.l2.access(line) {
                         self.cores[i].cycle += self.cfg.core.l2_hit_exposed;
                     } else {
-                        let feeds = ev.flags >> K_SHIFT == K_LOAD_FEEDS;
-                        self.load_fill(i, line, Pc::new(ev.pc), feeds);
+                        let feeds = ev.flags() >> K_SHIFT == K_LOAD_FEEDS;
+                        self.load_fill(i, line, Pc::new(ev.pc()), feeds);
                     }
                 }
                 K_STORE_MISS => {

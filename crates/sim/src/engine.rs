@@ -315,11 +315,11 @@ impl Engine {
             F_IFETCH_MISS, K_LOAD, K_LOAD_FEEDS, K_MISPREDICT, K_NONE, K_SERIALIZE, K_SHIFT,
             K_STORE_HIT, K_STORE_MISS,
         };
-        let pc = Pc::new(ev.pc);
-        self.pre_op(ev.flags & F_IFETCH_MISS != 0, pc);
+        let pc = Pc::new(ev.pc());
+        self.pre_op(ev.flags() & F_IFETCH_MISS != 0, pc);
 
-        let line = LineAddr::from_index(ev.dline);
-        match ev.flags >> K_SHIFT {
+        let line = LineAddr::from_index(ev.dline());
+        match ev.flags() >> K_SHIFT {
             K_NONE => {}
             K_LOAD => self.load_miss(line, pc, false),
             K_LOAD_FEEDS => self.load_miss(line, pc, true),
@@ -406,16 +406,16 @@ impl Engine {
             // driver makes the identical `take`/`run_event` split, so
             // both replays execute the same per-entry body.
             let ev = &events[cur.idx];
-            let gap_left = u64::from(ev.gap) - u64::from(cur.gap_done);
+            let gap_left = u64::from(ev.gap()) - u64::from(cur.gap_done);
             let take = gap_left.min(left);
-            let run_event = ev.flags != 0 && left > gap_left;
+            let run_event = ev.flags() != 0 && left > gap_left;
             self.replay_entry_general(ev, take, run_event);
             cur.gap_done += take as u32;
             left -= take;
             if take < gap_left {
                 return; // budget exhausted mid-gap
             }
-            if ev.flags != 0 {
+            if ev.flags() != 0 {
                 if left == 0 {
                     return; // budget boundary right before the event
                 }
@@ -460,7 +460,7 @@ impl Engine {
     /// [`Engine::replay_entry_general`].
     ///
     /// Caller-checked preconditions (shared across lanes): power-of-two
-    /// issue width, `ev.flags != 0`, no instruction-fetch miss, and
+    /// issue width, `ev.flags() != 0`, no instruction-fetch miss, and
     /// `gap_left < budget left` so the event itself runs.
     pub(crate) fn replay_entry_fast(&mut self, ev: &PreEvent, gap_left: u64) -> bool {
         use crate::frontend::{
@@ -482,15 +482,19 @@ impl Engine {
         cycle += slots >> shift;
         slots &= mask;
 
-        let line = LineAddr::from_index(ev.dline);
-        match ev.flags >> K_SHIFT {
+        let line = LineAddr::from_index(ev.dline());
+        match ev.flags() >> K_SHIFT {
             K_LOAD | K_LOAD_FEEDS => {
                 if self.l2.access(line) {
                     cycle += self.cfg.core.l2_hit_exposed;
                 } else {
                     self.cycle = cycle;
                     self.issue_slots = slots as u32;
-                    self.load_fill(line, Pc::new(ev.pc), ev.flags >> K_SHIFT == K_LOAD_FEEDS);
+                    self.load_fill(
+                        line,
+                        Pc::new(ev.pc()),
+                        ev.flags() >> K_SHIFT == K_LOAD_FEEDS,
+                    );
                     self.post_op();
                     return true;
                 }
@@ -617,14 +621,14 @@ impl Engine {
             // Overlap the next event's L2 set fetch with this event's
             // work: the probe is the loop's longest dependency chain.
             if let Some(next) = events.get(cur.idx + 1) {
-                self.l2.prefetch_set(LineAddr::from_index(next.dline));
+                self.l2.prefetch_set(LineAddr::from_index(next.dline()));
             }
             // Instruction-fetch misses and pure fillers take the
             // general path; both are rare.
-            if ev.flags == 0 || ev.flags & F_IFETCH_MISS != 0 {
+            if ev.flags() == 0 || ev.flags() & F_IFETCH_MISS != 0 {
                 break;
             }
-            let gap_left = u64::from(ev.gap) - u64::from(cur.gap_done);
+            let gap_left = u64::from(ev.gap()) - u64::from(cur.gap_done);
             if gap_left >= lleft {
                 break; // budget boundary inside this entry
             }
@@ -642,8 +646,8 @@ impl Engine {
             cycle += slots >> shift;
             slots &= mask;
 
-            let line = LineAddr::from_index(ev.dline);
-            match ev.flags >> K_SHIFT {
+            let line = LineAddr::from_index(ev.dline());
+            match ev.flags() >> K_SHIFT {
                 K_LOAD | K_LOAD_FEEDS => {
                     if self.l2.access(line) {
                         cycle += l2_hit;
@@ -653,7 +657,11 @@ impl Engine {
                         self.cycle = cycle;
                         self.issue_slots = slots as u32;
                         self.insts = insts;
-                        self.load_fill(line, Pc::new(ev.pc), ev.flags >> K_SHIFT == K_LOAD_FEEDS);
+                        self.load_fill(
+                            line,
+                            Pc::new(ev.pc()),
+                            ev.flags() >> K_SHIFT == K_LOAD_FEEDS,
+                        );
                         self.post_op();
                         *left = lleft - (gap_left + 1);
                         cur.idx += 1;

@@ -223,7 +223,7 @@ impl FrontEnd {
 
 // Packed event flags: bit 0 = instruction fetch missed L1I; bits 1..=3
 // = data/control kind. `flags == 0` is a pure gap filler (no event
-// record at all — used for trailing gaps and u32 gap overflow).
+// record at all — used for trailing gaps and gap-field overflow).
 pub(crate) const F_IFETCH_MISS: u32 = 1;
 pub(crate) const K_SHIFT: u32 = 1;
 pub(crate) const K_NONE: u32 = 0;
@@ -234,30 +234,164 @@ pub(crate) const K_STORE_HIT: u32 = 4;
 pub(crate) const K_SERIALIZE: u32 = 5;
 pub(crate) const K_MISPREDICT: u32 = 6;
 
+/// Bit position of the gap field in [`PreEvent`]'s packed word.
+const GAP_SHIFT: u32 = 48;
+/// Bit position of the flags field in [`PreEvent`]'s packed word.
+const FLAGS_SHIFT: u32 = 60;
+
 /// One packed entry of the pre-resolved stream: `gap` inert records,
 /// then (unless this is a pure filler) one event record whose resolved
-/// content is encoded in `flags`/`pc`/`dline`. 24 bytes.
+/// content is encoded in `flags`/`pc`/`dline`. 16 bytes, one layout in
+/// memory and on disk (`EBCPPRE6`, the two words little-endian):
+///
+/// ```text
+/// pc    u64   the event record's program counter (raw; 0 for a filler)
+/// word  u64   bits  0..48  dline: data line index (loads/stores; else 0)
+///             bits 48..60  gap: inert records before the event
+///             bits 60..64  flags: packed kind bits; 0 = filler
+/// ```
+///
+/// A line index below 2^48 is a byte address below 2^54; the workload
+/// presets stay below 2^42. Longer inert runs than the 12-bit gap field
+/// holds are split into pure fillers, which replay exactly.
+#[repr(C)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PreEvent {
-    /// The event record's program counter (raw).
-    pub pc: u64,
-    /// The event's data line index (loads/stores; 0 otherwise).
-    pub dline: u64,
-    /// Inert records preceding the event.
-    pub gap: u32,
-    /// Packed kind bits; `0` = filler (gap only, no event record).
-    pub flags: u32,
+    pc: u64,
+    word: u64,
 }
 
+const _: () = assert!(std::mem::size_of::<PreEvent>() == 16);
+
+/// A data line index that does not fit [`PreEvent`]'s 48-bit line field
+/// (a byte address of 2^54 or more). Never truncated: the front-end pass
+/// stops with this error's message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LineOutOfRange(pub u64);
+
+impl std::fmt::Display for LineOutOfRange {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "unrepresentable data line {:#x}: a pre-resolved event holds line \
+             indices up to {:#x} (byte addresses below 2^54)",
+            self.0,
+            PreEvent::MAX_DLINE
+        )
+    }
+}
+
+impl std::error::Error for LineOutOfRange {}
+
 impl PreEvent {
+    /// The largest data line index the packed word holds.
+    pub const MAX_DLINE: u64 = (1 << GAP_SHIFT) - 1;
+    /// The largest gap the packed word holds.
+    pub const MAX_GAP: u32 = (1 << (FLAGS_SHIFT - GAP_SHIFT)) - 1;
+    /// The largest flags value the packed word holds.
+    pub const MAX_FLAGS: u32 = (1 << (64 - FLAGS_SHIFT)) - 1;
+
+    /// Packs one entry: `gap` inert records, then the event record
+    /// `flags`/`pc`/`dline` (`flags == 0` makes it a pure filler).
+    ///
+    /// # Errors
+    ///
+    /// [`LineOutOfRange`] when `dline` exceeds [`PreEvent::MAX_DLINE`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gap` or `flags` exceeds its field: every producer
+    /// bounds both, so that is a bug, not an input.
+    #[inline]
+    pub fn new(pc: u64, dline: u64, gap: u32, flags: u32) -> Result<PreEvent, LineOutOfRange> {
+        assert!(
+            gap <= Self::MAX_GAP && flags <= Self::MAX_FLAGS,
+            "gap {gap} or flags {flags:#x} exceeds its packed field"
+        );
+        if dline > Self::MAX_DLINE {
+            return Err(LineOutOfRange(dline));
+        }
+        Ok(PreEvent {
+            pc,
+            word: dline | (u64::from(gap) << GAP_SHIFT) | (u64::from(flags) << FLAGS_SHIFT),
+        })
+    }
+
+    /// A pure filler standing for `gap` inert records.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gap` exceeds [`PreEvent::MAX_GAP`].
+    #[inline]
+    pub fn filler(gap: u32) -> PreEvent {
+        assert!(gap <= Self::MAX_GAP, "filler gap {gap} exceeds its field");
+        PreEvent {
+            pc: 0,
+            word: u64::from(gap) << GAP_SHIFT,
+        }
+    }
+
+    /// The entry from its two raw words, `[pc, word]` as laid out above.
+    /// Every bit pattern is a well-formed entry except flags above
+    /// `0xd` (no such kind), which [`PreEvent::decode`] rejects.
+    #[inline]
+    pub fn from_words(words: [u64; 2]) -> PreEvent {
+        PreEvent {
+            pc: words[0],
+            word: words[1],
+        }
+    }
+
+    /// The entry's two raw words, `[pc, word]`.
+    #[inline]
+    pub fn words(&self) -> [u64; 2] {
+        [self.pc, self.word]
+    }
+
+    /// The event record's program counter (raw).
+    #[inline]
+    pub fn pc(&self) -> u64 {
+        self.pc
+    }
+
+    /// The event's data line index (loads/stores; 0 otherwise).
+    #[inline]
+    pub fn dline(&self) -> u64 {
+        self.word & Self::MAX_DLINE
+    }
+
+    /// Inert records preceding the event.
+    #[inline]
+    pub fn gap(&self) -> u32 {
+        (self.word >> GAP_SHIFT) as u32 & Self::MAX_GAP
+    }
+
+    /// Packed kind bits; `0` = filler (gap only, no event record).
+    #[inline]
+    pub fn flags(&self) -> u32 {
+        (self.word >> FLAGS_SHIFT) as u32
+    }
+
+    /// This entry with its gap replaced (`gap` within the field).
+    #[inline]
+    pub(crate) fn with_gap(self, gap: u32) -> PreEvent {
+        debug_assert!(gap <= Self::MAX_GAP);
+        PreEvent {
+            pc: self.pc,
+            word: (self.word & !(u64::from(Self::MAX_GAP) << GAP_SHIFT))
+                | (u64::from(gap) << GAP_SHIFT),
+        }
+    }
+
     /// Decodes the event record, or `None` for a pure gap filler.
     #[inline]
     pub fn decode(&self) -> Option<Resolved> {
-        if self.flags == 0 {
+        let flags = self.flags();
+        if flags == 0 {
             return None;
         }
-        let line = LineAddr::from_index(self.dline);
-        let op = match self.flags >> K_SHIFT {
+        let line = LineAddr::from_index(self.dline());
+        let op = match flags >> K_SHIFT {
             K_NONE => ResolvedOp::None,
             K_LOAD => ResolvedOp::LoadMiss {
                 line,
@@ -275,7 +409,7 @@ impl PreEvent {
         };
         Some(Resolved {
             pc: Pc::new(self.pc),
-            ifetch_miss: self.flags & F_IFETCH_MISS != 0,
+            ifetch_miss: flags & F_IFETCH_MISS != 0,
             op,
         })
     }
@@ -283,7 +417,7 @@ impl PreEvent {
     /// Trace records this entry stands for (`gap` + the event itself).
     #[inline]
     pub fn records(&self) -> u64 {
-        u64::from(self.gap) + u64::from(self.flags != 0)
+        u64::from(self.gap()) + u64::from(self.flags() != 0)
     }
 }
 
@@ -349,7 +483,7 @@ impl PreResolved {
 /// Cutting is replay-**exact**: a boundary that lands inside a gap
 /// flushes the prefix as a pure filler event, and clock advance over
 /// inert records is linear in record count with issue-slot phase carried
-/// across calls (the same invariance behind the `u32::MAX` gap-overflow
+/// across calls (the same invariance behind the gap-field overflow
 /// filler), so replaying blocks back to back on one engine is the same
 /// computation as replaying the unsplit stream.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -393,6 +527,12 @@ impl PreResolver {
     /// depend on how the records are split into chunks; the gap
     /// counter stays in a local across the chunk — worth a measurable
     /// slice of the once-per-workload pre-resolution pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`LineOutOfRange`] message when a data line does
+    /// not fit the packed event (a byte address of 2^54 or more); the
+    /// harness reports that as the job's failure.
     pub fn push_chunk(&mut self, recs: &[TraceRecord]) {
         self.records += recs.len() as u64;
         let mut gap = self.gap;
@@ -400,23 +540,16 @@ impl PreResolver {
             let (flags, dline) = self.fe.resolve_packed(rec);
             if flags == 0 {
                 gap += 1;
-                if gap == u32::MAX {
-                    // Overflow guard: flush the gap as a pure filler.
-                    self.events.push(PreEvent {
-                        pc: 0,
-                        dline: 0,
-                        gap,
-                        flags: 0,
-                    });
+                if gap == PreEvent::MAX_GAP {
+                    // The gap field is full: flush it as a pure filler.
+                    self.events.push(PreEvent::filler(gap));
                     gap = 0;
                 }
             } else {
-                self.events.push(PreEvent {
-                    pc: rec.pc.get(),
-                    dline,
-                    gap,
-                    flags,
-                });
+                match PreEvent::new(rec.pc.get(), dline, gap, flags) {
+                    Ok(ev) => self.events.push(ev),
+                    Err(e) => panic!("{e}"),
+                }
                 gap = 0;
             }
         }
@@ -433,12 +566,7 @@ impl PreResolver {
     /// streams a trace through pre-resolution in O(segment) memory.
     pub fn split_block(&mut self) -> PreBlock {
         if self.gap > 0 {
-            self.events.push(PreEvent {
-                pc: 0,
-                dline: 0,
-                gap: self.gap,
-                flags: 0,
-            });
+            self.events.push(PreEvent::filler(self.gap));
             self.gap = 0;
         }
         let records = self.records - self.records_mark;
@@ -488,44 +616,30 @@ pub fn segment_events(pre: &PreResolved, seg_records: u64) -> Vec<PreBlock> {
         });
     }
     for ev in &pre.events {
-        let mut gap = u64::from(ev.gap);
+        let mut gap = u64::from(ev.gap());
         while fill + gap >= seg_records {
             // Boundary inside (or at the end of) the inert run: flush
-            // the prefix as a filler and close the block.
+            // the prefix (at most this entry's gap) as a filler and
+            // close the block.
             let take = seg_records - fill;
             if take > 0 {
-                cur.push(PreEvent {
-                    pc: 0,
-                    dline: 0,
-                    gap: u32::try_from(take).expect("gap prefix fits u32"),
-                    flags: 0,
-                });
+                cur.push(PreEvent::filler(take as u32));
             }
             gap -= take;
             close(&mut blocks, &mut cur, seg_records);
             fill = 0;
         }
-        if ev.flags != 0 {
-            cur.push(PreEvent {
-                pc: ev.pc,
-                dline: ev.dline,
-                gap: gap as u32,
-                flags: ev.flags,
-            });
+        if ev.flags() != 0 {
+            cur.push(ev.with_gap(gap as u32));
             fill += gap + 1;
             if fill == seg_records {
                 close(&mut blocks, &mut cur, seg_records);
                 fill = 0;
             }
         } else if gap > 0 {
-            // Remainder of a pure filler (gap-counter overflow or
-            // stream tail): stays a filler in the open block.
-            cur.push(PreEvent {
-                pc: 0,
-                dline: 0,
-                gap: gap as u32,
-                flags: 0,
-            });
+            // Remainder of a pure filler (gap-field overflow or stream
+            // tail): stays a filler in the open block.
+            cur.push(PreEvent::filler(gap as u32));
             fill += gap;
         }
     }
@@ -621,12 +735,7 @@ mod tests {
         ];
         for r in cases {
             let (flags, dline) = encode(&r).expect("all cases are events");
-            let ev = PreEvent {
-                pc: r.pc.get(),
-                dline,
-                gap: 0,
-                flags,
-            };
+            let ev = PreEvent::new(r.pc.get(), dline, 0, flags).unwrap();
             assert_eq!(ev.decode(), Some(r));
         }
         // The one non-event: inert record.
@@ -641,8 +750,96 @@ mod tests {
     }
 
     #[test]
-    fn packed_event_is_24_bytes() {
-        assert_eq!(std::mem::size_of::<PreEvent>(), 24);
+    fn packed_fields_hold_their_boundary_values() {
+        let max = PreEvent::MAX_DLINE;
+        for (pc, dline, gap, flags) in [
+            (0, 0, 0, 0),
+            (u64::MAX, max, PreEvent::MAX_GAP, PreEvent::MAX_FLAGS),
+            (1 << 63, max, 0, 1),
+            (0, 1, PreEvent::MAX_GAP, 0),
+            (0x4480_0000_377c, 0x252_0000_01fe, 65, 0xd),
+        ] {
+            let ev = PreEvent::new(pc, dline, gap, flags).unwrap();
+            assert_eq!(
+                (ev.pc(), ev.dline(), ev.gap(), ev.flags()),
+                (pc, dline, gap, flags)
+            );
+            assert_eq!(PreEvent::from_words(ev.words()), ev);
+            for g in [0, 1, PreEvent::MAX_GAP] {
+                let re = ev.with_gap(g);
+                assert_eq!(
+                    (re.pc(), re.dline(), re.gap(), re.flags()),
+                    (pc, dline, g, flags)
+                );
+            }
+        }
+        assert_eq!(PreEvent::filler(7), PreEvent::new(0, 0, 7, 0).unwrap());
+        assert_eq!(
+            PreEvent::new(0x40, max + 1, 0, 3),
+            Err(LineOutOfRange(max + 1))
+        );
+        assert_eq!(
+            PreEvent::new(0x40, u64::MAX, 0, 3),
+            Err(LineOutOfRange(u64::MAX))
+        );
+    }
+
+    #[test]
+    fn unrepresentable_data_line_fails_the_pass_by_name() {
+        let pc = Pc::new(0x4000);
+        let top = (PreEvent::MAX_DLINE + 1) * 64; // byte address 2^54
+        let mut pr = PreResolver::new(&cfg());
+        pr.push_chunk(&[TraceRecord::store(pc, Addr::new(top - 64))]);
+        assert_eq!(
+            pr.events[0].dline(),
+            PreEvent::MAX_DLINE,
+            "the last line fits"
+        );
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pr.push_chunk(&[TraceRecord::store(pc, Addr::new(top))]);
+        }))
+        .expect_err("a line past the field must not be truncated");
+        let msg = err.downcast_ref::<String>().expect("formatted message");
+        assert_eq!(*msg, LineOutOfRange(PreEvent::MAX_DLINE + 1).to_string());
+        assert!(
+            msg.starts_with("unrepresentable data line 0x1000000000000"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn inert_runs_longer_than_the_gap_field_split_into_fillers() {
+        let cap = u64::from(PreEvent::MAX_GAP);
+        let pc = Pc::new(0x5000);
+        // Record one is a cold ifetch miss; the rest share its fetch line.
+        let mut recs = vec![TraceRecord::alu(pc); 1 + 2 * cap as usize + 5];
+        recs.push(TraceRecord::load(pc, Addr::new(0x80_0000)));
+        recs.extend(vec![TraceRecord::alu(pc); cap as usize + 3]);
+        let pre = PreResolved::from_records(&cfg(), &recs);
+        let filler = PreEvent::filler(PreEvent::MAX_GAP);
+        assert_eq!(pre.events[1..3], [filler, filler], "two full gap fields");
+        assert_eq!(pre.events[3].gap(), 5, "the event keeps the remainder");
+        assert_eq!(pre.events[3].flags() >> K_SHIFT, K_LOAD);
+        assert_eq!(
+            pre.events[4..],
+            [filler, PreEvent::filler(3)],
+            "the tail too"
+        );
+        let total: u64 = pre.events.iter().map(PreEvent::records).sum();
+        assert_eq!(total, recs.len() as u64);
+        // Cutting mid-run keeps every filler within the field and the
+        // record accounting exact.
+        for seg in [1, 7, cap - 1, cap, cap + 1, 3 * cap] {
+            let blocks = segment_events(&pre, seg);
+            for b in &blocks {
+                assert_eq!(
+                    b.events.iter().map(PreEvent::records).sum::<u64>(),
+                    b.records
+                );
+            }
+            let back: u64 = blocks.iter().map(|b| b.records).sum();
+            assert_eq!(back, recs.len() as u64, "segment length {seg}");
+        }
     }
 
     #[test]
@@ -731,7 +928,7 @@ mod tests {
                 if flags == 0 {
                     gap += 1; // inert: absorbed into the next event's gap
                 } else {
-                    let ev = PreEvent { pc: rec.pc.get(), dline, gap, flags };
+                    let ev = PreEvent::new(rec.pc.get(), dline, gap, flags).unwrap();
                     prop_assert_eq!(ev.decode(), Some(r), "decode round trip");
                     prop_assert_eq!(ev.records(), u64::from(gap) + 1);
                     expected.push(ev);
@@ -739,7 +936,7 @@ mod tests {
                 }
             }
             if gap > 0 {
-                expected.push(PreEvent { pc: 0, dline: 0, gap, flags: 0 });
+                expected.push(PreEvent::filler(gap));
             }
             let stream = PreResolved::from_records(&cfg(), &recs);
             prop_assert_eq!(&stream.events, &expected);
@@ -750,7 +947,7 @@ mod tests {
                 "event accounting must cover every trace record"
             );
             if let Some(last) = stream.events.last() {
-                if last.flags == 0 {
+                if last.flags() == 0 {
                     prop_assert_eq!(last.decode(), None, "fillers carry no event");
                 }
             }
@@ -776,8 +973,8 @@ mod tests {
             prop_assert_eq!(whole, pr.finish());
         }
 
-        /// Gap-counter saturation: when the inert-run counter reaches
-        /// `u32::MAX` mid-chunk, a pure filler is flushed and the counter
+        /// Gap-field saturation: when the inert-run counter reaches
+        /// `MAX_GAP` mid-chunk, a pure filler is flushed and the counter
         /// restarts — with any short remainder flushed by `finish()`.
         #[test]
         fn gap_counter_saturation_flushes_an_overflow_filler(
@@ -789,23 +986,20 @@ mod tests {
             // Record one is a cold ifetch miss: one real event, gap 0.
             pr.push_chunk(&[TraceRecord::alu(pc)]);
             prop_assert_eq!(pr.events.len(), 1);
-            // Simulate a ~4 Gi inert run without pushing 4 Gi records:
-            // the builder keeps no record history, only the counter.
-            pr.gap = u32::MAX - k;
+            // Start the counter just below the cap without pushing
+            // the records: the builder keeps no record history.
+            pr.gap = PreEvent::MAX_GAP - k;
             for _ in 0..k + extra {
                 pr.push_chunk(&[TraceRecord::alu(pc)]); // same fetch line: inert
             }
             let stream = pr.finish();
             let filler = stream.events[1];
-            prop_assert_eq!(filler, PreEvent { pc: 0, dline: 0, gap: u32::MAX, flags: 0 });
+            prop_assert_eq!(filler, PreEvent::filler(PreEvent::MAX_GAP));
             prop_assert_eq!(filler.decode(), None);
-            prop_assert_eq!(filler.records(), u64::from(u32::MAX));
+            prop_assert_eq!(filler.records(), u64::from(PreEvent::MAX_GAP));
             if extra > 0 {
                 prop_assert_eq!(stream.events.len(), 3, "trailing gap flushed by finish()");
-                prop_assert_eq!(
-                    stream.events[2],
-                    PreEvent { pc: 0, dline: 0, gap: extra, flags: 0 }
-                );
+                prop_assert_eq!(stream.events[2], PreEvent::filler(extra));
             } else {
                 prop_assert_eq!(stream.events.len(), 2, "no trailing gap to flush");
             }

@@ -203,14 +203,14 @@ impl Lockstep {
             // the exact serial general path. The budget/cursor split
             // is computed once, identically to serial replay.
             let ev = events[cur.idx];
-            let gap_left = u64::from(ev.gap) - u64::from(cur.gap_done);
+            let gap_left = u64::from(ev.gap()) - u64::from(cur.gap_done);
             let take = gap_left.min(left);
-            let run_event = ev.flags != 0 && left > gap_left;
-            let lane_fast = pow2 && run_event && ev.flags & F_IFETCH_MISS == 0;
+            let run_event = ev.flags() != 0 && left > gap_left;
+            let lane_fast = pow2 && run_event && ev.flags() & F_IFETCH_MISS == 0;
             if run_event {
                 // Overlap the lanes' independent L2 set fetches (same
                 // hint as the fast pass; harmless for filler entries).
-                let line = LineAddr::from_index(ev.dline);
+                let line = LineAddr::from_index(ev.dline());
                 for k in 0..self.live.len() {
                     let i = self.live[k];
                     self.lanes[i].engine.lane_l2().prefetch_set(line);
@@ -233,7 +233,7 @@ impl Lockstep {
             if take < gap_left {
                 return; // budget exhausted mid-gap
             }
-            if ev.flags != 0 {
+            if ev.flags() != 0 {
                 if left == 0 {
                     return; // budget boundary right before the event
                 }
@@ -289,10 +289,10 @@ impl Lockstep {
 
         while cur.idx < events.len() {
             let ev = events[cur.idx];
-            if ev.flags == 0 || ev.flags & F_IFETCH_MISS != 0 {
+            if ev.flags() == 0 || ev.flags() & F_IFETCH_MISS != 0 {
                 break;
             }
-            let gap_left = u64::from(ev.gap) - u64::from(cur.gap_done);
+            let gap_left = u64::from(ev.gap()) - u64::from(cur.gap_done);
             if gap_left >= lleft {
                 break; // budget boundary inside this entry
             }
@@ -311,8 +311,8 @@ impl Lockstep {
             slots &= mask;
             add_broadcast(cycle_soa, inc);
 
-            let line = LineAddr::from_index(ev.dline);
-            match ev.flags >> K_SHIFT {
+            let line = LineAddr::from_index(ev.dline());
+            match ev.flags() >> K_SHIFT {
                 K_LOAD | K_LOAD_FEEDS => {
                     // Kick every lane's set fetch off before the first
                     // probe: the per-lane L2 blocks are independent, so
@@ -338,8 +338,8 @@ impl Lockstep {
                             e.lane_set_clock(cycle_soa[k], slots as u32, insts);
                             e.lane_add_mispredicts(mp);
                         }
-                        let feeds = ev.flags >> K_SHIFT == K_LOAD_FEEDS;
-                        let pc = Pc::new(ev.pc);
+                        let feeds = ev.flags() >> K_SHIFT == K_LOAD_FEEDS;
+                        let pc = Pc::new(ev.pc());
                         for &k in missed.iter() {
                             let lane = &mut lanes[live[k]];
                             let outcome = catch_unwind(AssertUnwindSafe(|| {

@@ -11,7 +11,7 @@
 //! | codec | item | width | magic |
 //! |---|---|---|---|
 //! | [`TraceCodec`] | [`TraceRecord`] | 17 B | `EBCPSEG3` |
-//! | `ebcp_harness::preres::EventCodec` | `PreEvent` | 24 B | `EBCPPRE5` |
+//! | `ebcp_harness::preres::EventCodec` | `PreEvent` | 16 B | `EBCPPRE6` |
 //!
 //! ```text
 //! magic              8 bytes, the codec's
@@ -39,7 +39,8 @@
 //! words with the high half folded down each step, a trailing partial
 //! word folded byte by byte. Earlier revisions read as stale: `EBCPSEG1`
 //! and `EBCPPRE3` hashed bytes, `EBCPSEG2` and `EBCPPRE4` hashed words
-//! without the fold (and `EBCPSEG2` indexed `{records, checksum}`).
+//! without the fold (and `EBCPSEG2` indexed `{records, checksum}`), and
+//! `EBCPPRE5` held 24-byte events.
 //!
 //! The index and totals live in a *footer* so [`SegWriter`] streams the
 //! payload in one pass without knowing the totals up front. [`verify`]
@@ -68,6 +69,9 @@ const HEAD_FIXED_BYTES: u64 = 12;
 /// Write buffer of a [`SegWriter`]: a stream runs to hundreds of MiB,
 /// and the default 8 KiB buffer costs one `write` call per 8 KiB.
 const WRITE_BUFFER_BYTES: usize = 1 << 18;
+/// Payload bytes staged per read by [`SegReader::read_segment_into`]
+/// (rounded down to whole items).
+const READ_BUFFER_BYTES: usize = 1 << 18;
 /// Items encoded and hashed per batch by [`SegWriter::push`].
 const ENCODE_BATCH: usize = 256;
 
@@ -684,12 +688,42 @@ impl<C: Codec> SegReader<C> {
     ///
     /// Propagates file-system failures.
     pub fn read_segment(&mut self, k: usize) -> io::Result<Vec<C::Item>> {
-        Ok(self
-            .window(k)?
-            .payload()
-            .chunks_exact(C::WIDTH)
-            .map(C::decode)
-            .collect())
+        let mut out = Vec::new();
+        self.read_segment_into(k, &mut out)?;
+        Ok(out)
+    }
+
+    /// Decodes segment `k` (verified at open) onto the end of `out`. A
+    /// buffered read stages at most [`READ_BUFFER_BYTES`] of payload at
+    /// a time, so a whole-stream load holds the decoded items and one
+    /// small buffer, never a second copy of the segment.
+    ///
+    /// # Errors
+    ///
+    /// Propagates file-system failures; `out` may then hold a prefix of
+    /// the segment.
+    pub fn read_segment_into(&mut self, k: usize, out: &mut Vec<C::Item>) -> io::Result<()> {
+        let seg = self.layout.segments[k];
+        let start = self.layout.payload_base + seg.byte_off;
+        let bytes = (seg.items * C::WIDTH as u64) as usize;
+        out.reserve(seg.items as usize);
+        if self.backing == Backing::Mmap {
+            if let Some(w) = self.try_mmap(start, bytes) {
+                out.extend(w.payload().chunks_exact(C::WIDTH).map(C::decode));
+                return Ok(());
+            }
+        }
+        let mut buf = vec![0u8; bytes.min(READ_BUFFER_BYTES / C::WIDTH * C::WIDTH)];
+        self.file.seek(SeekFrom::Start(start))?;
+        let mut left = bytes;
+        while left > 0 {
+            let n = left.min(buf.len());
+            let batch = &mut buf[..n];
+            self.file.read_exact(batch)?;
+            out.extend(batch.chunks_exact(C::WIDTH).map(C::decode));
+            left -= batch.len();
+        }
+        Ok(())
     }
 
     /// Loads segment `k`'s payload under the reader's backing.
@@ -1000,6 +1034,26 @@ mod tests {
         let mut b = SegmentedTrace::open(&path, b"m", Backing::Buffered).unwrap();
         assert_eq!(read_all(&mut a, 4096), read_all(&mut b, 4096));
         assert_eq!(read_all(&mut b, 4096), Vec::new()); // exhausted
+    }
+
+    #[test]
+    fn segment_reads_span_several_read_buffers() {
+        // A segment larger than the staging buffer, cut mid-item, decodes
+        // the same through both backings and appends after `out`'s items.
+        let dir = tmpdir("span");
+        let path = dir.join("t.seg");
+        let spec = WorkloadSpec::tpcw().scaled(1, 64);
+        let n = READ_BUFFER_BYTES / TraceCodec::WIDTH * 5 / 2;
+        let trace: Vec<_> = TraceGenerator::new(&spec, 3).take(n).collect();
+        write_trace(&path, b"m", n as u64, &trace);
+        for backing in [Backing::Buffered, Backing::Mmap] {
+            let mut r = SegReader::<TraceCodec>::open(&path, b"m", backing).unwrap();
+            assert_eq!(r.read_segment(0).unwrap(), trace);
+            let mut out = trace[..3].to_vec();
+            r.read_segment_into(0, &mut out).unwrap();
+            assert_eq!(out[..3], trace[..3]);
+            assert_eq!(out[3..], trace[..]);
+        }
     }
 
     #[test]
