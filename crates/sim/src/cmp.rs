@@ -20,7 +20,7 @@
 //! independent L1 front end runs once, in [`crate::frontend`], and is
 //! shared across the whole prefetcher roster); between two wake-ups the
 //! core advances *algebraically* over all its core-local records
-//! ([`advance_core_inert`]), never stepping them one by one.
+//! (`Core::advance_inert`), never stepping them one by one.
 //!
 //! ## Why this is metric-identical to record stepping
 //!
@@ -41,7 +41,7 @@
 //!   deadline algebra bounds the collapse (first outstanding-miss
 //!   completion, ROB fill, dependence countdown) so the deadline record
 //!   itself always yields; warm-up crossing records always yield so the
-//!   shared-counter snapshot lands at the oracle's exact global
+//!   shared-counter reset lands at the oracle's exact global
 //!   position;
 //! * uncore completions drain at the head of the loop whenever
 //!   `next_ev_at <=` the next yield tick — the oracle drains them in
@@ -53,29 +53,38 @@
 //!   oracle — up to the last consumed record's pre-clock — which the
 //!   residual drain reproduces via the per-core `last_pre` watermark.
 //!
-//! One deliberate non-observable: the `StoreFill` drain stamps its
-//! (rare) dirty-eviction writeback with core 0's clock, which differs
-//! here because core 0 may have collapsed ahead — but writebacks ride
-//! the *write* bus, whose outcome is discarded and whose state never
-//! reaches a [`CmpResult`]. The differential battery
-//! (`crates/bench/tests/cmp_des.rs`) pins full-roster metric identity.
+//! ## One back end, two drivers
+//!
+//! The cores' state and the shared uncore (L2, prefetch buffer, MSHRs,
+//! memory, prefetcher, event heap, traffic counters) are
+//! `crate::uncore`'s, and so is every demand path: the single-core
+//! [`crate::Engine`] runs the same code over a private uncore. This
+//! module holds only the driver — the wake heap, the algebraic advance,
+//! the inline loop and the warm-up protocol. The shared uncore differs
+//! from the private one in its MSHR-merge model (DESIGN.md §5): a
+//! demand miss that finds its line in an MSHR with no prefetch in
+//! flight also counts as this core's miss and joins its window at full
+//! memory latency, since the fill may be another core's.
+//!
+//! One deliberate non-observable: a store fill's (rare) dirty-eviction
+//! writeback is stamped with the drain's clock, where the oracle uses
+//! core 0's — but writebacks ride the *write* bus, whose outcome is
+//! discarded and whose state never reaches a [`CmpResult`]. The
+//! differential battery (`crates/bench/tests/cmp_des.rs`) pins
+//! full-roster metric identity.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use ebcp_core::EpochTracker;
-use ebcp_mem::{MemOutcome, MemorySystem, MshrFile, PrefetchBuffer, SetAssocCache};
-use ebcp_prefetch::{Action, MissInfo, PrefetchHitInfo, Prefetcher};
+use ebcp_prefetch::Prefetcher;
 use ebcp_trace::TraceRecord;
-use ebcp_types::{AccessKind, Cycle, FxHashMap, LineAddr, MemClass, Pc};
+use ebcp_types::{Cycle, LineAddr};
 
 use crate::config::SimConfig;
 use crate::des::WakeHeap;
 use crate::frontend::{
-    PreEvent, PreResolved, F_IFETCH_MISS, K_LOAD, K_LOAD_FEEDS, K_MISPREDICT, K_NONE, K_SERIALIZE,
-    K_SHIFT, K_STORE_HIT, K_STORE_MISS,
+    PreEvent, PreResolved, ReplayCursor, F_IFETCH_MISS, K_LOAD, K_LOAD_FEEDS, K_MISPREDICT,
+    K_SERIALIZE, K_SHIFT, K_STORE_HIT, K_STORE_MISS,
 };
 use crate::metrics::SimResult;
+use crate::uncore::{Core, Uncore};
 
 /// Per-core measurement results plus the shared-traffic aggregate.
 #[derive(Debug, Clone, PartialEq)]
@@ -113,159 +122,40 @@ impl CmpResult {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Outst {
-    line: LineAddr,
-    done: Cycle,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EvKind {
-    TableDone { token: u64 },
-    PrefetchArrive { line: LineAddr, origin: u64 },
-    StoreFill { line: LineAddr },
-}
-
-#[derive(Debug, Clone, Copy, Eq)]
-struct Ev {
-    at: Cycle,
-    seq: u64,
-    kind: EvKind,
-}
-
-/// Heap ordering key: `(at, seq)` — `seq` is unique per engine.
-/// Equality must match `Ord` (the derived `PartialEq` also compared
-/// `kind`, letting `a == b` disagree with `a.cmp(&b) == Equal` and
-/// violating the contract `BinaryHeap` relies on).
-impl PartialEq for Ev {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-
-impl Ord for Ev {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-impl PartialOrd for Ev {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct CoreCounters {
-    inst_misses: u64,
-    load_misses: u64,
-    store_misses: u64,
-    secondary_misses: u64,
-    store_skipped: u64,
-    averted_inst: u64,
-    averted_load: u64,
-    averted_store: u64,
-    partial_hits: u64,
-    stall_cycles: Cycle,
-}
-
-/// One core component: the back-end state of the oracle's `Core` (the
-/// L1s and fetch-line filter moved into the pre-resolve pass) plus the
-/// replay cursor into its stream and the `last_pre` watermark — the
-/// pre-record clock of the most recently consumed record, which the
-/// residual event drain needs.
-struct Core {
-    id: u8,
-    epoch: EpochTracker,
-    cycle: Cycle,
-    issue_slots: u32,
-    insts: u64,
-    outstanding: Vec<Outst>,
-    window_insts: u32,
-    dep_countdown: Option<u32>,
-    c: CoreCounters,
-    cycle_base: Cycle,
-    insts_base: u64,
-    idx: usize,
-    gap_done: u32,
+/// One core component: its back-end [`Core`] plus the replay cursor
+/// into its stream and the `last_pre` watermark — the pre-record clock
+/// of the most recently consumed record, which the residual event
+/// drain needs.
+struct Slot {
+    core: Core,
+    cur: ReplayCursor,
     last_pre: Cycle,
 }
 
-/// Arithmetically applies `k` provably-local records to one core:
-/// instruction count, issue clock, `last_pre` watermark and (inside a
-/// window) the window-instruction count and dependence countdown. The
-/// caller guarantees none of the `k` records is a yield (deadline /
-/// warm-up crossing / shared interaction).
-///
-/// `issue_slots` is always `insts % issue_width`, so the clock at the
-/// start of the j-th upcoming record (0-indexed) is
-/// `cycle + (issue_slots + j) / width` — the collapse is pure
-/// arithmetic, identical to stepping the records one by one.
-#[inline]
-fn advance_core_inert(core: &mut Core, k: u64, w: u64) {
-    debug_assert!(k > 0);
-    let slots = u64::from(core.issue_slots);
-    core.last_pre = core.cycle + (slots + k - 1) / w;
-    core.insts += k;
-    let s = slots + k;
-    core.cycle += s / w;
-    core.issue_slots = (s % w) as u32;
-    if !core.outstanding.is_empty() {
-        core.window_insts += k as u32;
-        if let Some(cd) = core.dep_countdown {
-            core.dep_countdown = Some(cd - k as u32);
-        }
+impl Slot {
+    /// [`Core::advance_inert`] over `k > 0` provably-local records,
+    /// keeping the `last_pre` watermark: the caller guarantees none of
+    /// them is a yield (deadline / warm-up crossing / shared
+    /// interaction).
+    #[inline]
+    fn advance_inert(&mut self, k: u64, w: u64) {
+        debug_assert!(k > 0);
+        self.last_pre = self.core.cycle + (u64::from(self.core.issue_slots) + k - 1) / w;
+        self.core.advance_inert(k, w);
     }
 }
 
 /// The N-core shared-L2 engine, discrete-event scheduled.
 pub struct CmpEngine {
-    cfg: SimConfig,
-    cores: Vec<Core>,
-    l2: SetAssocCache,
-    pbuf: PrefetchBuffer,
-    mshr: MshrFile,
-    mem: MemorySystem,
-    pf: Box<dyn Prefetcher>,
-    pf_inflight: FxHashMap<LineAddr, Cycle>,
-    events: BinaryHeap<Reverse<Ev>>,
-    next_ev_at: Cycle,
-    ev_seq: u64,
-    actions: Vec<Action>,
-    // Shared-traffic counters (whole-chip).
-    pf_requested: u64,
-    pf_filtered: u64,
-    pf_dropped_mshr: u64,
-    pf_dropped_bus: u64,
-    pf_issued: u64,
-    pf_evicted_unused: u64,
-    table_reads: u64,
-    table_read_drops: u64,
-    table_writes: u64,
-    writebacks: u64,
-    shared_base: SharedBase,
-    shared_snapshotted: bool,
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct SharedBase {
-    pf_requested: u64,
-    pf_filtered: u64,
-    pf_dropped_mshr: u64,
-    pf_dropped_bus: u64,
-    pf_issued: u64,
-    pf_evicted_unused: u64,
-    table_reads: u64,
-    table_read_drops: u64,
-    table_writes: u64,
-    writebacks: u64,
+    cores: Vec<Slot>,
+    uncore: Uncore<true>,
 }
 
 impl std::fmt::Debug for CmpEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CmpEngine")
             .field("cores", &self.cores.len())
-            .field("prefetcher", &self.pf.name())
+            .field("prefetcher", &self.uncore.prefetcher_name())
             .finish_non_exhaustive()
     }
 }
@@ -279,48 +169,15 @@ impl CmpEngine {
     pub fn new(cfg: SimConfig, n_cores: usize, pf: Box<dyn Prefetcher>) -> Self {
         assert!(n_cores > 0 && n_cores <= 255, "1..=255 cores");
         let cores = (0..n_cores)
-            .map(|id| Core {
-                id: id as u8,
-                epoch: EpochTracker::new(),
-                cycle: 0,
-                issue_slots: 0,
-                insts: 0,
-                outstanding: Vec::new(),
-                window_insts: 0,
-                dep_countdown: None,
-                c: CoreCounters::default(),
-                cycle_base: 0,
-                insts_base: 0,
-                idx: 0,
-                gap_done: 0,
+            .map(|id| Slot {
+                core: Core::new(id as u8, cfg.mshrs),
+                cur: ReplayCursor::default(),
                 last_pre: 0,
             })
             .collect();
         CmpEngine {
             cores,
-            l2: SetAssocCache::new(cfg.l2),
-            pbuf: PrefetchBuffer::new(cfg.pbuf_entries, cfg.pbuf_ways.min(cfg.pbuf_entries)),
-            mshr: MshrFile::new(cfg.mshrs),
-            mem: MemorySystem::new(cfg.mem),
-            pf,
-            pf_inflight: FxHashMap::default(),
-            events: BinaryHeap::new(),
-            next_ev_at: Cycle::MAX,
-            ev_seq: 0,
-            actions: Vec::new(),
-            pf_requested: 0,
-            pf_filtered: 0,
-            pf_dropped_mshr: 0,
-            pf_dropped_bus: 0,
-            pf_issued: 0,
-            pf_evicted_unused: 0,
-            table_reads: 0,
-            table_read_drops: 0,
-            table_writes: 0,
-            writebacks: 0,
-            shared_base: SharedBase::default(),
-            shared_snapshotted: false,
-            cfg,
+            uncore: Uncore::new(cfg, pf),
         }
     }
 
@@ -349,7 +206,7 @@ impl CmpEngine {
             .iter()
             .map(|t| {
                 let n = t.len().min(usize::try_from(total).unwrap_or(usize::MAX));
-                PreResolved::from_records(&self.cfg, &t[..n])
+                PreResolved::from_records(&self.uncore.cfg, &t[..n])
             })
             .collect();
         let refs: Vec<&PreResolved> = streams.iter().collect();
@@ -412,7 +269,7 @@ impl CmpEngine {
         assert_eq!(streams.len(), self.cores.len(), "one stream per core");
         for s in streams {
             assert!(
-                s.l1i == self.cfg.l1i && s.l1d == self.cfg.l1d,
+                s.l1i == self.uncore.cfg.l1i && s.l1d == self.uncore.cfg.l1d,
                 "stream resolved under different L1 geometry"
             );
         }
@@ -442,26 +299,26 @@ impl CmpEngine {
                 runner_up.0
             };
             loop {
-                if self.next_ev_at <= tick {
+                if self.uncore.next_ev_at <= tick {
                     // The uncore component wakes first on ties: the
                     // oracle drains matured completions in the record's
                     // pre-op, before its body.
-                    self.drain_events(tick);
+                    self.uncore.drain_events(tick);
                 }
                 // The core sits at a yield record whose key is the
                 // global minimum. The fast loop runs it inline if it
                 // can; otherwise the full machinery does.
-                let insts = self.cores[i].insts;
-                let bound = yield_bound.min(self.next_ev_at);
+                let insts = self.cores[i].core.insts;
+                let bound = yield_bound.min(self.uncore.next_ev_at);
                 let mut next = self.run_inline(i, events, warmup, total, bound);
-                if self.cores[i].insts == insts {
+                if self.cores[i].core.insts == insts {
                     self.exec_one(i, events);
-                    if self.cores[i].insts == warmup {
-                        self.reset_core_stats(i);
-                        if !self.shared_snapshotted && self.cores.iter().all(|c| c.insts >= warmup)
-                        {
-                            self.shared_snapshotted = true;
-                            self.snapshot_shared();
+                    // Each core crosses once, through `exec_one`; the
+                    // last crossing starts the shared measurement.
+                    if self.cores[i].core.insts == warmup {
+                        self.cores[i].core.reset_stats();
+                        if self.cores.iter().all(|s| s.core.insts >= warmup) {
+                            self.uncore.reset_stats();
                         }
                     }
                     next = self.advance_local(i, events, warmup, total);
@@ -481,9 +338,9 @@ impl CmpEngine {
         // Residual drain: in the oracle, trailing core-local records
         // keep draining matured events in their pre-ops, up to the
         // globally last consumed record's pre-record clock.
-        let residual = self.cores.iter().map(|c| c.last_pre).max().unwrap_or(0);
-        if self.next_ev_at <= residual {
-            self.drain_events(residual);
+        let residual = self.cores.iter().map(|s| s.last_pre).max().unwrap_or(0);
+        if self.uncore.next_ev_at <= residual {
+            self.uncore.drain_events(residual);
         }
         self.collect(workload)
     }
@@ -509,85 +366,57 @@ impl CmpEngine {
         warmup: u64,
         total: u64,
     ) -> Option<Cycle> {
-        let w = u64::from(self.cfg.core.issue_width);
-        let iw = self.cfg.core.issue_width;
-        let rob = self.cfg.core.rob_entries;
-        let mp_pen = self.cfg.core.mispredict_penalty;
-        let ser_cost = self.cfg.core.serialize_cost;
-        let core = &mut self.cores[i];
+        let cfg = self.uncore.cfg.core;
+        let w = u64::from(cfg.issue_width);
+        let s = &mut self.cores[i];
         loop {
-            if core.insts >= total {
+            if s.core.insts >= total {
                 return None;
             }
-            let &ev = events.get(core.idx)?;
-            let gap_left = u64::from(ev.gap()) - u64::from(core.gap_done);
+            let &ev = events.get(s.cur.idx)?;
+            let gap_left = u64::from(ev.gap()) - u64::from(s.cur.gap_done);
             if gap_left == 0 && ev.flags() == 0 {
                 // Exhausted pure filler: no event record behind it.
-                core.idx += 1;
-                core.gap_done = 0;
+                s.cur.idx += 1;
+                s.cur.gap_done = 0;
                 continue;
             }
             // Records this core may consume before one must yield.
-            let mut lim = total - core.insts;
-            if core.insts < warmup {
-                lim = lim.min(warmup - core.insts - 1);
+            let mut lim = total - s.core.insts;
+            if s.core.insts < warmup {
+                lim = lim.min(warmup - s.core.insts - 1);
             }
-            let windowed = !core.outstanding.is_empty();
+            let windowed = !s.core.outstanding.is_empty();
             if windowed {
-                // The `gap_advance` deadline algebra: the j-th upcoming
-                // record (0-indexed) starts at cycle + (slots + j) / w,
-                // so the first record reaching `at` is index
-                // ((at - cycle) * w) - slots, clamped at zero.
-                let min_done = core
-                    .outstanding
-                    .iter()
-                    .map(|o| o.done)
-                    .min()
-                    .expect("outstanding non-empty");
-                let k_done = if min_done <= core.cycle {
-                    0
-                } else {
-                    ((min_done - core.cycle) * w).saturating_sub(u64::from(core.issue_slots))
-                };
-                lim = lim.min(k_done);
-                lim = lim.min(u64::from(rob - 1 - core.window_insts));
-                if let Some(cd) = core.dep_countdown {
-                    lim = lim.min(u64::from(cd));
-                }
+                lim = lim.min(s.core.window_room(w, cfg.rob_entries));
             }
             if lim == 0 {
-                return Some(core.cycle);
+                return Some(s.core.cycle);
             }
             if gap_left > 0 {
                 let take = gap_left.min(lim);
-                advance_core_inert(core, take, w);
-                core.gap_done += take as u32;
+                s.advance_inert(take, w);
+                s.cur.gap_done += take as u32;
                 continue;
             }
             // At the event record itself (gap exhausted, flags != 0).
             if windowed || ev.flags() & F_IFETCH_MISS != 0 {
-                return Some(core.cycle);
+                return Some(s.core.cycle);
             }
             match ev.flags() >> K_SHIFT {
                 K_MISPREDICT | K_SERIALIZE => {
                     // Nothing outstanding: a pure local clock bump
                     // (serialize never stalls with an empty window).
-                    core.last_pre = core.cycle;
-                    core.insts += 1;
-                    core.issue_slots += 1;
-                    if core.issue_slots >= iw {
-                        core.cycle += 1;
-                        core.issue_slots = 0;
-                    }
-                    core.cycle += if ev.flags() >> K_SHIFT == K_MISPREDICT {
-                        mp_pen
+                    s.advance_inert(1, w);
+                    s.core.cycle += if ev.flags() >> K_SHIFT == K_MISPREDICT {
+                        cfg.mispredict_penalty
                     } else {
-                        ser_cost
+                        cfg.serialize_cost
                     };
-                    core.idx += 1;
-                    core.gap_done = 0;
+                    s.cur.idx += 1;
+                    s.cur.gap_done = 0;
                 }
-                _ => return Some(core.cycle),
+                _ => return Some(s.core.cycle),
             }
         }
     }
@@ -627,9 +456,9 @@ impl CmpEngine {
         total: u64,
         bound: Cycle,
     ) -> Option<Cycle> {
-        if !self.cfg.core.issue_width.is_power_of_two() {
+        if !self.uncore.cfg.core.issue_width.is_power_of_two() {
             None
-        } else if self.cores[i].outstanding.is_empty() {
+        } else if self.cores[i].core.outstanding.is_empty() {
             self.run_inline_as::<false>(i, events, warmup, total, bound)
         } else {
             self.run_inline_as::<true>(i, events, warmup, total, bound)
@@ -647,15 +476,12 @@ impl CmpEngine {
         total: u64,
         bound: Cycle,
     ) -> Option<Cycle> {
-        let iw = self.cfg.core.issue_width;
-        let shift = iw.trailing_zeros();
-        let mask = u64::from(iw) - 1;
-        let l2_hit = self.cfg.core.l2_hit_exposed;
-        let mp_pen = self.cfg.core.mispredict_penalty;
-        let ser_cost = self.cfg.core.serialize_cost;
-        let rob = u64::from(self.cfg.core.rob_entries);
+        let cfg = self.uncore.cfg.core;
+        let shift = cfg.issue_width.trailing_zeros();
+        let mask = u64::from(cfg.issue_width) - 1;
+        let rob = u64::from(cfg.rob_entries);
 
-        let core = &self.cores[i];
+        let Slot { core, cur, .. } = &self.cores[i];
         let windowed = WINDOWED;
         debug_assert_eq!(windowed, !core.outstanding.is_empty());
         // Loop-invariant: only the general path retires or adds misses.
@@ -667,9 +493,9 @@ impl CmpEngine {
         let mut cycle = core.cycle;
         let mut slots = u64::from(core.issue_slots);
         let mut insts = core.insts;
-        let mut idx = core.idx;
-        let mut gap_done = u64::from(core.gap_done);
-        let mut last_pre = core.last_pre;
+        let mut idx = cur.idx;
+        let mut gap_done = u64::from(cur.gap_done);
+        let mut last_pre = self.cores[i].last_pre;
         let mut win = u64::from(core.window_insts);
         let mut cd = core.dep_countdown.map(u64::from);
         // Records with an index below `stop` may run here: the warm-up
@@ -682,7 +508,9 @@ impl CmpEngine {
         while let Some(&ev) = events.get(idx) {
             // Overlap the next event's L2 set fetch with this one's work.
             if let Some(next) = events.get(idx + 1) {
-                self.l2.prefetch_set(LineAddr::from_index(next.dline()));
+                self.uncore
+                    .l2
+                    .prefetch_set(LineAddr::from_index(next.dline()));
             }
             if ev.flags() == 0 {
                 break;
@@ -745,202 +573,72 @@ impl CmpEngine {
             }
 
             let line = LineAddr::from_index(ev.dline());
+            // The guards take the L2 probe; a miss falls through to the
+            // continuation arm.
             match kind {
-                K_LOAD | K_LOAD_FEEDS => {
-                    if self.l2.access(line) {
-                        cycle += l2_hit;
-                    } else {
-                        miss = Some(ev);
-                        break;
-                    }
-                }
-                K_STORE_MISS => {
-                    if !self.l2.access_dirty(line) {
-                        miss = Some(ev);
-                        break;
-                    }
+                K_LOAD | K_LOAD_FEEDS if self.uncore.l2.access(line) => cycle += cfg.l2_hit_exposed,
+                K_STORE_MISS if self.uncore.l2.access_dirty(line) => {}
+                K_LOAD | K_LOAD_FEEDS | K_STORE_MISS => {
+                    miss = Some(ev);
+                    break;
                 }
                 K_STORE_HIT => {
-                    self.l2.mark_dirty(line);
+                    self.uncore.l2.mark_dirty(line);
                 }
-                K_MISPREDICT => cycle += mp_pen,
+                K_MISPREDICT => cycle += cfg.mispredict_penalty,
                 // Nothing outstanding: serialize never stalls.
-                K_SERIALIZE => cycle += ser_cost,
+                K_SERIALIZE => cycle += cfg.serialize_cost,
                 other => unreachable!("corrupt PreEvent kind {other}"),
             }
             // The post-op countdown step; a miss leaves it to `post_op`.
             cd = cd.map(|c| c - 1);
         }
 
-        let core = &mut self.cores[i];
-        core.cycle = cycle;
-        core.issue_slots = slots as u32;
-        core.insts = insts;
-        core.idx = idx;
-        core.gap_done = gap_done as u32;
-        core.last_pre = last_pre;
-        core.window_insts = win as u32;
-        core.dep_countdown = cd.map(|c| c as u32);
+        let s = &mut self.cores[i];
+        s.core.cycle = cycle;
+        s.core.issue_slots = slots as u32;
+        s.core.insts = insts;
+        s.cur.idx = idx;
+        s.cur.gap_done = gap_done as u32;
+        s.last_pre = last_pre;
+        s.core.window_insts = win as u32;
+        s.core.dep_countdown = cd.map(|c| c as u32);
         if let Some(ev) = miss {
-            let line = LineAddr::from_index(ev.dline());
-            match ev.flags() >> K_SHIFT {
-                K_STORE_MISS => self.store_fill(i, line),
-                kind => self.load_fill(i, line, Pc::new(ev.pc()), kind == K_LOAD_FEEDS),
-            }
-            self.post_op(i);
+            self.uncore.fill_after_probe(&mut s.core, &ev);
         }
         parked
     }
 
     /// Executes core `i`'s current record through the full per-record
-    /// machinery — a verbatim transcription of the oracle's
-    /// `step_core`, minus the L1 probes the pre-resolve pass already
-    /// answered.
+    /// machinery ([`Uncore::step`]) — the oracle's `step_core` minus the
+    /// L1 probes the pre-resolve pass already answered.
     fn exec_one(&mut self, i: usize, events: &[PreEvent]) {
-        let ev = events[self.cores[i].idx];
-        self.cores[i].last_pre = self.cores[i].cycle;
-        if !self.cores[i].outstanding.is_empty() {
-            self.drain_outstanding(i);
-        }
-        if self.next_ev_at <= self.cores[i].cycle {
-            let upto = self.cores[i].cycle;
-            self.drain_events(upto);
-        }
-
-        self.cores[i].insts += 1;
-
-        let is_gap = self.cores[i].gap_done < ev.gap();
-        if !is_gap && ev.flags() & F_IFETCH_MISS != 0 {
-            self.fetch_miss(i, Pc::new(ev.pc()));
-        }
-
-        let core = &mut self.cores[i];
-        core.issue_slots += 1;
-        if core.issue_slots >= self.cfg.core.issue_width {
-            core.cycle += 1;
-            core.issue_slots = 0;
-        }
-        if !core.outstanding.is_empty() {
-            core.window_insts += 1;
-        }
-
-        if is_gap {
-            self.cores[i].gap_done += 1;
+        let s = &mut self.cores[i];
+        let ev = events[s.cur.idx];
+        s.last_pre = s.core.cycle;
+        if s.cur.gap_done < ev.gap() {
+            s.cur.gap_done += 1;
+            self.uncore.step(&mut s.core, None);
         } else {
-            let line = LineAddr::from_index(ev.dline());
-            match ev.flags() >> K_SHIFT {
-                K_NONE => {}
-                K_LOAD | K_LOAD_FEEDS => {
-                    if self.l2.access(line) {
-                        self.cores[i].cycle += self.cfg.core.l2_hit_exposed;
-                    } else {
-                        let feeds = ev.flags() >> K_SHIFT == K_LOAD_FEEDS;
-                        self.load_fill(i, line, Pc::new(ev.pc()), feeds);
-                    }
-                }
-                K_STORE_MISS => {
-                    if !self.l2.access_dirty(line) {
-                        self.store_fill(i, line);
-                    }
-                }
-                K_STORE_HIT => {
-                    self.l2.mark_dirty(line);
-                }
-                K_MISPREDICT => self.cores[i].cycle += self.cfg.core.mispredict_penalty,
-                K_SERIALIZE => {
-                    if self.cores[i].outstanding.is_empty() {
-                        self.cores[i].cycle += self.cfg.core.serialize_cost;
-                    } else {
-                        self.stall_all(i);
-                    }
-                }
-                other => unreachable!("corrupt PreEvent kind {other}"),
-            }
-            self.cores[i].idx += 1;
-            self.cores[i].gap_done = 0;
+            s.cur.idx += 1;
+            s.cur.gap_done = 0;
+            self.uncore.step(&mut s.core, Some(&ev));
         }
-        self.post_op(i);
-    }
-
-    /// Window termination conditions (§2.1) after a record's op — the
-    /// shared tail of [`CmpEngine::exec_one`] and the fast loop's miss
-    /// continuation.
-    fn post_op(&mut self, i: usize) {
-        if !self.cores[i].outstanding.is_empty() {
-            if self.cores[i].window_insts >= self.cfg.core.rob_entries {
-                self.stall_all(i);
-            } else if let Some(cd) = self.cores[i].dep_countdown {
-                if cd == 0 {
-                    self.stall_all(i);
-                } else {
-                    self.cores[i].dep_countdown = Some(cd - 1);
-                }
-            }
-        }
-    }
-
-    fn reset_core_stats(&mut self, i: usize) {
-        let c = &mut self.cores[i];
-        c.c = CoreCounters::default();
-        c.cycle_base = c.cycle;
-        c.insts_base = c.insts;
-        c.epoch.reset_stats();
-    }
-
-    fn snapshot_shared(&mut self) {
-        self.shared_base = SharedBase {
-            pf_requested: self.pf_requested,
-            pf_filtered: self.pf_filtered,
-            pf_dropped_mshr: self.pf_dropped_mshr,
-            pf_dropped_bus: self.pf_dropped_bus,
-            pf_issued: self.pf_issued,
-            pf_evicted_unused: self.pf_evicted_unused,
-            table_reads: self.table_reads,
-            table_read_drops: self.table_read_drops,
-            table_writes: self.table_writes,
-            writebacks: self.writebacks,
-        };
-        self.pf.reset_aux_stats();
     }
 
     fn collect(&self, workload: &str) -> CmpResult {
+        let name = self.uncore.prefetcher_name();
         let cores: Vec<SimResult> = self
             .cores
             .iter()
-            .map(|c| SimResult {
-                prefetcher: self.pf.name().to_owned(),
-                workload: format!("{workload}#core{}", c.id),
-                insts: c.insts - c.insts_base,
-                cycles: c.cycle - c.cycle_base,
-                epochs: c.epoch.stats().epochs,
-                l2_inst_misses: c.c.inst_misses,
-                l2_load_misses: c.c.load_misses,
-                l2_store_misses: c.c.store_misses,
-                secondary_misses: c.c.secondary_misses,
-                store_skipped: c.c.store_skipped,
-                averted_inst: c.c.averted_inst,
-                averted_load: c.c.averted_load,
-                averted_store: c.c.averted_store,
-                partial_hits: c.c.partial_hits,
-                stall_cycles: c.c.stall_cycles,
-                ..SimResult::default()
-            })
+            .map(|s| s.core.result(name, format!("{workload}#core{}", s.core.id)))
             .collect();
         let mut aggregate = SimResult {
-            prefetcher: self.pf.name().to_owned(),
+            prefetcher: name.to_owned(),
             workload: workload.to_owned(),
-            pf_requested: self.pf_requested - self.shared_base.pf_requested,
-            pf_issued: self.pf_issued - self.shared_base.pf_issued,
-            pf_dropped_bus: self.pf_dropped_bus - self.shared_base.pf_dropped_bus,
-            pf_dropped_mshr: self.pf_dropped_mshr - self.shared_base.pf_dropped_mshr,
-            pf_filtered: self.pf_filtered - self.shared_base.pf_filtered,
-            pf_evicted_unused: self.pf_evicted_unused - self.shared_base.pf_evicted_unused,
-            table_reads: self.table_reads - self.shared_base.table_reads,
-            table_read_drops: self.table_read_drops - self.shared_base.table_read_drops,
-            table_writes: self.table_writes - self.shared_base.table_writes,
-            writebacks: self.writebacks - self.shared_base.writebacks,
             ..SimResult::default()
         };
+        self.uncore.traffic_into(&mut aggregate);
         for c in &cores {
             aggregate.insts += c.insts;
             aggregate.cycles = aggregate.cycles.max(c.cycles);
@@ -958,326 +656,6 @@ impl CmpEngine {
         }
         CmpResult { cores, aggregate }
     }
-
-    // ------------------------------------------------------------------
-    // Back-end demand paths (the oracle's fetch/load/store minus the L1
-    // probe each resolved in the front-end pass)
-    // ------------------------------------------------------------------
-
-    fn fetch_miss(&mut self, i: usize, pc: Pc) {
-        let iline = pc.line();
-        if self.l2.access(iline) {
-            self.cores[i].cycle += self.cfg.core.l2_hit_exposed;
-            return;
-        }
-        if let Some(origin) = self.pbuf.lookup_consume(iline) {
-            self.cores[i].c.averted_inst += 1;
-            self.cores[i].cycle += self.cfg.core.l2_hit_exposed;
-            self.fill_l2(i, iline, false);
-            self.notify_pbuf_hit(i, iline, pc, AccessKind::InstrFetch, origin);
-            return;
-        }
-        self.offchip_demand(i, iline, pc, AccessKind::InstrFetch);
-        self.stall_all(i);
-    }
-
-    /// A load's continuation past an L2 miss (the caller probed L2):
-    /// the prefetch-buffer and off-chip paths.
-    fn load_fill(&mut self, i: usize, dline: LineAddr, pc: Pc, feeds_mispredict: bool) {
-        if let Some(origin) = self.pbuf.lookup_consume(dline) {
-            self.cores[i].c.averted_load += 1;
-            self.cores[i].cycle += self.cfg.core.l2_hit_exposed;
-            self.fill_l2(i, dline, false);
-            self.notify_pbuf_hit(i, dline, pc, AccessKind::Load, origin);
-            return;
-        }
-        self.offchip_demand(i, dline, pc, AccessKind::Load);
-        if feeds_mispredict {
-            self.cores[i].dep_countdown = Some(self.cfg.core.dep_branch_window);
-        }
-    }
-
-    /// A store's continuation past an L2 miss — same split as
-    /// [`CmpEngine::load_fill`].
-    fn store_fill(&mut self, i: usize, dline: LineAddr) {
-        if self.pbuf.lookup_consume(dline).is_some() {
-            self.cores[i].c.averted_store += 1;
-            self.fill_l2(i, dline, true);
-            return;
-        }
-        if self.mshr.contains(dline) {
-            self.cores[i].c.secondary_misses += 1;
-            return;
-        }
-        if self.mshr.len() + self.pf_inflight.len() >= self.cfg.mshrs {
-            // Store buffer absorbs it (same policy as the single-core
-            // engine); counted, not silent.
-            self.cores[i].c.store_skipped += 1;
-            return;
-        }
-        self.cores[i].c.store_misses += 1;
-        self.mshr.allocate(dline);
-        let now = self.cores[i].cycle;
-        if let MemOutcome::Done { done } = self.mem.request(now, MemClass::Demand) {
-            self.push_event(done, EvKind::StoreFill { line: dline });
-        }
-    }
-
-    fn offchip_demand(&mut self, i: usize, line: LineAddr, pc: Pc, kind: AccessKind) {
-        let now = self.cores[i].cycle;
-        if let Some(arrival) = self.pf_inflight.remove(&line) {
-            self.cores[i].c.partial_hits += 1;
-            let trigger = self.cores[i].epoch.on_offchip_issue(now);
-            self.count_miss(i, kind);
-            self.mshr.allocate(line);
-            let done = arrival.max(now + 1);
-            self.cores[i].outstanding.push(Outst { line, done });
-            self.notify_miss(i, line, pc, kind, trigger);
-            return;
-        }
-        if self.mshr.contains(line) {
-            // Outstanding somewhere (possibly another core): attach to
-            // this core's window with a conservative full-latency
-            // completion. Still a merged (secondary) miss in MSHR terms.
-            self.cores[i].c.secondary_misses += 1;
-            let trigger = self.cores[i].epoch.on_offchip_issue(now);
-            self.count_miss(i, kind);
-            let done = now + self.cfg.mem.latency;
-            self.cores[i].outstanding.push(Outst { line, done });
-            self.notify_miss(i, line, pc, kind, trigger);
-            return;
-        }
-        self.wait_for_mshr(i);
-        let now = self.cores[i].cycle;
-        let trigger = self.cores[i].epoch.on_offchip_issue(now);
-        self.count_miss(i, kind);
-        self.mshr.allocate(line);
-        let done = match self.mem.request(now, MemClass::Demand) {
-            MemOutcome::Done { done } => done,
-            MemOutcome::Dropped => unreachable!("demand requests are never dropped"),
-        };
-        self.cores[i].outstanding.push(Outst { line, done });
-        self.notify_miss(i, line, pc, kind, trigger);
-    }
-
-    fn count_miss(&mut self, i: usize, kind: AccessKind) {
-        match kind {
-            AccessKind::InstrFetch => self.cores[i].c.inst_misses += 1,
-            AccessKind::Load => self.cores[i].c.load_misses += 1,
-            AccessKind::Store => self.cores[i].c.store_misses += 1,
-        }
-    }
-
-    fn wait_for_mshr(&mut self, i: usize) {
-        while self.mshr.is_full() {
-            if !self.cores[i].outstanding.is_empty() {
-                self.stall_all(i);
-            } else if self.next_ev_at != Cycle::MAX {
-                self.cores[i].cycle = self.cores[i].cycle.max(self.next_ev_at);
-                let upto = self.cores[i].cycle;
-                self.drain_events(upto);
-            } else {
-                // Another core holds the registers; skew this core
-                // forward past the soonest possible release.
-                self.cores[i].cycle += self.cfg.mem.latency;
-                return;
-            }
-        }
-    }
-
-    fn notify_miss(&mut self, i: usize, line: LineAddr, pc: Pc, kind: AccessKind, trigger: bool) {
-        let info = MissInfo {
-            line,
-            pc,
-            kind,
-            epoch_trigger: trigger,
-            now: self.cores[i].cycle,
-            core: self.cores[i].id,
-        };
-        let mut acts = std::mem::take(&mut self.actions);
-        acts.clear();
-        self.pf.on_miss(&info, &mut acts);
-        let now = self.cores[i].cycle;
-        self.apply_actions(now, &acts);
-        self.actions = acts;
-    }
-
-    fn notify_pbuf_hit(&mut self, i: usize, line: LineAddr, pc: Pc, kind: AccessKind, origin: u64) {
-        let info = PrefetchHitInfo {
-            line,
-            pc,
-            kind,
-            origin,
-            would_be_trigger: self.cores[i].epoch.would_trigger(),
-            now: self.cores[i].cycle,
-            core: self.cores[i].id,
-        };
-        let mut acts = std::mem::take(&mut self.actions);
-        acts.clear();
-        self.pf.on_prefetch_hit(&info, &mut acts);
-        let now = self.cores[i].cycle;
-        self.apply_actions(now, &acts);
-        self.actions = acts;
-    }
-
-    fn apply_actions(&mut self, now: Cycle, acts: &[Action]) {
-        for a in acts {
-            match *a {
-                Action::Prefetch { line, origin } => {
-                    self.pf_requested += 1;
-                    if self.l2.probe(line)
-                        || self.pbuf.contains(line)
-                        || self.mshr.contains(line)
-                        || self.pf_inflight.contains_key(&line)
-                    {
-                        self.pf_filtered += 1;
-                        continue;
-                    }
-                    if self.mshr.len() + self.pf_inflight.len() >= self.cfg.mshrs {
-                        self.pf_dropped_mshr += 1;
-                        continue;
-                    }
-                    match self.mem.request(now, MemClass::Prefetch) {
-                        MemOutcome::Done { done } => {
-                            self.pf_issued += 1;
-                            self.pf_inflight.insert(line, done);
-                            self.push_event(done, EvKind::PrefetchArrive { line, origin });
-                        }
-                        MemOutcome::Dropped => self.pf_dropped_bus += 1,
-                    }
-                }
-                Action::TableRead { token, delay } => {
-                    match self.mem.request(now + delay, MemClass::TableRead) {
-                        MemOutcome::Done { done } => {
-                            self.table_reads += 1;
-                            self.push_event(done, EvKind::TableDone { token });
-                        }
-                        MemOutcome::Dropped => {
-                            self.table_read_drops += 1;
-                            self.pf.on_table_dropped(token);
-                        }
-                    }
-                }
-                Action::TableWrite => {
-                    self.table_writes += 1;
-                    let _ = self.mem.request(now, MemClass::TableWrite);
-                }
-            }
-        }
-    }
-
-    fn fill_l2(&mut self, i: usize, line: LineAddr, dirty: bool) {
-        if let Some(ev) = self.l2.fill(line, dirty) {
-            if ev.dirty {
-                self.writebacks += 1;
-                let now = self.cores[i].cycle;
-                let _ = self.mem.request(now, MemClass::Writeback);
-            }
-        }
-    }
-
-    fn stall_all(&mut self, i: usize) {
-        let max_done = self.cores[i]
-            .outstanding
-            .iter()
-            .map(|o| o.done)
-            .max()
-            .unwrap_or(self.cores[i].cycle);
-        if max_done > self.cores[i].cycle {
-            self.cores[i].c.stall_cycles += max_done - self.cores[i].cycle;
-            self.cores[i].cycle = max_done;
-        }
-        let outs = std::mem::take(&mut self.cores[i].outstanding);
-        for o in outs {
-            self.complete_demand(i, o);
-        }
-        self.end_window(i);
-    }
-
-    fn complete_demand(&mut self, i: usize, o: Outst) {
-        self.fill_l2(i, o.line, false);
-        self.mshr.release(o.line);
-    }
-
-    fn end_window(&mut self, i: usize) {
-        let now = self.cores[i].cycle;
-        self.cores[i].epoch.on_all_complete(now);
-        let mut acts = std::mem::take(&mut self.actions);
-        acts.clear();
-        self.pf.on_epoch_end(now, &mut acts);
-        self.apply_actions(now, &acts);
-        self.actions = acts;
-        self.cores[i].window_insts = 0;
-        self.cores[i].dep_countdown = None;
-        if self.next_ev_at <= now {
-            self.drain_events(now);
-        }
-    }
-
-    fn drain_outstanding(&mut self, i: usize) {
-        let mut k = 0;
-        let mut removed = false;
-        while k < self.cores[i].outstanding.len() {
-            if self.cores[i].outstanding[k].done <= self.cores[i].cycle {
-                let o = self.cores[i].outstanding.swap_remove(k);
-                self.complete_demand(i, o);
-                removed = true;
-            } else {
-                k += 1;
-            }
-        }
-        if removed && self.cores[i].outstanding.is_empty() {
-            self.end_window(i);
-        }
-    }
-
-    fn push_event(&mut self, at: Cycle, kind: EvKind) {
-        let ev = Ev {
-            at,
-            seq: self.ev_seq,
-            kind,
-        };
-        self.ev_seq += 1;
-        self.events.push(Reverse(ev));
-        self.next_ev_at = self.next_ev_at.min(at);
-    }
-
-    fn drain_events(&mut self, upto: Cycle) {
-        while let Some(Reverse(ev)) = self.events.peek().copied() {
-            if ev.at > upto {
-                break;
-            }
-            self.events.pop();
-            match ev.kind {
-                EvKind::TableDone { token } => {
-                    let mut acts = std::mem::take(&mut self.actions);
-                    acts.clear();
-                    self.pf.on_table_done(token, ev.at, &mut acts);
-                    self.apply_actions(ev.at, &acts);
-                    self.actions = acts;
-                }
-                EvKind::PrefetchArrive { line, origin } => {
-                    self.pf_inflight.remove(&line);
-                    if !self.l2.probe(line)
-                        && !self.mshr.contains(line)
-                        && self.pbuf.insert(line, origin).is_some()
-                    {
-                        self.pf_evicted_unused += 1;
-                    }
-                }
-                EvKind::StoreFill { line } => {
-                    // Attribute the (rare) writeback to core 0's clock.
-                    self.fill_l2(0, line, true);
-                    self.mshr.release(line);
-                }
-            }
-        }
-        self.next_ev_at = self
-            .events
-            .peek()
-            .map(|Reverse(e)| e.at)
-            .unwrap_or(Cycle::MAX);
-    }
 }
 
 #[cfg(test)]
@@ -1287,7 +665,7 @@ mod tests {
     use ebcp_core::{EbcpConfig, EbcpPrefetcher};
     use ebcp_prefetch::NullPrefetcher;
     use ebcp_trace::{Op, TraceGenerator, WorkloadSpec};
-    use ebcp_types::Addr;
+    use ebcp_types::{Addr, Pc};
 
     fn small_workload() -> WorkloadSpec {
         WorkloadSpec {
@@ -1655,23 +1033,52 @@ mod tests {
     }
 
     #[test]
-    fn ev_eq_agrees_with_ord() {
-        // Regression for the derived-PartialEq / manual-Ord mismatch.
-        let a = Ev {
-            at: 3,
-            seq: 0,
-            kind: EvKind::TableDone { token: 9 },
+    fn mshr_merge_models_differ_only_where_documented() {
+        // A store miss, then a load of the same line while the store's
+        // fill is still in flight: the load finds the line in an MSHR
+        // with no prefetch in flight. The private model (`Engine`)
+        // merges it as a secondary miss and opens nothing; the shared
+        // model cannot tell whose fill that is, so it also counts the
+        // core's own load miss, opens an epoch and stalls on it.
+        let sim = SimConfig::scaled_down(16);
+        let line = 0x2_0000;
+        let kind = |k: u32| k << K_SHIFT;
+        let pre = PreResolved {
+            events: vec![
+                PreEvent::new(0x1000, line, 0, kind(K_STORE_MISS)).unwrap(),
+                PreEvent::new(0x1004, line, 3, kind(K_LOAD)).unwrap(),
+                PreEvent::new(0x1008, 0, 2000, 0).unwrap(),
+            ],
+            records: 2005,
+            l1i: sim.l1i,
+            l1d: sim.l1d,
         };
-        let b = Ev {
-            at: 3,
-            seq: 0,
-            kind: EvKind::PrefetchArrive {
-                line: LineAddr::from_index(5),
-                origin: 0,
-            },
-        };
-        assert_eq!(a.cmp(&b), std::cmp::Ordering::Equal);
-        assert_eq!(a, b);
+
+        let mut private = crate::Engine::new(sim, Box::new(NullPrefetcher));
+        private.replay_events(&pre.events, &mut ReplayCursor::default(), pre.records);
+        let p = private.result("w");
+        assert_eq!(p.insts, 2005);
+        assert_eq!(
+            (p.l2_store_misses, p.secondary_misses, p.l2_load_misses),
+            (1, 1, 0)
+        );
+        assert_eq!((p.epochs, p.stall_cycles), (0, 0), "no window opened");
+
+        let shared = CmpEngine::new(sim, 1, Box::new(NullPrefetcher)).run_streams(
+            &[&pre],
+            0,
+            pre.records,
+            "w",
+        );
+        let c = &shared.cores[0];
+        assert_eq!(c.insts, 2005);
+        assert_eq!(
+            (c.l2_store_misses, c.secondary_misses, c.l2_load_misses),
+            (1, 1, 1)
+        );
+        assert_eq!(c.epochs, 1, "the merged load opens an epoch");
+        assert!(c.stall_cycles > 0, "and the core stalls on it");
+        assert!(c.cycles > p.cycles);
     }
 
     #[test]

@@ -53,6 +53,7 @@ pub mod runner;
 pub mod segment;
 #[cfg(any(test, feature = "stepping-oracle"))]
 pub mod stepping;
+mod uncore;
 
 pub use cmp::{CmpEngine, CmpResult};
 #[cfg(any(test, feature = "stepping-oracle"))]

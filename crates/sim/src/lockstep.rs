@@ -42,7 +42,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use ebcp_types::{LineAddr, Pc};
+use ebcp_types::LineAddr;
 
 use crate::engine::Engine;
 use crate::frontend::{
@@ -283,9 +283,6 @@ impl Lockstep {
             next_soa.push(lanes[i].engine.lane_next_ev());
         }
         let mut lleft = *left;
-        // Mispredicts are stream-driven and identical across lanes:
-        // accumulate one shared count, credit every lane on sync-out.
-        let mut mp: u64 = 0;
 
         while cur.idx < events.len() {
             let ev = events[cur.idx];
@@ -313,7 +310,7 @@ impl Lockstep {
 
             let line = LineAddr::from_index(ev.dline());
             match ev.flags() >> K_SHIFT {
-                K_LOAD | K_LOAD_FEEDS => {
+                kind @ (K_LOAD | K_LOAD_FEEDS | K_STORE_MISS) => {
                     // Kick every lane's set fetch off before the first
                     // probe: the per-lane L2 blocks are independent, so
                     // the host overlaps what would otherwise be a chain
@@ -323,7 +320,14 @@ impl Lockstep {
                     }
                     missed.clear();
                     for (k, &i) in live.iter().enumerate() {
-                        if lanes[i].engine.lane_l2().access(line) {
+                        let l2 = lanes[i].engine.lane_l2();
+                        if kind == K_STORE_MISS {
+                            // A store that hits the L2 after all costs
+                            // nothing extra (write buffering hides it).
+                            if !l2.access_dirty(line) {
+                                missed.push(k);
+                            }
+                        } else if l2.access(line) {
                             cycle_soa[k] += l2_hit;
                         } else {
                             missed.push(k);
@@ -334,51 +338,14 @@ impl Lockstep {
                         cur.idx += 1;
                         cur.gap_done = 0;
                         for (k, &i) in live.iter().enumerate() {
-                            let e = &mut lanes[i].engine;
-                            e.lane_set_clock(cycle_soa[k], slots as u32, insts);
-                            e.lane_add_mispredicts(mp);
-                        }
-                        let feeds = ev.flags() >> K_SHIFT == K_LOAD_FEEDS;
-                        let pc = Pc::new(ev.pc());
-                        for &k in missed.iter() {
-                            let lane = &mut lanes[live[k]];
-                            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                                lane.engine.lane_load_continuation(line, pc, feeds);
-                            }));
-                            if let Err(payload) = outcome {
-                                lane.dead = Some(panic_reason(payload));
-                            }
-                        }
-                        *left = lleft;
-                        return;
-                    }
-                }
-                K_STORE_MISS => {
-                    // A store that hits the L2 after all costs nothing
-                    // extra (write buffering hides it) — only misses
-                    // have a continuation.
-                    for &i in live.iter() {
-                        lanes[i].engine.lane_l2().prefetch_set(line);
-                    }
-                    missed.clear();
-                    for (k, &i) in live.iter().enumerate() {
-                        if !lanes[i].engine.lane_l2().access_dirty(line) {
-                            missed.push(k);
-                        }
-                    }
-                    if !missed.is_empty() {
-                        lleft -= gap_left + 1;
-                        cur.idx += 1;
-                        cur.gap_done = 0;
-                        for (k, &i) in live.iter().enumerate() {
-                            let e = &mut lanes[i].engine;
-                            e.lane_set_clock(cycle_soa[k], slots as u32, insts);
-                            e.lane_add_mispredicts(mp);
+                            lanes[i]
+                                .engine
+                                .lane_set_clock(cycle_soa[k], slots as u32, insts);
                         }
                         for &k in missed.iter() {
                             let lane = &mut lanes[live[k]];
                             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                                lane.engine.lane_store_continuation(line);
+                                lane.engine.miss_continuation(&ev);
                             }));
                             if let Err(payload) = outcome {
                                 lane.dead = Some(panic_reason(payload));
@@ -393,10 +360,7 @@ impl Lockstep {
                         lanes[i].engine.lane_l2().mark_dirty(line);
                     }
                 }
-                K_MISPREDICT => {
-                    mp += 1;
-                    add_broadcast(cycle_soa, mp_pen);
-                }
+                K_MISPREDICT => add_broadcast(cycle_soa, mp_pen),
                 K_SERIALIZE => {
                     add_broadcast(cycle_soa, ser_cost);
                 }
@@ -409,9 +373,9 @@ impl Lockstep {
         }
 
         for (k, &i) in live.iter().enumerate() {
-            let e = &mut lanes[i].engine;
-            e.lane_set_clock(cycle_soa[k], slots as u32, insts);
-            e.lane_add_mispredicts(mp);
+            lanes[i]
+                .engine
+                .lane_set_clock(cycle_soa[k], slots as u32, insts);
         }
         *left = lleft;
     }

@@ -12,10 +12,10 @@
 //! (this crate's own, `crates/bench/tests/preresolve.rs` and the
 //! segment battery) compare against [`run_stepped`] to pin it.
 //!
-//! The oracle shares the back end's per-record prologue and epilogue
-//! with the replay path (`Engine::step_resolved` and the replay's event
-//! dispatch both call the same `pre_op`/`post_op`), so only the L1
-//! resolution and the op dispatch are independent.
+//! The oracle shares the back end's per-record prologue, epilogue and
+//! demand paths with the replay path (`Engine::step_resolved` and
+//! replay's `Uncore::step` both call the same `pre_op`/`post_op`), so
+//! only the L1 resolution and the op dispatch are independent.
 //!
 //! Compiled only for tests and under the `stepping-oracle` feature so
 //! the release binaries carry a single single-core execution path.
